@@ -15,6 +15,7 @@ they generate is finite and :func:`enumerate_finite_group` computes it.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,13 +106,9 @@ class TraceRecorder:
         if all(c == 0 for c in form):
             # constant comparison: nothing to pin down
             return
-        denom = 1
-        for c in list(form) + [const]:
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
+        denom = math.lcm(const.denominator, *(c.denominator for c in form))
         ints = [int(c * denom) for c in form] + [int(const * denom)]
-        g = 0
-        for v in ints:
-            g = _gcd(g, abs(v))
+        g = math.gcd(*ints)
         ints = [v // g for v in ints]
         if rel is Rel.ZERO:
             first = next(v for v in ints if v != 0)
@@ -124,12 +121,6 @@ class TraceRecorder:
         self.constraints.append(
             LinConstraint.make([Fraction(v) for v in ints[:-1]], Fraction(ints[-1]), rel)
         )
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 class TrackedNum:
@@ -397,9 +388,7 @@ def rationalize(
     for word, witness in trace.word_pattern.items():
         if (witness is None) != word.evaluate(rat_gens).is_identity():
             raise TraceVerificationError(f"pattern mismatch at {word.format()}")
-    grid = 1
-    for x in sol:
-        grid = grid * x.denominator // _gcd(grid, x.denominator)
+    grid = math.lcm(*(x.denominator for x in sol))
     if grid > grid_cap:
         raise GridCapError(f"grid needs {grid} cells (cap {grid_cap})")
     if grid > GRID_WARN:
@@ -550,7 +539,7 @@ def common_grid(generators: Sequence[Iet]) -> int:
         for pt in g.discontinuities():
             if not isinstance(pt.x, QuadNum) or not pt.x.is_rational():
                 raise IetError("a generator has an irrational jump; not q-rational")
-            q = q * pt.x.a.denominator // _gcd(q, pt.x.a.denominator)
+            q = math.lcm(q, pt.x.a.denominator)
     return q
 
 

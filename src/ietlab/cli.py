@@ -2,7 +2,8 @@
 
 Every command reads/writes the text format of :mod:`ietlab.textio`, prints a
 human-readable report (or JSON with ``--json``) and exits 0 on success, 1 on
-a soft failure (a search that found nothing), 2 on bad input.
+a soft failure (a search that found nothing or hit its cap), 2 on bad input
+and 3 on an internal error (an exact self-check failed, which is a bug).
 """
 
 from __future__ import annotations
@@ -15,9 +16,15 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from ietlab.approx import enumerate_finite_group, orbit_ball, rationalize
+from ietlab.approx import (
+    GridCapError,
+    TraceVerificationError,
+    enumerate_finite_group,
+    orbit_ball,
+    rationalize,
+)
 from ietlab.core import Iet, IetError, Point, lengths_of, make_point
-from ietlab.field import LiteralError, QuadNum, format_number, parse_number
+from ietlab.field import LiteralError, LpInternalError, QuadNum, format_number, parse_number
 from ietlab.menagerie import (
     build_example_group,
     default_lambda,
@@ -26,17 +33,25 @@ from ietlab.menagerie import (
     symmetric_embedding,
 )
 from ietlab.relations import (
+    CapExceededError,
+    ShrinkVerificationError,
     drift_direction,
     is_admissible,
     relation_certificate,
     vanishing_coordinate_certificate,
 )
-from ietlab.suspension import minimal_model, norm_bounds
+from ietlab.suspension import MinimalModelError, minimal_model, norm_bounds
 from ietlab.textio import TextFormatError, parse_iet, serialize_iet
 
 EXIT_OK = 0
 EXIT_SOFT = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
+
+# searches that ran out of depth, grid or power budget: nothing found
+SOFT_ERRORS = (MinimalModelError, GridCapError, CapExceededError)
+# exact self-checks that failed: a bug, never a property of the input
+INTERNAL_ERRORS = (LpInternalError, TraceVerificationError, ShrinkVerificationError)
 
 
 class InputError(Exception):
@@ -129,8 +144,9 @@ def cmd_show(args, report) -> int:
 def cmd_compose(args, report) -> int:
     a = _load(report, args.a)
     b = _load(report, args.b)
-    _write(report, args.output, a * b)
-    report.outcome["jumps"] = (a * b).d()
+    c = a * b
+    _write(report, args.output, c)
+    report.outcome["jumps"] = c.d()
     return EXIT_OK
 
 
@@ -379,6 +395,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except SOFT_ERRORS as e:
+        print(f"no result: {e}", file=sys.stderr)
+        return EXIT_SOFT
+    except INTERNAL_ERRORS as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (IetError, TextFormatError, LiteralError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -11,6 +11,12 @@ piece list cannot merge away is continuity across a target circle's
 coordinate cut; discontinuity detection therefore compares exact one-sided
 limits, with wrap-around on circles.
 
+``Iet(...)`` is the one validating constructor: it sorts the pieces and
+checks that they partition both domains.  Products and inverses of maps in
+canonical form are partitions by construction and skip those checks; with
+``IETLAB_CHECK=1`` in the environment when this module is imported, they
+are rebuilt through ``Iet(...)`` as well and must come out the same.
+
 Coordinates are QuadNum values (or any exactly ordered number type with the
 same arithmetic protocol, which the piecewise-linear tracing in
 :mod:`ietlab.approx` exploits).
@@ -19,11 +25,14 @@ same arithmetic protocol, which the piecewise-linear tracing in
 from __future__ import annotations
 
 import bisect
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ietlab.field import QuadNum
+
+CHECKED = os.environ.get("IETLAB_CHECK") == "1"
 
 
 class IetError(ValueError):
@@ -299,8 +308,12 @@ class Iet:
         raw.sort(key=lambda p: (p.src, p.a))
         _check_partition(source, [(p.src, p.a, p.length) for p in raw], "source")
         _check_partition(target, sorted((p.dst, p.b, p.length) for p in raw), "target")
+        self._fill(source, target, raw)
+
+    def _fill(self, source: Domain, target: Domain, pieces: list[Piece]) -> None:
+        """Merge pieces sorted by (src, a) into canonical form and index them."""
         merged: list[Piece] = []
-        for p in raw:
+        for p in pieces:
             if merged:
                 q = merged[-1]
                 if (
@@ -321,6 +334,17 @@ class Iet:
         self._by_comp = by_comp
         self._starts = {ci: [p.a for p in ps] for ci, ps in by_comp.items()}
         self._hash = None
+
+    @staticmethod
+    def _trusted(source: Domain, target: Domain, pieces: list[Piece]) -> "Iet":
+        """Map from pieces that are sorted by (src, a) and partition both
+        domains by construction: merges only, skipping the checks of
+        ``Iet(...)``, which stays the entry point for every other caller."""
+        h = object.__new__(Iet)
+        h._fill(source, target, pieces)
+        if CHECKED and h.pieces != Iet(source, target, pieces).pieces:
+            raise IetError("trusted construction disagrees with validation")
+        return h
 
     # -- constructors ------------------------------------------------------------
 
@@ -405,12 +429,16 @@ class Iet:
                 s = lo if lo > g.a else g.a
                 e = hi if hi < g.a + g.length else g.a + g.length
                 if s < e:
-                    out.append((p.src, p.a + (s - p.b), e - s, g.dst, g.b + (s - g.a)))
+                    out.append(Piece(p.src, p.a + (s - p.b), e - s, g.dst, g.b + (s - g.a)))
                 i += 1
-        return Iet(other.source, self.target, out)
+        # other's pieces run in (src, a) order and each is cut left to right
+        return Iet._trusted(other.source, self.target, out)
 
     def __invert__(self) -> "Iet":
-        return Iet(self.target, self.source, [(p.dst, p.b, p.length, p.src, p.a) for p in self.pieces])
+        flipped = sorted(self.pieces, key=lambda p: (p.dst, p.b))
+        return Iet._trusted(
+            self.target, self.source, [Piece(p.dst, p.b, p.length, p.src, p.a) for p in flipped]
+        )
 
     def __pow__(self, n: int) -> "Iet":
         if self.source != self.target:

@@ -1,9 +1,10 @@
 """Exact arithmetic in Q and in a fixed real quadratic field Q(sqrt(d)).
 
 Every coordinate in this package is a :class:`QuadNum`, an exact value
-``a + b*sqrt(d)`` with rational ``a, b`` and a fixed positive non-square
-integer ``d``.  Signs, comparisons and floors are computed by integer
-arithmetic only; no floating point is ever consulted.
+``(p + q*sqrt(d)) / den`` held as four integers with a fixed positive
+non-square ``d``.  Arithmetic, signs, comparisons and floors work on these
+integers alone: no ``Fraction`` is built on any of those paths and no
+floating point is ever consulted.
 
 The module also provides exact rational linear programming
 (:func:`lp_rational_point`): given affine equalities and strict
@@ -34,7 +35,7 @@ class LiteralError(ValueError):
     """Raised when a number literal fails to parse."""
 
 
-def _is_square(n: int) -> bool:
+def is_square(n: int) -> bool:
     r = math.isqrt(n)
     return r * r == n
 
@@ -45,26 +46,41 @@ def _join_fields(d1: int, d2: int) -> int:
     return d1 or d2
 
 
-class QuadNum:
-    """Exact number a + b*sqrt(d).
+def _sign(p: int, q: int, d: int) -> int:
+    """Sign of p + q*sqrt(d) for integers p, q and non-square d."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p == 0 or (p > 0) == (q > 0):
+        return 1 if q > 0 else -1
+    # opposite signs: |p| against |q|sqrt(d), squared; never equal
+    return 1 if (p * p > q * q * d) == (p > 0) else -1
 
-    ``d`` is 0 whenever ``b`` is 0, so rational values compare and hash
-    identically no matter which field they came from.  Instances are
+
+class QuadNum:
+    """Exact number (p + q*sqrt(d)) / den over the integers.
+
+    The representation is normalized: ``den > 0``, ``gcd(p, q, den) = 1``
+    and ``d = 0`` whenever ``q = 0``, so equal values have equal integers
+    and rational values compare and hash alike whichever field they came
+    from (and hash like the equal ``Fraction``).  ``a`` and ``b`` read the
+    value as ``a + b*sqrt(d)`` with ``Fraction`` parts.  Instances are
     immutable by convention.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("p", "q", "den", "d")
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0, d: int = 0):
         a = a if isinstance(a, Fraction) else Fraction(a)
         b = b if isinstance(b, Fraction) else Fraction(b)
         if b == 0:
             d = 0
-        else:
-            if d <= 0 or _is_square(d):
-                raise ValueError(f"field index must be a positive non-square, got {d}")
-        self.a = a
-        self.b = b
+        elif d <= 0 or is_square(d):
+            raise ValueError(f"field index must be a positive non-square, got {d}")
+        # over the lcm of two reduced denominators, gcd(p, q, den) is 1
+        den = math.lcm(a.denominator, b.denominator)
+        self.p = a.numerator * (den // a.denominator)
+        self.q = b.numerator * (den // b.denominator)
+        self.den = den
         self.d = d
 
     # -- construction helpers ------------------------------------------------
@@ -80,8 +96,18 @@ class QuadNum:
         """scale * sqrt(d)."""
         return QuadNum(0, scale, d)
 
+    @property
+    def a(self) -> Fraction:
+        """Rational part."""
+        return Fraction(self.p, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        """Coefficient of sqrt(d)."""
+        return Fraction(self.q, self.den)
+
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.q == 0
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -90,7 +116,9 @@ class QuadNum:
         if o is None:
             return NotImplemented
         d = _join_fields(self.d, o.d)
-        return QuadNum(self.a + o.a, self.b + o.b, d)
+        return _quad(
+            self.p * o.den + o.p * self.den, self.q * o.den + o.q * self.den, self.den * o.den, d
+        )
 
     __radd__ = __add__
 
@@ -99,7 +127,9 @@ class QuadNum:
         if o is None:
             return NotImplemented
         d = _join_fields(self.d, o.d)
-        return QuadNum(self.a - o.a, self.b - o.b, d)
+        return _quad(
+            self.p * o.den - o.p * self.den, self.q * o.den - o.q * self.den, self.den * o.den, d
+        )
 
     def __rsub__(self, other):
         o = _coerce(other)
@@ -108,16 +138,15 @@ class QuadNum:
         return o - self
 
     def __neg__(self):
-        return QuadNum(-self.a, -self.b, self.d)
+        return _quad(-self.p, -self.q, self.den, self.d)
 
     def __mul__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
         d = _join_fields(self.d, o.d)
-        if d == 0:
-            return QuadNum(self.a * o.a)
-        return QuadNum(self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d)
+        p1, q1, p2, q2 = self.p, self.q, o.p, o.q
+        return _quad(p1 * p2 + q1 * q2 * d, p1 * q2 + q1 * p2, self.den * o.den, d)
 
     __rmul__ = __mul__
 
@@ -126,14 +155,18 @@ class QuadNum:
         if o is None:
             return NotImplemented
         d = _join_fields(self.d, o.d)
-        norm = o.a * o.a - o.b * o.b * d
+        p1, q1, p2, q2 = self.p, self.q, o.p, o.q
+        # multiply through by the conjugate p2 - q2*sqrt(d); its norm is
+        # zero only for o == 0 because d is not a square
+        norm = p2 * p2 - q2 * q2 * d
         if norm == 0:
-            if o.a == 0 and o.b == 0:
-                raise ZeroDivisionError("division by zero")
-            raise ZeroDivisionError("division by zero (conjugate norm vanished)")
-        # multiply by the conjugate of o
-        num = self * QuadNum(o.a, -o.b, d if o.b else 0)
-        return QuadNum(num.a / norm, num.b / norm, num.d)
+            raise ZeroDivisionError("division by zero")
+        p = (p1 * p2 - q1 * q2 * d) * o.den
+        q = (q1 * p2 - p1 * q2) * o.den
+        den = self.den * norm
+        if den < 0:
+            p, q, den = -p, -q, -den
+        return _quad(p, q, den, d)
 
     def __rtruediv__(self, other):
         o = _coerce(other)
@@ -144,33 +177,15 @@ class QuadNum:
     # -- order ---------------------------------------------------------------
 
     def sign(self) -> int:
-        """Sign of a + b*sqrt(d), by integer arithmetic (never floats)."""
-        a, b = self.a, self.b
-        if b == 0:
-            return -1 if a < 0 else (1 if a > 0 else 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: |a| against |b|sqrt(d), squared
-        lhs = a * a
-        rhs = b * b * self.d
-        if lhs == rhs:
-            return 0  # unreachable for non-square d; kept as a safe default
-        if a > 0:
-            return 1 if lhs > rhs else -1
-        return -1 if lhs > rhs else 1
+        """Sign of the value, by integer arithmetic (never floats)."""
+        return _sign(self.p, self.q, self.d)
 
     def _cmp(self, other) -> Optional[int]:
         o = _coerce(other)
         if o is None:
             return None
-        if self.b == o.b and self.d == o.d:
-            a, b = self.a, o.a
-            return -1 if a < b else (1 if a > b else 0)
-        return (self - o).sign()
+        d = _join_fields(self.d, o.d)
+        return _sign(self.p * o.den - o.p * self.den, self.q * o.den - o.q * self.den, d)
 
     def __lt__(self, other):
         c = self._cmp(other)
@@ -192,19 +207,19 @@ class QuadNum:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b and self.d == o.d
+        return self.p == o.p and self.q == o.q and self.den == o.den and self.d == o.d
 
     def __ne__(self, other):
         r = self.__eq__(other)
         return r if r is NotImplemented else not r
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        if self.q == 0:
+            return hash(self.p) if self.den == 1 else hash(Fraction(self.p, self.den))
+        return hash((self.p, self.q, self.den, self.d))
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self.p != 0 or self.q != 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -213,33 +228,25 @@ class QuadNum:
         # approximation only; all decisions in this package are made by the
         # exact sign() path
         out = float(self.a)
-        if self.b:
+        if self.q:
             out += float(self.b) * math.sqrt(self.d)
         return out
 
     # -- integer parts -------------------------------------------------------
 
     def floor(self) -> int:
-        if self.b == 0:
-            return math.floor(self.a)
-        # integer estimate of b*sqrt(d), then exact one-step corrections
-        p, q = self.b.numerator, self.b.denominator
-        s = math.isqrt(p * p * self.d)
-        est = s // q if p > 0 else -(s // q) - 1
-        n = math.floor(self.a) + est
-        while (self - (n + 1)).sign() >= 0:
-            n += 1
-        while (self - n).sign() < 0:
-            n -= 1
-        return n
+        # floor((p + x) / den) = floor((p + floor(x)) / den) for integer p and
+        # den > 0; floor(q*sqrt(d)) is exact from isqrt since q*q*d is never
+        # a square for q != 0
+        q = self.q
+        if q == 0:
+            return self.p // self.den
+        s = math.isqrt(q * q * self.d)
+        return (self.p + (s if q > 0 else -s - 1)) // self.den
 
     def mod(self, length: "QuadNum") -> "QuadNum":
         """Reduce into [0, length) for length > 0."""
-        quo = (self / length).floor()
-        out = self - length * quo
-        if out.sign() < 0 or (out - length).sign() >= 0:
-            raise ArithmeticError("mod reduction failed")  # pragma: no cover
-        return out
+        return self - length * (self / length).floor()
 
     # -- formatting ----------------------------------------------------------
 
@@ -250,11 +257,23 @@ class QuadNum:
         return format_number(self)
 
 
+def _quad(p: int, q: int, den: int, d: int) -> QuadNum:
+    """Normalized (p + q*sqrt(d)) / den from integers with den > 0."""
+    g = math.gcd(p, q, den)
+    if g != 1:
+        p, q, den = p // g, q // g, den // g
+    x = object.__new__(QuadNum)
+    x.p, x.q, x.den, x.d = p, q, den, d if q else 0
+    return x
+
+
 def _coerce(x) -> Optional[QuadNum]:
     if isinstance(x, QuadNum):
         return x
-    if isinstance(x, (int, Fraction)):
-        return QuadNum(x)
+    if isinstance(x, int):
+        return _quad(x, 0, 1, 0)
+    if isinstance(x, Fraction):
+        return _quad(x.numerator, 0, x.denominator, 0)
     return None
 
 
@@ -294,7 +313,7 @@ def parse_number(text: str, d: Optional[int] = None) -> QuadNum:
             b = Fraction(0)
             lit_d = 0
     if b != 0:
-        if lit_d <= 0 or _is_square(lit_d):
+        if lit_d <= 0 or is_square(lit_d):
             raise LiteralError(f"sqrt argument must be a positive non-square: {text!r}")
         if d is not None and lit_d != d:
             raise LiteralError(f"literal {text!r} is not in the sqrt({d}) field")

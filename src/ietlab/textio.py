@@ -38,7 +38,7 @@ from ietlab.core import (
     Subdomain,
     subdomain_as_domain,
 )
-from ietlab.field import LiteralError, QuadNum, format_number, parse_number
+from ietlab.field import LiteralError, QuadNum, format_number, is_square, parse_number
 from ietlab.rotations import IrrationalCircleCert
 
 
@@ -103,6 +103,12 @@ def parse_document(text: str) -> tuple[Iet, list[IrrationalCircleCert]]:
         field = int(toks[1][5:-1])
     except ValueError:
         raise TextFormatError("bad field index", ln, _col_of(raw, toks[1])) from None
+    if field <= 0 or is_square(field):
+        # sqrt(D) would be rational, and the header would not survive a
+        # round trip
+        raise TextFormatError(
+            f"field index must be a positive non-square, got {field}", ln, _col_of(raw, toks[1])
+        )
     pos += 1
 
     if pos >= len(lines) or lines[pos][2] != ["domain"]:

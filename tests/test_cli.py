@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from ietlab.cli import EXIT_INPUT, EXIT_OK, EXIT_SOFT, main
+from ietlab import cli
+from ietlab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_SOFT, main
 from ietlab.core import Domain, Iet, circle_rotation, from_lengths, interval_rotation
-from ietlab.field import QuadNum
+from ietlab.field import LpInternalError, QuadNum
 from ietlab.menagerie import example_2_3
+from ietlab.relations import CapExceededError
 from ietlab.rotations import roll_up_two_interval
+from ietlab.suspension import MinimalModelError
 from ietlab.textio import TextFormatError, parse_document, parse_iet, serialize_iet
 
 from randgen import random_iet
@@ -90,6 +93,18 @@ def test_parse_rejects_literal_outside_declared_field():
     text = "field sqrt(2)\ndomain\ninterval I 1/1\npiece I 0/1 1/2+1/4*sqrt(3) -> I 0/1\n"
     with pytest.raises(TextFormatError):
         parse_iet(text)
+
+
+@pytest.mark.parametrize("d", ["4", "1", "0", "-3"])
+def test_parse_rejects_rational_field_header(tmp_path, capsys, d):
+    # sqrt(D) must be irrational, else the header re-serializes as sqrt(2)
+    text = f"field sqrt({d})\ndomain\ninterval I 1/1\npiece I 0/1 1/1 -> I 0/1\n"
+    with pytest.raises(TextFormatError) as err:
+        parse_document(text)
+    assert err.value.line == 1
+    f = tmp_path / "h.iet"
+    f.write_text(text)
+    assert main(["show", str(f)]) == EXIT_INPUT
 
 
 def test_parse_rejects_unknown_component_reference():
@@ -225,6 +240,27 @@ def test_cli_exit_codes_on_bad_input(tmp_path, capsys):
     assert main(["norm", str(tmp_path / "missing.iet")]) == EXIT_INPUT
     assert main(["admissible", "--perm", "fish"]) == EXIT_INPUT
     assert main(["example", "circle-2-3", "--l", "1/4", "--tau", "1/2"]) == EXIT_INPUT
+
+
+def test_cli_exit_codes_on_failed_search_and_internal_error(tmp_path, capsys, monkeypatch):
+    f = write_map(tmp_path, "r.iet", interval_rotation(Fraction(1, 3)))
+    assert main(["finite-group", f, "--cap", "1"]) == EXIT_SOFT  # group of order 3
+
+    def raiser(error):
+        def run(*args, **kwargs):
+            raise error
+
+        return run
+
+    h = interval_rotation(ALPHA)
+    monkeypatch.setattr(cli, "minimal_model", raiser(MinimalModelError(20, h, 64)))
+    assert main(["minimal-model", f]) == EXIT_SOFT
+    monkeypatch.setattr(cli, "relation_certificate", raiser(CapExceededError("cap 10")))
+    assert main(["relation-hunt", f, f, "--q", "2"]) == EXIT_SOFT
+    monkeypatch.setattr(cli, "rationalize", raiser(LpInternalError("degenerate dual basis")))
+    assert main(["rationalize", "--radius", "1", f]) == EXIT_INTERNAL
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "internal error: degenerate dual basis"
 
 
 def test_cli_json_report_deterministic(tmp_path, capsys):

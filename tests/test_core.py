@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ietlab import core
 from ietlab.core import (
     CIRCLE,
     Component,
@@ -11,6 +14,7 @@ from ietlab.core import (
     Iet,
     IetError,
     PartitionError,
+    Piece,
     Point,
     PointError,
     Subdomain,
@@ -398,3 +402,77 @@ def test_support_conjugation_on_mixed_domains():
         phi = Iet(h.source, g.source, pieces)
         hd = phi * h * ~phi
         assert (g * hd * ~g).support() == g.image_of(hd.support())
+
+
+# -- the trusted kernel: products and inverses ---------------------------------------
+
+
+def fixed_piece(a, length) -> Piece:
+    """A piece of [0, 1) that does not move its points."""
+    return Piece(0, QuadNum(a), QuadNum(length), 0, QuadNum(a))
+
+
+def test_checked_mode_rejects_overlapping_trusted_pieces(monkeypatch):
+    dom = Domain.interval(1)
+    overlap = [fixed_piece(0, H), fixed_piece(Fraction(1, 4), Fraction(3, 4))]
+    monkeypatch.setattr(core, "CHECKED", False)
+    Iet._trusted(dom, dom, overlap)  # trusted: nothing is checked
+    monkeypatch.setattr(core, "CHECKED", True)
+    with pytest.raises(PartitionError):
+        Iet._trusted(dom, dom, overlap)
+    # a valid piece set out of (src, a) order would merge differently
+    unsorted = [fixed_piece(H, H), fixed_piece(0, H)]
+    with pytest.raises(IetError, match="disagrees"):
+        Iet._trusted(dom, dom, unsorted)
+
+
+def random_domain(rnd) -> Domain:
+    k = rnd.randint(1, 3)
+    lengths = random_quad_lengths(rnd, k)
+    kinds = [rnd.choice((CIRCLE, "interval")) for _ in range(k)]
+    return Domain(tuple(Component(kinds[i], f"M{i}", lengths[i]) for i in range(k)))
+
+
+def cut_and_place(target: Domain) -> Iet:
+    """[0, 1) laid out along the components of a domain of total length 1."""
+    pieces = []
+    acc = QuadNum(0)
+    for i, c in enumerate(target.components):
+        pieces.append((0, acc, c.length, i, 0))
+        acc = acc + c.length
+    return Iet(Domain.interval(1), target, pieces)
+
+
+def compose_by_cuts(a: Iet, b: Iet, rnd) -> Iet:
+    """a o b from scratch: cut b's source at b's piece starts and at the
+    preimages of a's piece starts, evaluate at each left end, and let the
+    validating constructor sort, check and merge the pieces."""
+    cuts = {ci: {QuadNum(0)} for ci in range(len(b.source))}
+    for p in b.pieces:
+        cuts[p.src].add(p.a)
+        for g in a.pieces:
+            if g.src == p.dst and p.b <= g.a < p.b + p.length:
+                cuts[p.src].add(p.a + (g.a - p.b))
+    pieces = []
+    for ci, comp in enumerate(b.source.components):
+        xs = sorted(cuts[ci]) + [comp.length]
+        for x, y in zip(xs, xs[1:]):
+            img = a(b(Point(ci, x)))
+            pieces.append((ci, x, y - x, img.comp, img.x))
+    rnd.shuffle(pieces)
+    return Iet(b.source, a.target, pieces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_trusted_products_and_inverses_match_validating_constructor(seed):
+    rnd = random.Random(seed)
+    h = random_iet(rnd, 6)
+    phi = cut_and_place(random_domain(rnd))  # source and target differ
+    m = phi * random_iet(rnd, 6) * ~phi  # automorphism of a mixed domain
+    for a, b in ((h, random_iet(rnd, 6)), (phi, h), (m, phi), (m, m)):
+        assert a * b == compose_by_cuts(a, b, rnd)
+    for a in (h, phi, m):
+        flipped = [(p.dst, p.b, p.length, p.src, p.a) for p in a.pieces]
+        rnd.shuffle(flipped)
+        assert ~a == Iet(a.target, a.source, flipped)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ietlab.field import (
     ConstraintSystem,
@@ -219,3 +221,127 @@ def test_lp_solution_substitutes_exactly():
         pt = lp_rational_point(sys)
         if pt is not None:
             assert sys.satisfied_by(pt)  # zero tolerance by construction
+
+
+# -- property tests against a (Fraction, Fraction) oracle ------------------------------
+#
+# The oracle holds a + b*sqrt(d) as two Fractions and shares no code with the
+# integer representation.
+
+FRACS = st.fractions(min_value=-60, max_value=60, max_denominator=80)
+FIELDS = st.sampled_from([2, 3, 5, 7, 10])
+PROPS = settings(max_examples=200, deadline=None)
+
+
+def o_sign(a: Fraction, b: Fraction, d: int) -> int:
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sb == 0 or sa == sb:
+        return sa or sb
+    if sa == 0:
+        return sb
+    return sa if a * a > b * b * d else sb
+
+
+def o_mul(x, y, d):
+    return (x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0])
+
+
+def o_div(x, y, d):
+    norm = y[0] * y[0] - y[1] * y[1] * d
+    return o_mul(x, (y[0] / norm, -y[1] / norm), d)
+
+
+def o_floor(a: Fraction, b: Fraction, d: int) -> int:
+    r = Fraction(math.isqrt(d << 64), 1 << 32)  # sqrt(d) to 2**-32
+    n = math.floor(a + b * r)
+    while o_sign(a - (n + 1), b, d) >= 0:
+        n += 1
+    while o_sign(a - n, b, d) < 0:
+        n -= 1
+    return n
+
+
+def pair(x: QuadNum) -> tuple[Fraction, Fraction]:
+    return (x.a, x.b)
+
+
+def assert_normalized(x: QuadNum) -> None:
+    assert x.den > 0
+    assert math.gcd(x.p, x.q, x.den) == 1
+    assert (x.q == 0) == (x.d == 0)
+    assert QuadNum(x.a, x.b, x.d) == x  # the .a/.b round trip
+
+
+@PROPS
+@given(FRACS, FRACS, FRACS, FRACS, FIELDS)
+def test_arithmetic_matches_oracle(a1, b1, a2, b2, d):
+    x, y = QuadNum(a1, b1, d), QuadNum(a2, b2, d)
+    assert pair(x) == (a1, b1) and x.d == (d if b1 else 0)
+    assert pair(x + y) == (a1 + a2, b1 + b2)
+    assert pair(x - y) == (a1 - a2, b1 - b2)
+    assert pair(-x) == (-a1, -b1)
+    assert pair(x * y) == o_mul((a1, b1), (a2, b2), d)
+    results = [x + y, x - y, x * y, -x, abs(x)]
+    if a2 or b2:
+        assert pair(x / y) == o_div((a1, b1), (a2, b2), d)
+        results.append(x / y)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    for r in results:
+        assert_normalized(r)
+
+
+@PROPS
+@given(FRACS, FRACS, FRACS, FIELDS)
+def test_mixed_operands_match_oracle(a1, b1, f, d):
+    x = QuadNum(a1, b1, d)
+    k = math.floor(f)
+    assert pair(x + f) == pair(f + x) == (a1 + f, b1)
+    assert pair(x - k) == (a1 - k, b1)
+    assert pair(f - x) == (f - a1, -b1)
+    assert pair(x * f) == pair(f * x) == (a1 * f, b1 * f)
+    if f:
+        assert pair(x / f) == (a1 / f, b1 / f)
+    if a1 or b1:
+        assert pair(f / x) == o_div((f, Fraction(0)), (a1, b1), d)
+
+
+@PROPS
+@given(FRACS, FRACS, FRACS, FRACS, FIELDS)
+def test_order_matches_oracle(a1, b1, a2, b2, d):
+    x, y = QuadNum(a1, b1, d), QuadNum(a2, b2, d)
+    assert x.sign() == o_sign(a1, b1, d)
+    s = o_sign(a1 - a2, b1 - b2, d)
+    assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
+    assert (x == y) == (s == 0) == ((a1, b1) == (a2, b2))
+    assert (x != y) == (s != 0)
+    assert (x < a2) == (o_sign(a1 - a2, b1, d) < 0)
+    assert (a2 < x) == (o_sign(a1 - a2, b1, d) > 0)
+
+
+@PROPS
+@given(FRACS, FRACS, FRACS, FRACS, FIELDS)
+def test_floor_and_mod_match_oracle(a1, b1, a2, b2, d):
+    x = QuadNum(a1, b1, d)
+    assert x.floor() == o_floor(a1, b1, d)
+    length = QuadNum(a2, b2, d)
+    assume(length > 0)
+    r = x.mod(length)
+    assert o_sign(r.a, r.b, d) >= 0 and o_sign(r.a - a2, r.b - b2, d) < 0
+    n = o_floor(*o_div((a1, b1), (a2, b2), d), d)
+    assert pair(r) == (a1 - n * a2, b1 - n * b2)
+
+
+@PROPS
+@given(FRACS, FIELDS)
+def test_rationals_hash_and_compare_like_fractions(f, d):
+    x = QuadNum(f)
+    assert x == f and f == x and hash(x) == hash(f)
+    assert {f: 1}[x] == 1
+    k = math.floor(f)
+    assert QuadNum(k) == k and hash(QuadNum(k)) == hash(k)
+    # a rational reached through the field drops back to d = 0
+    y = QuadNum(f, 1, d) - QuadNum.sqrt(d)
+    assert y.d == 0 and y == x and hash(y) == hash(f)
