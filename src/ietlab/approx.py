@@ -16,11 +16,13 @@ they generate is finite and :func:`enumerate_finite_group` computes it.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ietlab import core
 from ietlab.core import (
     INTERVAL,
     Component,
@@ -100,71 +102,86 @@ class TraceRecorder:
     def __init__(self, dim: int):
         self.dim = dim
         self._seen: set = set()
+        # (num, den) -> (form, value); holding no TrackedNum avoids a cycle
+        self._constants: dict[tuple[int, int], tuple[tuple[int, ...], QuadNum]] = {}
         self.constraints: list[LinConstraint] = []
 
-    def record(self, form: tuple[Fraction, ...], const: Fraction, rel: Rel) -> None:
-        if all(c == 0 for c in form):
-            # constant comparison: nothing to pin down
+    def constant(self, num: int, den: int = 1) -> "TrackedNum":
+        """The tracked constant num / den (reduced, den > 0)."""
+        known = self._constants.get((num, den))
+        if known is None:
+            known = (0,) * self.dim + (num,), QuadNum(Fraction(num, den))
+            self._constants[num, den] = known
+        return TrackedNum(known[0], den, known[1], self)
+
+    def record(self, vec: tuple[int, ...], rel: Rel) -> None:
+        """Record ``vec[:-1] . x + vec[-1]`` (= 0 | > 0), scaled to coprime
+        integers; a comparison of constants pins nothing down."""
+        if not any(vec[:-1]):
             return
-        denom = math.lcm(const.denominator, *(c.denominator for c in form))
-        ints = [int(c * denom) for c in form] + [int(const * denom)]
-        g = math.gcd(*ints)
-        ints = [v // g for v in ints]
-        if rel is Rel.ZERO:
-            first = next(v for v in ints if v != 0)
-            if first < 0:
-                ints = [-v for v in ints]
-        key = (tuple(ints), rel)
+        g = math.gcd(*vec)
+        if g != 1:
+            vec = tuple(v // g for v in vec)
+        if rel is Rel.ZERO and next(v for v in vec if v) < 0:
+            vec = tuple(-v for v in vec)
+        key = (vec, rel)
         if key in self._seen:
             return
         self._seen.add(key)
-        self.constraints.append(
-            LinConstraint.make([Fraction(v) for v in ints[:-1]], Fraction(ints[-1]), rel)
-        )
+        self.constraints.append(LinConstraint.make(vec[:-1], vec[-1], rel))
+
+
+def _combine(a: "TrackedNum", b: "TrackedNum", op) -> tuple[tuple[int, ...], int]:
+    """The form of ``op(a, b)`` (add or sub) as an integer vector and denominator."""
+    if a.den == b.den:
+        return tuple(map(op, a.vec, b.vec)), a.den
+    da, db = a.den, b.den
+    vec = [op(x * db, y * da) for x, y in zip(a.vec, b.vec)]
+    den = da * db
+    g = math.gcd(den, *vec)
+    return tuple(v // g for v in vec), den // g
 
 
 class TrackedNum:
-    """An exact value together with the affine form (over the unknown length
-    coordinates) it was computed from.  Arithmetic combines the forms;
-    comparisons consult the exact value and record their outcome."""
+    """An exact value together with the affine form, over the unknown length
+    coordinates, it was computed from.
 
-    __slots__ = ("form", "const", "value", "rec")
+    The form is ``(vec[:-1] . x + vec[-1]) / den``: one integer tuple, the
+    coefficients and then the constant, over a positive integer ``den``
+    (1 unless a fractional constant takes part).  Arithmetic combines the
+    forms on the integers; comparisons consult the exact value and record
+    their outcome.
+    """
 
-    def __init__(self, form, const, value, rec: TraceRecorder):
-        self.form = form
-        self.const = const
+    __slots__ = ("vec", "den", "value", "rec")
+
+    def __init__(self, vec: tuple[int, ...], den: int, value: QuadNum, rec: TraceRecorder):
+        self.vec = vec
+        self.den = den
         self.value = value
         self.rec = rec
 
     @staticmethod
-    def constant(c, rec: TraceRecorder) -> "TrackedNum":
-        c = Fraction(c)
-        return TrackedNum((Fraction(0),) * rec.dim, c, QuadNum(c), rec)
-
-    @staticmethod
     def unknown(index: int, value: QuadNum, rec: TraceRecorder) -> "TrackedNum":
-        form = tuple(Fraction(1) if i == index else Fraction(0) for i in range(rec.dim))
-        return TrackedNum(form, Fraction(0), value, rec)
+        vec = tuple(1 if i == index else 0 for i in range(rec.dim + 1))
+        return TrackedNum(vec, 1, value, rec)
 
     def _coerce(self, other) -> Optional["TrackedNum"]:
-        if isinstance(other, TrackedNum):
+        if type(other) is TrackedNum:
             return other
-        if isinstance(other, (int, Fraction)):
-            return TrackedNum.constant(other, self.rec)
+        if isinstance(other, int):
+            return self.rec.constant(other)
+        if isinstance(other, Fraction):
+            return self.rec.constant(other.numerator, other.denominator)
         if isinstance(other, QuadNum) and other.is_rational():
-            return TrackedNum.constant(other.a, self.rec)
+            return self.rec.constant(other.p, other.den)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return TrackedNum(
-            tuple(a + b for a, b in zip(self.form, o.form)),
-            self.const + o.const,
-            self.value + o.value,
-            self.rec,
-        )
+        return TrackedNum(*_combine(self, o, operator.add), self.value + o.value, self.rec)
 
     __radd__ = __add__
 
@@ -172,12 +189,7 @@ class TrackedNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return TrackedNum(
-            tuple(a - b for a, b in zip(self.form, o.form)),
-            self.const - o.const,
-            self.value - o.value,
-            self.rec,
-        )
+        return TrackedNum(*_combine(self, o, operator.sub), self.value - o.value, self.rec)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -186,20 +198,20 @@ class TrackedNum:
         return o - self
 
     def __neg__(self):
-        return TrackedNum(tuple(-a for a in self.form), -self.const, -self.value, self.rec)
+        return TrackedNum(tuple(map(operator.neg, self.vec)), self.den, -self.value, self.rec)
 
     def _cmp_record(self, other) -> int:
         o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare TrackedNum with {type(other)}")
-        diff = self - o
-        s = diff.value.sign()
+        vec, _ = _combine(self, o, operator.sub)
+        s = (self.value - o.value).sign()
         if s == 0:
-            self.rec.record(diff.form, diff.const, Rel.ZERO)
+            self.rec.record(vec, Rel.ZERO)
         elif s > 0:
-            self.rec.record(diff.form, diff.const, Rel.POSITIVE)
+            self.rec.record(vec, Rel.POSITIVE)
         else:
-            self.rec.record(tuple(-a for a in diff.form), -diff.const, Rel.POSITIVE)
+            self.rec.record(tuple(map(operator.neg, vec)), Rel.POSITIVE)
         return s
 
     def __lt__(self, other):
@@ -264,7 +276,7 @@ def all_words(n_gens: int, radius: int) -> list[Word]:
 
 
 def _tracked_generators(generators: Sequence[Iet], rec: TraceRecorder) -> list[Iet]:
-    dom = Domain((Component(INTERVAL, "I", TrackedNum.constant(1, rec)),))
+    dom = Domain((Component(INTERVAL, "I", rec.constant(1)),))
     tracked = []
     offset = 0
     for g in generators:
@@ -274,6 +286,14 @@ def _tracked_generators(generators: Sequence[Iet], rec: TraceRecorder) -> list[I
         offset += len(ls)
         tracked.append(from_lengths(sigma, tls, domain=dom))
     return tracked
+
+
+def _on_unit_interval(g: Iet) -> bool:
+    comps = g.source.components
+    if len(comps) != 1 or comps[0].kind != INTERVAL:
+        return False
+    length = QuadNum.of(comps[0].length)
+    return length.is_rational() and length.a == 1
 
 
 def _classify(w_iet: Iet) -> Optional[int]:
@@ -290,12 +310,19 @@ def _classify(w_iet: Iet) -> Optional[int]:
 
 def pl_trace(generators: Sequence[Iet], radius: int) -> PlTrace:
     """Replay every word of length <= radius, recording each combinatorial
-    decision as an affine constraint over the unknown lengths."""
+    decision as an affine constraint over the unknown lengths.
+
+    In checked mode (``IETLAB_CHECK=1``) every recorded constraint is then
+    evaluated exactly at the realized point, and a violation raises
+    :class:`TraceVerificationError`.
+    """
     if not generators:
         raise IetError("at least one generator required")
+    if radius < 0:
+        raise IetError("radius must be >= 0")
     for g in generators:
-        if len(g.source.components) != 1 or g.source.components[0].kind != INTERVAL:
-            raise IetError("tracing needs generators on a single interval")
+        if not _on_unit_interval(g):
+            raise IetError("tracing needs generators of the unit interval [0, 1)")
         if g.source != g.target:
             raise IetError("tracing needs automorphisms")
     dim = sum(len(g.pieces) for g in generators)
@@ -325,12 +352,10 @@ def pl_trace(generators: Sequence[Iet], radius: int) -> PlTrace:
     realized = []
     for g in generators:
         realized.extend(lengths_of(g))
-    trace = PlTrace(
-        system=ConstraintSystem(dim, tuple(rec.constraints)),
-        realized_point=tuple(realized),
-        word_pattern=pattern,
-    )
-    return trace
+    system = ConstraintSystem(dim, tuple(rec.constraints))
+    if core.CHECKED and not system.satisfied_by(realized):
+        raise TraceVerificationError("the realized point violates its own trace")
+    return PlTrace(system=system, realized_point=tuple(realized), word_pattern=pattern)
 
 
 # -- rationalization ----------------------------------------------------------------
@@ -370,9 +395,10 @@ def rationalize(
     """Rational generators with the same permutations and the same marked
     ball of radius ``radius``, plus the finite quotient they generate.
 
-    The recorded trace always contains its own realized point, so the linear
-    program is feasible by construction; the triviality pattern of every
-    traced word is re-verified exactly on the rational generators.
+    The recorded trace always contains its own realized point (checked mode
+    verifies this), so the linear program is feasible by construction; the
+    triviality pattern of every traced word is re-verified exactly on the
+    rational generators.
     """
     trace = pl_trace(generators, radius)
     sol = lp_rational_point(trace.system)
@@ -414,52 +440,59 @@ def permutation_group_order(perms: Sequence[tuple[int, ...]]) -> int:
         return 1
 
     def mul(a, b):  # apply b first
-        return tuple(a[b[i]] for i in range(n))
-
-    def inv(a):
-        out = [0] * n
-        for i, v in enumerate(a):
-            out[v] = i
-        return tuple(out)
+        return tuple(map(a.__getitem__, b))
 
     base: list[int] = []
     strong: list[list[tuple[int, ...]]] = []
+    inverse: dict[tuple[int, ...], tuple[int, ...]] = {}  # of each strong generator
+    # per level: point -> transversal element carrying the base point there,
+    # and point -> its inverse
     trans: list[dict[int, tuple[int, ...]]] = []
+    trans_inv: list[dict[int, tuple[int, ...]]] = []
+
+    def add_strong(i: int, g) -> None:
+        if g not in inverse:
+            inverse[g] = tuple(sorted(range(n), key=g.__getitem__))
+        strong[i].append(g)
 
     def extend_base_for(g):
         mv = next(p for p in range(n) if g[p] != p)
         base.append(mv)
         strong.append([])
         trans.append({})
+        trans_inv.append({})
 
     def register(g, upto: int) -> None:
         # g stabilizes base[:upto]; it belongs to every level <= upto
         for i in range(upto + 1):
             if i >= len(base):
                 extend_base_for(g)
-            strong[i].append(g)
+            add_strong(i, g)
 
     def rebuild(i: int) -> None:
         b = base[i]
         t = {b: ident}
+        ti = {b: ident}
+        gens = [(g, inverse[g]) for g in strong[i]]
         frontier = [b]
         while frontier:
             x = frontier.pop()
-            tx = t[x]
-            for g in strong[i]:
+            tx, txi = t[x], ti[x]
+            for g, gi in gens:
                 y = g[x]
                 if y not in t:
                     t[y] = mul(g, tx)
+                    ti[y] = mul(txi, gi)
                     frontier.append(y)
         trans[i] = t
+        trans_inv[i] = ti
 
     def strip(g, i: int) -> tuple[tuple[int, ...], int]:
         while i < len(base):
-            x = g[base[i]]
-            rep = trans[i].get(x)
-            if rep is None:
+            rep_inv = trans_inv[i].get(g[base[i]])
+            if rep_inv is None:
                 return g, i
-            g = mul(inv(rep), g)
+            g = mul(rep_inv, g)
             i += 1
         return g, len(base)
 
@@ -479,7 +512,7 @@ def permutation_group_order(perms: Sequence[tuple[int, ...]]) -> int:
             tx = trans[i][x]
             for g in strong[i]:
                 y = g[x]
-                sg = mul(inv(trans[i][y]), mul(g, tx))
+                sg = mul(trans_inv[i][y], mul(g, tx))
                 if sg == ident:
                     continue
                 res, j = strip(sg, i + 1)
@@ -487,7 +520,7 @@ def permutation_group_order(perms: Sequence[tuple[int, ...]]) -> int:
                     if j == len(base):
                         extend_base_for(res)
                     for lvl in range(i + 1, j + 1):
-                        strong[lvl].append(res)
+                        add_strong(lvl, res)
                         rebuild(lvl)
                     i = j
                     ok = False
@@ -534,8 +567,8 @@ def common_grid(generators: Sequence[Iet]) -> int:
     """Least q making every generator q-rational; errors on irrational jumps."""
     q = 1
     for g in generators:
-        if len(g.source.components) != 1 or g.source.components[0].kind != INTERVAL:
-            raise IetError("finite enumeration needs maps of a single interval")
+        if not _on_unit_interval(g):
+            raise IetError("finite enumeration needs maps of the unit interval [0, 1)")
         for pt in g.discontinuities():
             if not isinstance(pt.x, QuadNum) or not pt.x.is_rational():
                 raise IetError("a generator has an irrational jump; not q-rational")

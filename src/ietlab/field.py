@@ -9,13 +9,15 @@ floating point is ever consulted.
 The module also provides exact rational linear programming
 (:func:`lp_rational_point`): given affine equalities and strict
 inequalities with rational coefficients that admit any real solution, it
-produces a rational solution.
+produces a rational solution.  Its elimination is fraction-free: rows of
+integers over a positive per-row denominator, with no ``Fraction`` built
+inside the elimination loops.
 """
 
 from __future__ import annotations
 
 import math
-import random
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -350,12 +352,13 @@ class LinConstraint:
     def make(coeffs: Iterable[RationalLike], const: RationalLike, relation: Rel) -> "LinConstraint":
         return LinConstraint(tuple(Fraction(c) for c in coeffs), Fraction(const), relation)
 
-    def evaluate(self, x: Sequence[Fraction]) -> Fraction:
+    def evaluate(self, x: Sequence[QuadNum | RationalLike]) -> QuadNum | Fraction:
+        """Exact value at a rational or quadratic point."""
         if len(x) != len(self.coeffs):
             raise ValueError("dimension mismatch")
         return sum((c * v for c, v in zip(self.coeffs, x)), self.const)
 
-    def satisfied_by(self, x: Sequence[Fraction]) -> bool:
+    def satisfied_by(self, x: Sequence[QuadNum | RationalLike]) -> bool:
         v = self.evaluate(x)
         return v == 0 if self.relation is Rel.ZERO else v > 0
 
@@ -380,258 +383,242 @@ class LpInternalError(RuntimeError):
     """The solver contradicted itself; indicates a bug, not unsolvability."""
 
 
-def _gauss_solve_equalities(
-    eqs: list[LinConstraint], n: int
-) -> Optional[tuple[list[Fraction], list[list[Fraction]]]]:
-    """Solve the equality subsystem exactly.
 
-    Returns (particular solution x0, basis of the homogeneous space) or None
-    when inconsistent.
+
+# -- exact linear programming --------------------------------------------------
+#
+# Every elimination step works on integer rows: the row (v, den) stands for
+# the rational vector v / den, with den > 0 and gcd(*v, den) = 1.  A step is
+# one multiply-subtract per entry and one gcd per row: fraction-free like
+# Bareiss's elimination, but each row is divided by its gcd rather than by
+# the previous pivot.  Every entry keeps its exact value, so pivot choices
+# are those of the textbook rational algorithm.
+
+Row = tuple[list[int], int]
+
+
+def _reduced(v: list[int], den: int) -> Row:
+    g = math.gcd(den, *v)
+    if g == 1:
+        return v, den
+    return [x // g for x in v], den // g
+
+
+def _int_row(values: Sequence[RationalLike]) -> Row:
+    """The rationals ``values`` as one reduced integer row."""
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _dot(a: Iterable[int], b: Iterable[int]) -> int:
+    """Integer dot product over the shorter of the two."""
+    return sum(map(operator.mul, a, b))
+
+
+def _pivot(rows: list[Row], r: int, col: int) -> None:
+    """Scale row ``r`` to 1 at ``col`` and clear ``col`` from every other row.
+
+    This is the one elimination step behind the equality solve, both simplex
+    phases and the shadow-price solve.
     """
-    rows = [list(c.coeffs) + [-c.const] for c in eqs]
+    v, _ = rows[r]
+    p = v[col]
+    if p < 0:
+        v, p = [-x for x in v], -p
+    rows[r] = (pv, pd) = _reduced(v, p)
+    for i, (w, d) in enumerate(rows):
+        f = w[col]
+        if f and i != r:
+            # w/d - (f/d) * (pv/pd), since pv/pd is 1 at col
+            rows[i] = _reduced([a * pd - f * b for a, b in zip(w, pv)], d * pd)
+
+
+def _row_reduce(rows: list[Row], ncols: int) -> list[int]:
+    """Bring ``rows`` to reduced row echelon form over the first ``ncols``
+    columns, in place; returns the pivot column of each leading row (the
+    remaining rows are zero in those columns)."""
     pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pr = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][0][col]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][col]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        _pivot(rows, r, col)
         pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][n] != 0:
-            return None  # 0 = nonzero
-    free_cols = [c for c in range(n) if c not in pivots]
-    x0 = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x0[col] = rows[i][n]
-    basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, col in enumerate(pivots):
-            v[col] = -rows[i][fc]
-        basis.append(v)
-    return x0, basis
+    return pivots
 
 
-def _simplex_min(
-    a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]
-) -> Optional[tuple[Fraction, list[int], list[list[Fraction]], list[Fraction]]]:
-    """Two-phase exact simplex, Bland's rule:  min c.y  s.t.  a y = b, y >= 0.
+def _simplex_min(rows: list[Row], cost: Row) -> Optional[tuple[Fraction, list[int]]]:
+    """Two-phase exact simplex, Bland's rule:  min cost . y  s.t.  A y = b,
+    y >= 0, where row i of ``rows`` holds A's row i followed by b_i >= 0.
 
-    Returns (optimal value, basis column indices, final row space of the
-    constraint part, final rhs) or None when infeasible.  Unboundedness is
-    impossible for the programs built here and raises LpInternalError.
+    Returns (optimal value, basis column indices) or None when infeasible.
+    Unboundedness is impossible for the programs built here and raises
+    LpInternalError.
     """
-    m, n = len(a), len(c)
-    for i in range(m):
-        if b[i] < 0:
-            a[i] = [-v for v in a[i]]
-            b[i] = -b[i]
-    # tableau with artificial variables n..n+m-1
-    tab = [a[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [b[i]] for i in range(m)]
+    m, n = len(rows), len(cost[0])
+    # tableau with artificial variables n..n+m-1; row m holds the reduced costs
+    tab = [
+        (v[:n] + [d if j == i else 0 for j in range(m)] + v[n:], d) for i, (v, d) in enumerate(rows)
+    ]
+    tab.append(([], 1))
     basis = list(range(n, n + m))
 
-    def pivot(row: int, col: int) -> None:
-        pv = tab[row][col]
-        tab[row] = [v / pv for v in tab[row]]
-        for i in range(len(tab)):
-            if i != row and tab[i][col] != 0:
-                f = tab[i][col]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
-        basis[row] = col
-
-    def run(cost: list[Fraction], allowed: int) -> Fraction:
-        # maintain the reduced-cost row explicitly
-        z = [Fraction(0)] * (len(tab[0]))
-        for j in range(len(z)):
-            z[j] = (cost[j] if j < len(cost) else Fraction(0)) - sum(
-                (cost[basis[i]] if basis[i] < len(cost) else Fraction(0)) * tab[i][j]
-                for i in range(m)
-            )
+    def run(c: list[int], cden: int, allowed: int) -> tuple[int, int]:
+        tab[m] = (c + [0] * (n + m + 1 - len(c)), cden)
+        # pivoting on each basic column again clears it from the cost row
+        # alone: the tableau rows are already reduced against the basis
+        for i, b in enumerate(basis):
+            _pivot(tab, i, b)
         while True:
-            col = next((j for j in range(allowed) if z[j] < 0), None)
+            zv, zd = tab[m]
+            col = next((j for j in range(allowed) if zv[j] < 0), None)
             if col is None:
-                obj = -z[-1]
-                return obj
-            ratios = [
-                (tab[i][-1] / tab[i][col], basis[i], i)
-                for i in range(m)
-                if tab[i][col] > 0
-            ]
-            if not ratios:
-                raise LpInternalError("unbounded program (cannot happen: objective capped)")
-            # Bland: smallest ratio, ties by smallest basis variable index
-            _, _, row = min(ratios, key=lambda t: (t[0], t[1]))
-            pv = tab[row][col]
-            fz = z[col]
-            tab[row] = [v / pv for v in tab[row]]
+                return -zv[-1], zd
+            # Bland: smallest ratio b_i / a_i over a_i > 0 (the row denominator
+            # cancels), ties by smallest basis variable index
+            row = None
             for i in range(m):
-                if i != row and tab[i][col] != 0:
-                    g = tab[i][col]
-                    tab[i] = [x - g * y for x, y in zip(tab[i], tab[row])]
-            z = [x - fz * y for x, y in zip(z, tab[row])]
+                a = tab[i][0][col]
+                if a > 0:
+                    rhs = tab[i][0][-1]
+                    if row is None or rhs * best_a < best_rhs * a or (
+                        rhs * best_a == best_rhs * a and basis[i] < basis[row]
+                    ):
+                        row, best_a, best_rhs = i, a, rhs
+            if row is None:
+                raise LpInternalError("unbounded program (cannot happen: objective capped)")
+            _pivot(tab, row, col)
             basis[row] = col
 
     # phase 1: minimize the sum of artificials
-    cost1 = [Fraction(0)] * n + [Fraction(1)] * m
-    if run(cost1, n + m) > 0:
+    if run([0] * n + [1] * m, 1, n + m)[0] > 0:
         return None
     # drive remaining artificials out of the basis where possible
     for i in range(m):
         if basis[i] >= n:
-            col = next((j for j in range(n) if tab[i][j] != 0), None)
+            col = next((j for j in range(n) if tab[i][0][j]), None)
             if col is not None:
-                pivot(i, col)
+                _pivot(tab, i, col)
+                basis[i] = col
     # rows whose basis is still artificial are identically zero; keep them inert
-    val = run(list(c), n)
-    rhs = [tab[i][-1] for i in range(m)]
-    rows = [tab[i][:n] for i in range(m)]
-    return val, basis, rows, rhs
-
-
-def _solve_square(mat: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """Gaussian solve of a square system; None when singular/inconsistent."""
-    n = len(rhs)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        pr = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if pr is None:
-            return None
-        m[col], m[pr] = m[pr], m[col]
-        pv = m[col][col]
-        m[col] = [v / pv for v in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return [m[i][n] for i in range(n)]
+    val = run(cost[0], cost[1], n)
+    return Fraction(*val), basis
 
 
 def lp_rational_point(system: ConstraintSystem) -> Optional[tuple[Fraction, ...]]:
     """Rational point satisfying every constraint (equalities exactly,
     strict inequalities strictly), or None when no real solution exists.
 
-    Method: eliminate the equalities by exact Gaussian elimination, then
-    maximize a slack t subject to every strict form >= t and t <= 1 by an
-    exact rational simplex with deterministic (Bland) pivoting; success iff
-    the optimum satisfies t* > 0.  The program is solved through its dual,
-    whose row count is the number of free unknowns plus one.  The returned
-    point is re-substituted into the original system before being returned.
+    Method: eliminate the equalities, then maximize a slack t subject to
+    every strict form >= t and t <= 1 by a two-phase simplex with
+    deterministic (Bland) pivoting; success iff the optimum satisfies
+    t* > 0.  The program is solved through its dual, whose row count is the
+    number of free unknowns plus one.  All of it is fraction-free: rows are
+    integers over a positive per-row denominator, so each step is exact and
+    picks the pivots exact rational arithmetic would.  The returned point is
+    re-substituted into the original system, as integer dot products over a
+    common denominator, before being returned.
     """
     n = system.dimension
-    eqs = [c for c in system.constraints if c.relation is Rel.ZERO]
-    strict = [c for c in system.constraints if c.relation is Rel.POSITIVE]
+    rows = [
+        (_int_row(c.coeffs + (c.const,)), c.relation is Rel.ZERO) for c in system.constraints
+    ]
 
-    solved = _gauss_solve_equalities(eqs, n)
-    if solved is None:
-        return None
-    x0, basis = solved
+    # equalities  coeffs . x = -const,  in reduced row echelon form
+    eqs = [(v[:n] + [-v[n]], d) for (v, d), is_eq in rows if is_eq]
+    pivots = _row_reduce(eqs, n)
+    if any(v[n] for v, _ in eqs[len(pivots) :]):
+        return None  # 0 = nonzero
+    # solutions are (x0 + sum_k y_k basis_k) / den over the free coordinates y
+    den = math.lcm(*(d for _, d in eqs[: len(pivots)]))
+    x0 = [0] * n
+    for (v, d), col in zip(eqs, pivots):
+        x0[col] = v[n] * (den // d)
+    basis = []
+    for fc in sorted(set(range(n)) - set(pivots)):
+        bv = [0] * n
+        bv[fc] = den
+        for (v, d), col in zip(eqs, pivots):
+            bv[col] = -v[fc] * (den // d)
+        basis.append(bv)
     f = len(basis)
 
-    # strict rows over the free coordinates: alpha . y + gamma > 0
-    reduced: dict[tuple[Fraction, ...], Fraction] = {}
-    for cst in strict:
-        gamma = cst.evaluate(x0)
-        alpha = tuple(
-            sum(cst.coeffs[i] * bv[i] for i in range(n)) for bv in basis
-        )
-        if all(v == 0 for v in alpha):
+    # strict rows over the free coordinates, alpha . y + gamma > 0, each held
+    # as the integer row (alpha, gamma) over its denominator
+    reduced: dict[tuple, Row] = {}
+    for (v, d), is_eq in rows:
+        if is_eq:
+            continue
+        gamma = _dot(v[:n], x0) + v[n] * den
+        alpha = [_dot(v, bv) for bv in basis]
+        if not any(alpha):
             if gamma <= 0:
                 return None
             continue
         # same direction twice: keep the binding (smallest constant) copy
-        prev = reduced.get(alpha)
-        if prev is None or gamma < prev:
-            reduced[alpha] = gamma
+        dir_v, dir_d = _reduced(alpha, d * den)
+        key = (tuple(dir_v), dir_d)
+        row = _reduced(alpha + [gamma], d * den)
+        prev = reduced.get(key)
+        if prev is None or row[0][f] * prev[1] < prev[0][f] * row[1]:
+            reduced[key] = row
 
-    def finish(y: list[Fraction]) -> Optional[tuple[Fraction, ...]]:
-        x = list(x0)
-        for k, bv in enumerate(basis):
-            x = [xi + y[k] * bi for xi, bi in zip(x, bv)]
-        pt = tuple(x)
-        if not system.satisfied_by(pt):
-            raise LpInternalError("solver returned a point violating the system")
-        return pt
+    def finish(y: list[tuple[int, int]]) -> tuple[Fraction, ...]:
+        yden = math.lcm(*(yd for _, yd in y))
+        x = [xi * yden for xi in x0]
+        for (yn, yd), bv in zip(y, basis):
+            s = yn * (yden // yd)
+            x = [xi + s * bi for xi, bi in zip(x, bv)]
+        xden = den * yden
+        for (v, _), is_eq in rows:
+            s = _dot(v, x) + v[n] * xden
+            if (s != 0) if is_eq else (s <= 0):
+                raise LpInternalError("solver returned a point violating the system")
+        return tuple(Fraction(xi, xden) for xi in x)
 
     if not reduced:
-        return finish([Fraction(0)] * f)
+        return finish([])
 
-    alphas = list(reduced.keys())
-    gammas = [reduced[a] for a in alphas]
-    mcnt = len(alphas)
+    strict = list(reduced.values())
+    mcnt = len(strict)
+    lcm = math.lcm(*(d for _, d in strict))
+    scale = [lcm // d for _, d in strict]
 
     # dual of  max t  s.t.  t - alpha_j.y <= gamma_j,  t <= 1:
     #   min  y0 + sum gamma_j yj   s.t.  y0 + sum yj = 1,  sum yj alpha_j = 0,  y >= 0
-    a_rows: list[list[Fraction]] = []
-    a_rows.append([Fraction(1)] + [Fraction(1)] * mcnt)
+    a_rows = [([1] * (mcnt + 2), 1)]
     for i in range(f):
-        a_rows.append([Fraction(0)] + [-alphas[j][i] for j in range(mcnt)])
-    b_vec = [Fraction(1)] + [Fraction(0)] * f
-    c_vec = [Fraction(1)] + list(gammas)
+        a_rows.append(_reduced([0] + [-v[i] * s for (v, _), s in zip(strict, scale)] + [0], lcm))
+    cost = _reduced([lcm] + [v[f] * s for (v, _), s in zip(strict, scale)], lcm)
 
-    res = _simplex_min(a_rows, b_vec, c_vec)
+    res = _simplex_min(a_rows, cost)
     if res is None:
         raise LpInternalError("dual infeasible (cannot happen: primal is bounded)")
-    t_star, dbasis, _, _ = res
+    t_star, dbasis = res
     if t_star <= 0:
         return None
 
     # primal maximizer = shadow prices of the dual: solve B^T pi = c_B on the
-    # original dual columns for the final basis
-    ncols = 1 + mcnt
-    bt = []
-    cb = []
+    # original dual columns for the final basis, one row per basic column
+    bt: list[Row] = []
     for bi in dbasis:
-        if bi < ncols:
-            bt.append([a_rows[r][bi] for r in range(f + 1)])
-            cb.append(c_vec[bi])
+        if bi == 0:
+            bt.append(([1] + [0] * f + [1], 1))
+        elif bi <= mcnt:
+            v, d = strict[bi - 1]
+            bt.append(([d] + [-a for a in v[:f]] + [v[f]], d))
         else:
             # inert artificial row (redundant dual constraint): pins nothing
-            bt.append([Fraction(1) if r == bi - ncols else Fraction(0) for r in range(f + 1)])
-            cb.append(Fraction(0))
-    pi = _solve_square(bt, cb)
-    if pi is None:
+            unit = [0] * (f + 2)
+            unit[bi - mcnt - 1] = 1
+            bt.append((unit, 1))
+    if _row_reduce(bt, f + 1) != list(range(f + 1)):
         raise LpInternalError("degenerate dual basis")
-    t_val, y = pi[0], pi[1:]
-    if t_val != t_star:
+    pi = [(v[f + 1], d) for v, d in bt]
+    if Fraction(*pi[0]) != t_star:
         raise LpInternalError("dual/primal objective mismatch")
-    return finish(y)
-
-
-def lp_nearby_points(
-    system: ConstraintSystem, base: Sequence[Fraction], count: int, seed: int = 0
-) -> list[tuple[Fraction, ...]]:
-    """Further rational solutions near a known one: perturb inside the
-    equality subspace and keep candidates that re-verify exactly, shrinking
-    the perturbation until the strict inequalities hold."""
-    if not system.satisfied_by(tuple(base)):
-        raise ValueError("base point does not satisfy the system")
-    rng = random.Random(seed)
-    eqs = [c for c in system.constraints if c.relation is Rel.ZERO]
-    solved = _gauss_solve_equalities(eqs, system.dimension)
-    if solved is None:
-        raise ValueError("inconsistent equalities")  # pragma: no cover
-    _, basis = solved
-    out: list[tuple[Fraction, ...]] = []
-    for _ in range(count):
-        chosen = tuple(base)
-        for shift in range(4, 80, 4):
-            delta = [Fraction(rng.randint(-3, 3), 2 ** shift) for _ in basis]
-            cand = list(base)
-            for d, bv in zip(delta, basis):
-                cand = [x + d * v for x, v in zip(cand, bv)]
-            if system.satisfied_by(tuple(cand)):
-                chosen = tuple(cand)
-                break
-        out.append(chosen)
-    return out
+    return finish(pi[1:])

@@ -2,10 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ietlab import core
 from ietlab.approx import (
     FiniteQuotient,
     GridCapError,
+    TraceRecorder,
+    TraceVerificationError,
+    TrackedNum,
     all_words,
     common_grid,
     enumerate_finite_group,
@@ -27,9 +33,10 @@ from ietlab.core import (
     make_point,
     permutation_of,
 )
-from ietlab.field import QuadNum, Rel, lp_nearby_points, lp_rational_point
+from ietlab.field import QuadNum, Rel, lp_rational_point
 from ietlab.relations import Word, commutator_word, lcm_up_to
 
+from lp_oracle import lp_nearby_points
 from randgen import random_iet, random_q_rational_iet, random_realizable_perm
 
 R2 = QuadNum.sqrt(2)
@@ -115,6 +122,67 @@ def test_pl_trace_commuting_rotations():
     com = commutator_word(Word.gen(0), Word.gen(1))
     assert tr.word_pattern[com] is None  # [s, t] trivial
     assert tr.word_pattern[Word.gen(0) * Word.gen(1)] is not None
+
+
+def test_pl_trace_rejects_negative_radius():
+    with pytest.raises(IetError, match="radius"):
+        pl_trace([interval_rotation(ALPHA)], -1)
+    with pytest.raises(IetError, match="radius"):
+        rationalize([interval_rotation(ALPHA)], -1)
+
+
+def test_maps_off_the_unit_interval_are_rejected():
+    dom = Domain.interval(2)
+    swap = Iet(dom, dom, [(0, 0, 1, 0, 1), (0, 1, 1, 0, 0)])  # two swapped halves of [0, 2)
+    for call in (common_grid, enumerate_finite_group, lambda gens: pl_trace(gens, 1)):
+        with pytest.raises(IetError, match="unit interval"):
+            call([swap])
+
+
+def test_pl_trace_checked_mode_rejects_a_constraint_its_point_violates(monkeypatch):
+    record = TraceRecorder.record
+
+    def flipped(self, vec, rel):  # record every strict outcome the wrong way round
+        record(self, tuple(-v for v in vec) if rel is Rel.POSITIVE else vec, rel)
+
+    monkeypatch.setattr(TraceRecorder, "record", flipped)
+    g = interval_rotation(ALPHA)
+    with pytest.raises(TraceVerificationError):
+        pl_trace([g], 1)
+    monkeypatch.setattr(core, "CHECKED", False)
+    assert not system_holds_at(pl_trace([g], 1).system, lengths_of(g))
+
+
+TRACK_CONSTANTS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5).map(QuadNum),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tracked_arithmetic_keeps_its_affine_form(data):
+    dim = data.draw(st.integers(1, 4))
+    frac = st.fractions(min_value=0, max_value=1, max_denominator=12)
+    parts = data.draw(st.lists(st.tuples(frac, frac), min_size=dim, max_size=dim))
+    realized = [QuadNum(a, b, 2) for a, b in parts]
+    rec = TraceRecorder(dim)
+    pool = [TrackedNum.unknown(i, v, rec) for i, v in enumerate(realized)]
+    for _ in range(data.draw(st.integers(1, 12))):
+        x = data.draw(st.sampled_from(pool))
+        y = data.draw(st.sampled_from(pool) | TRACK_CONSTANTS)
+        op = data.draw(st.sampled_from(["x+y", "y+x", "x-y", "y-x", "-x"]))
+        z = {"x+y": x + y, "y+x": y + x, "x-y": x - y, "y-x": y - x, "-x": -x}[op]
+        assert isinstance(z, TrackedNum)
+        pool.append(z)
+        _ = x < z  # comparisons record constraints that hold at the realized point
+    for t in pool:
+        form = QuadNum(t.vec[-1])
+        for c, v in zip(t.vec, realized):
+            form = form + v * c
+        assert t.den > 0 and t.value == form / t.den
+    assert system_holds_at(rec, realized)
 
 
 def test_pl_trace_soundness_at_sampled_solutions():

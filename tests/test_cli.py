@@ -240,6 +240,13 @@ def test_cli_exit_codes_on_bad_input(tmp_path, capsys):
     assert main(["norm", str(tmp_path / "missing.iet")]) == EXIT_INPUT
     assert main(["admissible", "--perm", "fish"]) == EXIT_INPUT
     assert main(["example", "circle-2-3", "--l", "1/4", "--tau", "1/2"]) == EXIT_INPUT
+    r = write_map(tmp_path, "r.iet", interval_rotation(Fraction(1, 3)))
+    assert main(["rationalize", "--radius", "-1", r]) == EXIT_INPUT
+    dom = Domain.interval(2)
+    swap = write_map(tmp_path, "swap.iet", Iet(dom, dom, [(0, 0, 1, 0, 1), (0, 1, 1, 0, 0)]))
+    assert main(["finite-group", swap]) == EXIT_INPUT
+    assert main(["rationalize", "--radius", "1", swap]) == EXIT_INPUT
+    assert "unit interval" in capsys.readouterr().err
 
 
 def test_cli_exit_codes_on_failed_search_and_internal_error(tmp_path, capsys, monkeypatch):

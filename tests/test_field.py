@@ -19,6 +19,8 @@ from ietlab.field import (
     quad_sign,
 )
 
+import lp_oracle
+
 
 def interval_sign(a: Fraction, b: Fraction, d: int, bits: int = 128) -> int:
     """Oracle: sign of a + b*sqrt(d) by interval arithmetic, refining as needed."""
@@ -345,3 +347,44 @@ def test_rationals_hash_and_compare_like_fractions(f, d):
     # a rational reached through the field drops back to d = 0
     y = QuadNum(f, 1, d) - QuadNum.sqrt(d)
     assert y.d == 0 and y == x and hash(y) == hash(f)
+
+
+# -- the LP against the Fraction oracle ------------------------------------------------
+#
+# lp_oracle is the Fraction LP the package used before its rows became
+# integers; both pivot by Bland's rule on exact values, so the points agree
+# bit for bit.
+
+LP_COEFS = st.one_of(
+    st.integers(-4, 4).map(Fraction), st.fractions(min_value=-4, max_value=4, max_denominator=6)
+)
+
+
+@st.composite
+def lp_systems(draw):
+    """Small systems; those drawn around a rational witness are feasible."""
+    n = draw(st.integers(0, 4))
+    witness = draw(st.none() | st.lists(LP_COEFS, min_size=n, max_size=n))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        coeffs = draw(st.lists(LP_COEFS, min_size=n, max_size=n))
+        rel = draw(st.sampled_from(Rel))
+        if witness is None:
+            const = draw(LP_COEFS)
+        else:
+            slack = draw(LP_COEFS.filter(lambda v: v > 0)) if rel is Rel.POSITIVE else 0
+            const = slack - sum((c * w for c, w in zip(coeffs, witness)), Fraction(0))
+        rows.append(LinConstraint.make(coeffs, const, rel))
+    return witness, ConstraintSystem(n, tuple(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_systems())
+def test_lp_matches_fraction_oracle(drawn):
+    witness, system = drawn
+    pt = lp_rational_point(system)
+    assert pt == lp_oracle.lp_rational_point(system)
+    if witness is not None:
+        assert pt is not None
+    if pt is not None:
+        assert system.satisfied_by(pt)
