@@ -329,24 +329,23 @@ def pl_trace(generators: Sequence[Iet], radius: int) -> PlTrace:
     rec = TraceRecorder(dim)
     tracked = _tracked_generators(generators, rec)
     letter_maps = []
-    for g in tracked:
-        letter_maps.append(g)
-        letter_maps.append(~g)
+    for i, g in enumerate(tracked):
+        letter_maps.append(((i, 1), g))
+        letter_maps.append(((i, -1), ~g))
 
+    # only the words of the last length are extended, so only they keep
+    # their maps, and the longest words keep none
     pattern: dict[Word, Optional[int]] = {}
-    prefixes: dict[tuple, Iet] = {(): Iet.identity(tracked[0].source)}
-    frontier = [()]
-    for _ in range(radius):
+    frontier = [((), Iet.identity(tracked[0].source))]
+    for depth in range(1, radius + 1):
         nxt = []
-        for w in frontier:
-            base = prefixes[w]
-            for li, lmap in enumerate(letter_maps):
-                letter = (li // 2, 1 if li % 2 == 0 else -1)
+        for w, base in frontier:
+            for letter, lmap in letter_maps:
                 w2 = w + (letter,)
                 iet2 = base * lmap
-                prefixes[w2] = iet2
                 pattern[Word(w2)] = _classify(iet2)
-                nxt.append(w2)
+                if depth < radius:
+                    nxt.append((w2, iet2))
         frontier = nxt
 
     realized = []

@@ -219,6 +219,8 @@ def cmd_relation_hunt(args, report) -> int:
         return EXIT_SOFT
     report.outcome["found"] = True
     report.outcome["word"] = cert.word.format(("s", "t"))
+    report.outcome["letters"] = len(cert.word)
+    report.outcome["runs"] = len(cert.word.letters)
     report.outcome["exponent"] = cert.exponent
     report.outcome["k"] = cert.k
     if cert.epsilon is not None:

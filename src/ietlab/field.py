@@ -66,12 +66,16 @@ class QuadNum:
     and rational values compare and hash alike whichever field they came
     from (and hash like the equal ``Fraction``).  ``a`` and ``b`` read the
     value as ``a + b*sqrt(d)`` with ``Fraction`` parts.  Instances are
-    immutable by convention.
+    immutable by convention.  A ``float`` part raises ``TypeError``: it
+    would be read as its binary value (``0.01`` as ``5764607523034235 /
+    576460752303423488``), never as the decimal it was written as.
     """
 
     __slots__ = ("p", "q", "den", "d")
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0, d: int = 0):
+        if isinstance(a, float) or isinstance(b, float):
+            raise TypeError("QuadNum takes int or Fraction parts, not float")
         a = a if isinstance(a, Fraction) else Fraction(a)
         b = b if isinstance(b, Fraction) else Fraction(b)
         if b == 0:
@@ -225,14 +229,6 @@ class QuadNum:
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
-
-    def __float__(self):
-        # approximation only; all decisions in this package are made by the
-        # exact sign() path
-        out = float(self.a)
-        if self.q:
-            out += float(self.b) * math.sqrt(self.d)
-        return out
 
     # -- integer parts -------------------------------------------------------
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ietlab.core import (
     CIRCLE,
@@ -55,17 +55,35 @@ class ShrinkVerificationError(IetError):
 
 @dataclass(frozen=True)
 class Word:
-    """Word in the free group on abstract generators 0, 1, ...; letters are
-    (generator index, +-1)."""
+    """Word in the free group on abstract generators 0, 1, ...
+
+    ``letters`` holds the word as runs ``(generator index, exponent)``:
+    maximal blocks of one repeated letter, so ``s^420 t^-1`` is two runs
+    however large the exponent.  The constructor takes any sequence of
+    ``(generator, nonzero exponent)`` pairs, single letters ``(i, +-1)``
+    included, and merges neighbours with the same generator and the same
+    sign, so equal letter sequences give equal, equally hashed words.  It
+    never merges opposite signs: that would be free reduction (see
+    :func:`free_reduce`) and would change the word.  ``len(word)`` is the
+    number of letters.
+    """
 
     letters: tuple[tuple[int, int], ...] = ()
 
+    def __post_init__(self):
+        runs: list[tuple[int, int]] = []
+        for gen, e in self.letters:
+            if e == 0:
+                raise IetError("a run needs a nonzero exponent")
+            if runs and runs[-1][0] == gen and (runs[-1][1] > 0) == (e > 0):
+                runs[-1] = (gen, runs[-1][1] + e)
+            else:
+                runs.append((gen, e))
+        object.__setattr__(self, "letters", tuple(runs))
+
     @staticmethod
     def gen(i: int, exp: int = 1) -> "Word":
-        if exp == 0:
-            return Word()
-        e = 1 if exp > 0 else -1
-        return Word(((i, e),) * abs(exp))
+        return Word(((i, exp),)) if exp else Word()
 
     def __mul__(self, other: "Word") -> "Word":
         return Word(self.letters + other.letters)
@@ -76,49 +94,48 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        out = Word()
-        for _ in range(n):
-            out = out * self
-        return out
+        if len(self.letters) == 1:
+            gen, e = self.letters[0]
+            return Word.gen(gen, e * n)
+        return Word(self.letters * n)
 
     def __len__(self):
-        return len(self.letters)
+        return sum(abs(e) for _, e in self.letters)
 
     def evaluate(self, gens: Sequence[Iet]) -> Iet:
+        """The map the word names, composed run by run; each distinct run is
+        raised to its power once per call."""
         if not gens:
             raise IetError("no generators to evaluate over")
-        result = Iet.identity(gens[0].source)
-        for i, e in self.letters:
-            g = gens[i]
-            result = result * (g if e > 0 else ~g)
-        return result
+        powers: dict[tuple[int, int], Iet] = {}
+        result = None
+        for run in self.letters:
+            p = powers.get(run)
+            if p is None:
+                g, e = gens[run[0]], run[1]
+                p = powers[run] = g if e == 1 else ~g if e == -1 else g ** e
+            result = p if result is None else result * p
+        return Iet.identity(gens[0].source) if result is None else result
 
     def format(self, names: Sequence[str] = ("s", "t", "u", "v")) -> str:
         if not self.letters:
             return "1"
         out = []
-        i = 0
-        letters = self.letters
-        while i < len(letters):
-            j = i
-            while j < len(letters) and letters[j] == letters[i]:
-                j += 1
-            gen, e = letters[i]
-            count = (j - i) * e
+        for gen, e in self.letters:
             name = names[gen] if gen < len(names) else f"g{gen}"
-            out.append(name if count == 1 else f"{name}^{count}")
-            i = j
+            out.append(name if e == 1 else f"{name}^{e}")
         return " ".join(out)
 
 
 def free_reduce(w: Word) -> Word:
     """Fully reduced form; empty exactly when w is trivial in the free group."""
-    stack: list[tuple[int, int]] = []
-    for let in w.letters:
-        if stack and stack[-1][0] == let[0] and stack[-1][1] == -let[1]:
-            stack.pop()
-        else:
-            stack.append(let)
+    stack: list[tuple[int, int]] = []  # neighbours have distinct generators
+    for gen, e in w.letters:
+        if stack and stack[-1][0] == gen:
+            e += stack.pop()[1]
+            if e == 0:
+                continue
+        stack.append((gen, e))
     return Word(tuple(stack))
 
 
@@ -194,17 +211,93 @@ def jump_marks(s: Iet) -> list[Point]:
     return list(s.discontinuities()) + list((~s).discontinuities())
 
 
-_FLOAT_GUARD = 1e-9  # far above any drift a 500k-step float accumulation can reach
+def _first_hits(beta: QuadNum, w: QuadNum):
+    """First forward and backward hits of width w by n*beta mod 1, for
+    0 < beta < 1 and 0 < w < 1: ``(plus, minus, period)`` where ``plus`` is
+    (A+, {A+ beta}) for the least A+ >= 1 with {A+ beta} in (0, w],
+    ``minus`` is (A-, {A- beta} - 1) for the least A- >= 1 with {A- beta} in
+    [1 - w, 1), either None when no such n exists, and ``period`` is the
+    least n >= 1 with n*beta an integer if the descent reached it (always
+    when beta is rational and a hit is missing), else None.
+
+    Farey descent: the forward record (n, f) has f = {n beta} and the
+    backward record (n', g) has g = 1 - {n' beta}; no 0 < m < n + n' lands
+    in (-g, f).  Adding the shorter record to the longer one j times
+    shortens the longer by j times the shorter, so one exact floor
+    division takes a whole partial quotient.
+    """
+    fwd = [1, beta, (1, beta) if beta <= w else None]  # [n, distance, first hit]
+    bwd = [0, QuadNum(1), None]
+    period = None
+    while fwd[2] is None or bwd[2] is None:
+        big, small = (fwd, bwd) if fwd[1] >= bwd[1] else (bwd, fwd)
+        k = (big[1] / small[1]).floor()
+        rem = big[1] - k * small[1]
+        if big[2] is None:
+            j = -((w - big[1]) / small[1]).floor()  # least j with big - j*small <= w
+            if j < k or (j == k and rem):
+                big[2] = (big[0] + j * small[0], big[1] - j * small[1])
+        big[0] += k * small[0]
+        big[1] = rem
+        if not rem:
+            period = big[0]
+            break
+    minus = bwd[2] and (bwd[2][0], -bwd[2][1])
+    return fwd[2], minus, period
+
+
+def _window_returns(beta: QuadNum, delta: QuadNum) -> Iterator[int]:
+    """Every n >= 1 with ||n beta|| <= delta, in increasing order, for
+    0 < beta < 1 and 0 < 2*delta < 1.
+
+    The point y = {n beta + delta} returns to the window W = [0, 2 delta].
+    By the three-gap theorem (Slater 1967) the next return from y is the
+    shorter of A+ and A- whose shift keeps y in W, else A+ + A- (see
+    :func:`_first_hits`); when beta is rational and a hit is missing, the
+    period, which fixes y, takes the place of the missing steps.
+    """
+    w = 2 * delta
+    plus, minus, period = _first_hits(beta, w)
+    zero = QuadNum(0)
+    # (gap, shift, lo, hi): the step is possible from y in [lo, hi]; the
+    # last, longest step is possible from all of W
+    steps = []
+    if plus:
+        steps.append((plus[0], plus[1], zero, w - plus[1]))
+    if minus:
+        steps.append((minus[0], minus[1], -minus[1], w))
+    if plus and minus:
+        steps.append((plus[0] + minus[0], plus[1] + minus[1], zero, w))
+    else:
+        steps.append((period, zero, zero, w))
+    steps.sort(key=lambda s: s[0])
+    n, y = 0, delta
+    while True:
+        for gap, shift, lo, hi in steps:
+            if lo <= y <= hi:
+                break
+        n += gap
+        y += shift
+        yield n
+
+
+def _near_zero(x: QuadNum, delta: QuadNum) -> bool:
+    """||x|| <= delta, the distance from x to the nearest integer."""
+    frac = x - x.floor()
+    return frac <= delta or 1 - frac <= delta
 
 
 def small_rotation_power(r: Iet, eps, cap: int = 500_000) -> int:
-    """Least n >= 1 such that r^n moves every point by at most eps/2
-    (exhaustive search over n).
+    """Least n >= 1 such that r^n moves every point by at most eps/2.
 
-    A floating-point accumulator skips powers whose movement provably
-    exceeds the threshold by more than the drift guard; every surviving
-    candidate is decided by exact arithmetic, so the answer is the true
-    minimum.
+    On a circle of length L turned by a, r^n moves every point by
+    ||n a/L|| * L, so the condition is ||n beta|| <= delta with beta = a/L
+    and delta = (eps/2)/L on every circle; circles with 2 delta >= 1 always
+    meet it.  The circle with the smallest delta drives the search: its
+    returns to the window are walked exactly by the three-gap theorem
+    (:func:`_window_returns`), and every other circle is tested exactly at
+    each return, so the answer is the true minimum.  No floating point is
+    used.  Raises :class:`CapExceededError` when the least n exceeds cap.
     """
     eps = QuadNum.of(eps)
     if not eps > 0:
@@ -212,39 +305,24 @@ def small_rotation_power(r: Iet, eps, cap: int = 500_000) -> int:
     if not is_multi_rotation(r):
         raise IetError("small powers need a multi-rotation")
     thresh = eps / 2
-    exact: list[tuple] = []  # (angle, length)
-    ratios: list[float] = []
+    circles: list[tuple[QuadNum, QuadNum]] = []  # (beta, delta)
     for ci, ang in circle_angles(r).items():
         if ang == 0:
             continue
         length = r.source.components[ci].length
-        exact.append((ang, length))
-        ratios.append(float(ang / length))
-    if not exact:
+        circles.append((ang / length, thresh / length))
+    if not circles:
         return 1
-
-    def exact_ok(n: int) -> bool:
-        for ang, length in exact:
-            c = (ang * n).mod(length)
-            dist = c if 2 * c <= length else length - c
-            if dist > thresh:
-                return False
-        return True
-
-    k = len(ratios)
-    lo = [float(thresh / length) + _FLOAT_GUARD for _, length in exact]
-    hi = [1.0 - b for b in lo]  # skip only inside (b+guard, 1-b-guard)
-    cums = [0.0] * k
-    for n in range(1, cap + 1):
-        ok = True
-        for i in range(k):
-            c = cums[i] + ratios[i]
-            if c >= 1.0:
-                c -= 1.0
-            cums[i] = c
-            if lo[i] < c < hi[i]:
-                ok = False
-        if ok and exact_ok(n):
+    circles = [(beta, delta) for beta, delta in circles if 2 * delta < 1]
+    returns: Iterable[int] = [1]
+    if circles:
+        beta, delta = min(circles, key=lambda c: c[1])
+        circles.remove((beta, delta))
+        returns = _window_returns(beta, delta)
+    for n in returns:
+        if n > cap:
+            break
+        if all(_near_zero(beta * n, delta) for beta, delta in circles):
             return n
     raise CapExceededError(f"no power within cap {cap} moves points by <= eps/2")
 

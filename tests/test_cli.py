@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from ietlab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_SOFT, main
 from ietlab.core import Domain, Iet, circle_rotation, from_lengths, interval_rotation
 from ietlab.field import LpInternalError, QuadNum
 from ietlab.menagerie import example_2_3
-from ietlab.relations import CapExceededError
+from ietlab.relations import CapExceededError, drift_direction, drifted
 from ietlab.rotations import roll_up_two_interval
 from ietlab.suspension import MinimalModelError
 from ietlab.textio import TextFormatError, parse_document, parse_iet, serialize_iet
@@ -185,6 +186,21 @@ def test_cli_relation_hunt(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "found: True" in out and "word:" in out
     assert parse_iet((tmp_path / "u.iet").read_text()).is_identity()
+
+
+def test_cli_relation_hunt_large_q(tmp_path, capsys):
+    # lcm(1..20) = 232,792,560: the word s^e is one run, never written out
+    s = write_map(tmp_path, "s.iet", from_lengths((2, 1), [Fraction(1, 2), Fraction(1, 2)]))
+    t0 = from_lengths((3, 2, 1), [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)])
+    t = write_map(tmp_path, "t.iet", drifted(t0, Fraction(1, 64), drift_direction((3, 2, 1))))
+    start = time.monotonic()
+    assert main(["--json", "relation-hunt", s, t, "--q", "20"]) == EXIT_OK
+    assert time.monotonic() - start < 30
+    outcome = json.loads(capsys.readouterr().out)["outcome"]
+    assert outcome["exponent"] == 232_792_560
+    assert outcome["letters"] == 4 * 232_792_560 + 4
+    assert outcome["runs"] == 8
+    assert outcome["word"] == "s^-232792560 t s^-232792560 t^-1 s^232792560 t s^232792560 t^-1"
 
 
 def test_cli_relation_hunt_soft_failure(tmp_path, capsys):

@@ -88,6 +88,18 @@ def test_rational_values_hash_and_compare_across_fields():
     assert z.d == 0 and z == 0
 
 
+def test_floats_are_rejected():
+    # a float would enter as its binary value, 0.01 as 5764607523034235/2**59
+    with pytest.raises(TypeError):
+        QuadNum(0.01)
+    with pytest.raises(TypeError):
+        QuadNum(1, 0.5, 2)
+    with pytest.raises(TypeError):
+        QuadNum.of(0.25)
+    with pytest.raises(TypeError):
+        QuadNum(1) < 0.5
+
+
 def test_floor_and_mod():
     r2 = QuadNum.sqrt(2)
     assert r2.floor() == 1

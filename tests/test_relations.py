@@ -2,8 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ietlab.core import (
+    CIRCLE,
+    Component,
     Domain,
     Iet,
     IetError,
@@ -72,6 +76,103 @@ def test_word_evaluate_and_format():
     assert Word().format() == "1"
 
 
+def test_word_runs_never_merge_opposite_signs():
+    w = Word(((0, 1), (0, 1), (0, -1), (1, 2), (1, 3)))
+    assert w.letters == ((0, 2), (0, -1), (1, 5))
+    assert len(w) == 8
+    assert w.format() == "s^2 s^-1 t^5"
+    assert free_reduce(w).letters == ((0, 1), (1, 5))
+    with pytest.raises(IetError):
+        Word(((0, 0),))
+
+
+def test_huge_power_stays_small():
+    e = lcm_up_to(20)
+    w = commutator_word(S_ ** e, T_ * S_ ** e * T_.inverse())
+    assert len(w) == 4 * e + 4
+    assert len(w.letters) == 8
+    assert free_reduce(w) == w
+    assert (S_ ** 2 * T_ * S_) ** 3 == Word(((0, 2), (1, 1), (0, 3), (1, 1), (0, 3), (1, 1), (0, 1)))
+
+
+# letter-by-letter oracles for run-length words; a letter is (generator, +-1)
+
+
+def expand(w: Word) -> tuple:
+    return tuple((g, 1 if e > 0 else -1) for g, e in w.letters for _ in range(abs(e)))
+
+
+def letters_inverse(letters):
+    return tuple((g, -e) for g, e in reversed(letters))
+
+
+def letters_reduce(letters):
+    stack = []
+    for let in letters:
+        if stack and stack[-1][0] == let[0] and stack[-1][1] == -let[1]:
+            stack.pop()
+        else:
+            stack.append(let)
+    return tuple(stack)
+
+
+def letters_format(letters, names=("s", "t", "u", "v")):
+    if not letters:
+        return "1"
+    out, i = [], 0
+    while i < len(letters):
+        j = i
+        while j < len(letters) and letters[j] == letters[i]:
+            j += 1
+        gen, e = letters[i]
+        count = (j - i) * e
+        out.append(names[gen] if count == 1 else f"{names[gen]}^{count}")
+        i = j
+    return " ".join(out)
+
+
+def letters_evaluate(letters, gens):
+    result = Iet.identity(gens[0].source)
+    for i, e in letters:
+        result = result * (gens[i] if e > 0 else ~gens[i])
+    return result
+
+
+WORD_GENS = [
+    interval_rotation(Fraction(1, 3)),
+    from_lengths((3, 2, 1), [Fraction(1, 4), ALPHA / 2, Fraction(3, 4) - ALPHA / 2]),
+    from_lengths((2, 1), [Fraction(1, 5), Fraction(4, 5)]),
+]
+
+# chunks (generator, sign * size); neighbouring chunks of one letter make a
+# longer run, so the same letters arrive in different groupings
+CHUNKS = st.lists(
+    st.tuples(st.integers(0, 2), st.sampled_from([1, -1]), st.integers(1, 4)).map(
+        lambda c: (c[0], c[1] * c[2])
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(CHUNKS, st.integers(-3, 3))
+def test_run_length_word_matches_letter_oracle(chunks, n):
+    letters = tuple((g, 1 if e > 0 else -1) for g, e in chunks for _ in range(abs(e)))
+    w = Word(tuple(chunks))
+    assert expand(w) == letters
+    assert Word(letters) == w and hash(Word(letters)) == hash(w)
+    assert all(
+        a[0] != b[0] or (a[1] > 0) != (b[1] > 0) for a, b in zip(w.letters, w.letters[1:])
+    )  # runs are maximal
+    assert len(w) == len(letters)
+    assert w.format() == letters_format(letters)
+    assert expand(w.inverse()) == letters_inverse(letters)
+    assert expand(free_reduce(w)) == letters_reduce(letters)
+    powered = letters * n if n >= 0 else letters_inverse(letters) * -n
+    assert expand(w ** n) == powered
+    assert w.evaluate(WORD_GENS) == letters_evaluate(letters, WORD_GENS)
+
+
 # -- small powers of rotations ----------------------------------------------------
 
 
@@ -120,6 +221,72 @@ def test_small_rotation_power_fifth():
 def test_small_rotation_power_cap():
     with pytest.raises(CapExceededError):
         small_rotation_power(circle_rotation(1, ALPHA), Fraction(1, 100), cap=10)
+
+
+def scan_small_power(circles, eps, cap):
+    """Oracle: scan n = 1..cap for the first n with (ang*n) mod length within
+    eps/2 of 0 on every circle; None past the cap."""
+    half = QuadNum.of(eps) / 2
+    for n in range(1, cap + 1):
+        ok = True
+        for length, ang in circles:
+            c = (ang * n).mod(length)
+            if min(c, length - c) > half:
+                ok = False
+                break
+        if ok:
+            return n
+    return None
+
+
+def multi_rotation(circles) -> Iet:
+    dom = Domain(tuple(Component(CIRCLE, f"C{i}", length) for i, (length, _) in enumerate(circles)))
+    pieces = []
+    for ci, (length, ang) in enumerate(circles):
+        if ang == 0:
+            pieces.append((ci, 0, length, ci, 0))
+        else:
+            pieces += [(ci, 0, length - ang, ci, ang), (ci, length - ang, ang, ci, 0)]
+    return Iet(dom, dom, pieces)
+
+
+# an angle is a fraction of its circle: rational, or in Q(sqrt 2) reduced mod 1
+TURNS = st.one_of(
+    st.builds(lambda p, q: QuadNum(Fraction(p % q, q)), st.integers(0, 60), st.integers(1, 40)),
+    st.builds(
+        lambda a, b: QuadNum(Fraction(a, 7), Fraction(b, 5), 2).mod(QuadNum(1)),
+        st.integers(-30, 30),
+        st.integers(1, 30) | st.integers(-30, -1),
+    ),
+)
+CIRCLES = st.lists(
+    st.tuples(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3)]), TURNS).map(
+        lambda c: (QuadNum(c[0]), c[1] * c[0])
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    CIRCLES,
+    st.sampled_from([Fraction(4), Fraction(1, 3), Fraction(1, 10), Fraction(1, 50), Fraction(1, 300)]),
+    st.sampled_from([1, 3, 400, 3000, 3000]),
+)
+def test_small_rotation_power_matches_scan(circles, eps, cap):
+    expected = scan_small_power(circles, eps, cap)
+    r = multi_rotation(circles)
+    if expected is None:
+        with pytest.raises(CapExceededError):
+            small_rotation_power(r, eps, cap)
+    else:
+        assert small_rotation_power(r, eps, cap) == expected
+
+
+def test_shrink_config_rejects_float_epsilon():
+    with pytest.raises(TypeError):
+        ShrinkConfig(0.01)
 
 
 def test_small_rotation_power_rejects_non_multi_rotation():
