@@ -10,7 +10,8 @@ comparison as a linear constraint, so any rational solution of the recorded
 system reproduces the exact trivial/nontrivial pattern of the traced words.
 :func:`rationalize` solves that system, yielding rational generators with
 the same marked ball; rational generators act on a finite grid, so the group
-they generate is finite and :func:`enumerate_finite_group` computes it.
+they generate is finite, and :func:`permutation_group_order` gives its exact
+order from the cell permutations by a stabilizer chain.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from ietlab.field import (
     Rel,
     lp_rational_point,
 )
-from ietlab.relations import Word
+from ietlab.relations import CapExceededError, Word
 
 
 class TraceVerificationError(IetError):
@@ -256,25 +257,6 @@ class PlTrace:
     word_pattern: dict[Word, Optional[int]]
 
 
-def all_words(n_gens: int, radius: int) -> list[Word]:
-    """Every nonempty word of length <= radius over the generators and their
-    inverses, in breadth-first order."""
-    letters = []
-    for i in range(n_gens):
-        letters.append((i, 1))
-        letters.append((i, -1))
-    out: list[Word] = []
-    frontier = [()]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for let in letters:
-                nxt.append(w + (let,))
-        out.extend(Word(w) for w in nxt)
-        frontier = nxt
-    return out
-
-
 def _tracked_generators(generators: Sequence[Iet], rec: TraceRecorder) -> list[Iet]:
     dom = Domain((Component(INTERVAL, "I", rec.constant(1)),))
     tracked = []
@@ -312,8 +294,10 @@ def pl_trace(generators: Sequence[Iet], radius: int) -> PlTrace:
     """Replay every word of length <= radius, recording each combinatorial
     decision as an affine constraint over the unknown lengths.
 
-    In checked mode (``IETLAB_CHECK=1``) every recorded constraint is then
-    evaluated exactly at the realized point, and a violation raises
+    Raises :class:`CapExceededError`, before tracing anything, when there
+    are more than ``WORD_CAP`` such words.  In checked mode
+    (``IETLAB_CHECK=1``) every recorded constraint is then evaluated
+    exactly at the realized point, and a violation raises
     :class:`TraceVerificationError`.
     """
     if not generators:
@@ -325,6 +309,12 @@ def pl_trace(generators: Sequence[Iet], radius: int) -> PlTrace:
             raise IetError("tracing needs generators of the unit interval [0, 1)")
         if g.source != g.target:
             raise IetError("tracing needs automorphisms")
+    words, layer = 0, 1
+    for _ in range(radius):
+        layer *= 2 * len(generators)
+        words += layer
+        if words > WORD_CAP:
+            raise CapExceededError(f"radius {radius} traces more than {WORD_CAP} words")
     dim = sum(len(g.pieces) for g in generators)
     rec = TraceRecorder(dim)
     tracked = _tracked_generators(generators, rec)
@@ -366,11 +356,12 @@ class FiniteQuotient:
 
     grid: int
     generators: tuple[tuple[int, ...], ...]
-    group_size: Optional[int]
+    group_size: int
 
 
 GRID_WARN = 10 ** 6
 GRID_CAP = 10 ** 7
+WORD_CAP = 10 ** 5  # two generators: radius 8 traces 87,380 words, radius 9 349,524
 
 
 def _cell_permutation(g: Iet, grid: int) -> tuple[int, ...]:
@@ -385,12 +376,7 @@ def _cell_permutation(g: Iet, grid: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def rationalize(
-    generators: Sequence[Iet],
-    radius: int,
-    grid_cap: int = GRID_CAP,
-    compute_order: bool = True,
-) -> tuple[list[Iet], FiniteQuotient]:
+def rationalize(generators: Sequence[Iet], radius: int) -> tuple[list[Iet], FiniteQuotient]:
     """Rational generators with the same permutations and the same marked
     ball of radius ``radius``, plus the finite quotient they generate.
 
@@ -414,12 +400,12 @@ def rationalize(
         if (witness is None) != word.evaluate(rat_gens).is_identity():
             raise TraceVerificationError(f"pattern mismatch at {word.format()}")
     grid = math.lcm(*(x.denominator for x in sol))
-    if grid > grid_cap:
-        raise GridCapError(f"grid needs {grid} cells (cap {grid_cap})")
+    if grid > GRID_CAP:
+        raise GridCapError(f"grid needs {grid} cells (cap {GRID_CAP})")
     if grid > GRID_WARN:
         warnings.warn(f"finite quotient grid has {grid} cells", RuntimeWarning)
     perms = tuple(_cell_permutation(g, grid) for g in rat_gens)
-    size = permutation_group_order(perms) if compute_order else None
+    size = permutation_group_order(perms)
     return rat_gens, FiniteQuotient(grid=grid, generators=perms, group_size=size)
 
 
@@ -534,34 +520,6 @@ def permutation_group_order(perms: Sequence[tuple[int, ...]]) -> int:
     return order
 
 
-def _closure(
-    perms: Sequence[tuple[int, ...]], cap: int, want_table: bool
-) -> tuple[int, Optional[list[list[int]]]]:
-    n = len(perms[0]) if perms else 0
-    ident = tuple(range(n))
-    index: dict[tuple[int, ...], int] = {ident: 0}
-    elements = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for p in perms:
-                q = tuple(el[p[i]] for i in range(n))
-                if q not in index:
-                    if len(elements) >= cap:
-                        raise GridCapError(f"group size exceeded cap {cap}")
-                    index[q] = len(elements)
-                    elements.append(q)
-                    nxt.append(q)
-        frontier = nxt
-    table = None
-    if want_table:
-        table = [
-            [index[tuple(a[b[i]] for i in range(n))] for b in elements] for a in elements
-        ]
-    return len(elements), table
-
-
 def common_grid(generators: Sequence[Iet]) -> int:
     """Least q making every generator q-rational; errors on irrational jumps."""
     q = 1
@@ -575,12 +533,36 @@ def common_grid(generators: Sequence[Iet]) -> int:
     return q
 
 
-def enumerate_finite_group(
-    generators: Sequence[Iet], cap: int = 10 ** 6, want_table: bool = False
-) -> tuple[int, Optional[list[list[int]]]]:
-    """Exact order (and optionally the multiplication table) of the group
-    generated by q-rational maps of [0, 1), by closure over grid-cell
-    permutations; deterministic: cells by position, elements by discovery."""
+def _largest_orbit(perms: Sequence[tuple[int, ...]], n: int) -> int:
+    """Size of the largest orbit on range(n) of the group the perms generate."""
+    seen, largest = set(), 0
+    for start in range(n):
+        if start not in seen:
+            orbit, frontier = {start}, [start]
+            while frontier:
+                x = frontier.pop()
+                new = {p[x] for p in perms} - orbit
+                orbit |= new
+                frontier.extend(new)
+            seen |= orbit
+            largest = max(largest, len(orbit))
+    return largest
+
+
+def enumerate_finite_group(generators: Sequence[Iet], cap: int = 10 ** 6) -> int:
+    """Exact order of the group generated by q-rational maps of [0, 1), from
+    their grid-cell permutations by :func:`permutation_group_order`; raises
+    :class:`GridCapError` when the grid exceeds ``GRID_CAP`` cells (before
+    any cell is computed) or the order exceeds ``cap`` (an orbit of more
+    than ``cap`` cells is caught before the stabilizer chain is built)."""
     grid = common_grid(generators)
-    perms = tuple(_cell_permutation(g, grid) for g in generators)
-    return _closure(perms, cap, want_table)
+    if grid > GRID_CAP:
+        raise GridCapError(f"grid needs {grid} cells (cap {GRID_CAP})")
+    perms = [_cell_permutation(g, grid) for g in generators]
+    orbit = _largest_orbit(perms, grid)
+    if orbit > cap:  # the order is a multiple of every orbit's size
+        raise GridCapError(f"group order exceeds cap {cap}: an orbit has {orbit} cells")
+    order = permutation_group_order(perms)
+    if order > cap:
+        raise GridCapError(f"group order {order} exceeds cap {cap}")
+    return order

@@ -22,6 +22,7 @@ from ietlab.approx import (
     enumerate_finite_group,
     orbit_ball,
     rationalize,
+    translation_amplitude_count,
 )
 from ietlab.core import Iet, IetError, Point, lengths_of, make_point
 from ietlab.field import LiteralError, LpInternalError, QuadNum, format_number, parse_number
@@ -252,6 +253,9 @@ def cmd_orbit_ball(args, report) -> int:
     report.parameters["radius"] = args.radius
     ball = orbit_ball(gens, x, args.radius)
     report.outcome["size"] = len(ball)
+    amplitudes = translation_amplitude_count(gens)
+    report.outcome["amplitudes"] = amplitudes
+    report.outcome["bound"] = (2 * args.radius + 1) ** amplitudes
     pts = sorted(ball, key=Point.key)
     report.outcome["points"] = [
         f"{gens[0].source.components[p.comp].cid}:{format_number(p.x)}" for p in pts
@@ -262,8 +266,7 @@ def cmd_orbit_ball(args, report) -> int:
 def cmd_finite_group(args, report) -> int:
     gens = [_load(report, p) for p in args.files]
     report.parameters["cap"] = args.cap
-    size, _ = enumerate_finite_group(gens, cap=args.cap)
-    report.outcome["order"] = size
+    report.outcome["order"] = enumerate_finite_group(gens, cap=args.cap)
     return EXIT_OK
 
 

@@ -110,12 +110,6 @@ class Domain:
                 return i
         raise IetError(f"no component {cid!r}")
 
-    def total_length(self):
-        t = 0
-        for c in self.components:
-            t = c.length + t
-        return t
-
 
 @dataclass(frozen=True)
 class Point:
@@ -202,10 +196,6 @@ class Subdomain:
         return Subdomain(domain, tuple(out))
 
     @staticmethod
-    def empty(domain: Domain) -> "Subdomain":
-        return Subdomain(domain, ())
-
-    @staticmethod
     def full(domain: Domain) -> "Subdomain":
         return Subdomain.make(domain, [(i, 0, c.length) for i, c in enumerate(domain.components)])
 
@@ -217,9 +207,6 @@ class Subdomain:
         for _, s, e in self.parts:
             t = (e - s) + t
         return t
-
-    def contains_point(self, p: Point) -> bool:
-        return any(ci == p.comp and s <= p.x < e for ci, s, e in self.parts)
 
     def union(self, other: "Subdomain") -> "Subdomain":
         self._check(other)

@@ -10,7 +10,8 @@ an irrational amount and fixes the interval, s swaps the interval with the
 first half of the circle.  Words in r and s produce, for every n, an
 involution sigma exchanging two tiny blocks, whose r-conjugates generate
 the full symmetric group on n + 2 blocks; r and s r s generate a free
-semigroup.  Both claims are verified here by exact enumeration.
+semigroup.  Both claims are verified here exactly: the group order by a
+stabilizer chain, the free semigroup by enumerating words.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ietlab.approx import permutation_group_order
 from ietlab.core import (
     CIRCLE,
     INTERVAL,
@@ -189,23 +191,6 @@ def _blocks_disjoint(blocks) -> bool:
     return True
 
 
-def _permutation_closure(perms: list[tuple[int, ...]]) -> int:
-    n = len(perms[0])
-    ident = tuple(range(n))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for p in perms:
-                q = tuple(el[p[i]] for i in range(n))
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return len(seen)
-
-
 def symmetric_embedding(g: ExampleGroup, n: int) -> SymmetricEmbedding:
     """sigma and its conjugates r^2j sigma r^-2j for j <= n, acting on n + 2
     pairwise disjoint blocks; verified to realize order (n + 2)! exactly."""
@@ -238,7 +223,7 @@ def symmetric_embedding(g: ExampleGroup, n: int) -> SymmetricEmbedding:
         gens.append(gen)
         words.append(free_reduce(word))
         perms.append(tuple(perm))
-    order = _permutation_closure(perms)
+    order = permutation_group_order(perms)
     if order != math.factorial(nblocks):
         raise ConstructionError("block action is not the full symmetric group")  # pragma: no cover
     return SymmetricEmbedding(

@@ -327,10 +327,12 @@ def small_rotation_power(r: Iet, eps, cap: int = 500_000) -> int:
     raise CapExceededError(f"no power within cap {cap} moves points by <= eps/2")
 
 
+_SHRINK_N_CAP = 200_000  # cap of the near-identity power search
+
+
 @dataclass(frozen=True)
 class ShrinkConfig:
     epsilon: QuadNum
-    n_cap: int = 200_000
 
     def __post_init__(self):
         if not QuadNum.of(self.epsilon) > 0:
@@ -349,7 +351,7 @@ def shrink_support(r: Iet, s: Iet, cfg: ShrinkConfig) -> tuple[int, Iet]:
     """
     if r.source != s.source or r.source != r.target or s.source != s.target:
         raise IetError("R and S must be automorphisms of one domain")
-    n = small_rotation_power(r, QuadNum.of(cfg.epsilon) / 2, cfg.n_cap)
+    n = small_rotation_power(r, QuadNum.of(cfg.epsilon) / 2, _SHRINK_N_CAP)
     rn = r ** n
     u = commutator(commutator(s, rn), rn)
     cover = _closed_cover(s.source, jump_marks(s), cfg.epsilon, include_interval_ends=True)
@@ -545,19 +547,4 @@ def relation_certificate(
         if uk.support().intersection(supp_u).is_empty():
             word = commutator_word(w_t ** k * u_word * w_t ** -k, u_word)
             return issue(word, k)
-    return None
-
-
-# -- helpers for checking translation behaviour on pieces of the domain ---------------
-
-
-def translation_amplitude_on(h: Iet, comp: int, start, end) -> Optional[QuadNum]:
-    """If h maps [start, end) of a component into the same component by one
-    translation, its amount; None otherwise."""
-    start, end = QuadNum.of(start), QuadNum.of(end)
-    for p in h.pieces:
-        if p.src == comp and p.a <= start and end <= p.a + p.length:
-            if p.dst != comp:
-                return None
-            return p.b - p.a
     return None

@@ -104,14 +104,6 @@ def _split_map(h: Iet, pt: Point) -> tuple[Iet, Iet]:
     return fwd * h * ~fwd, fwd
 
 
-def split_at(h: Iet, pt: Point) -> tuple[Iet, Iet]:
-    """Conjugate of h on the domain cut at pt, with the inclusion new -> old."""
-    if h.source != h.target:
-        raise DomainMismatchError("splitting needs an automorphism")
-    h2, fwd = _split_map(h, pt)
-    return h2, ~fwd
-
-
 def _glue_domain(domain: Domain, joins: list[tuple[int, int]]) -> tuple[Domain, Iet]:
     """Glue the missing right endpoint of interval e onto the left endpoint of
     interval s, for each (e, s); a chain closing on itself becomes a circle.
@@ -206,16 +198,6 @@ class FakeBoundary:
     left_track: tuple[tuple[int, object], ...]
 
 
-@dataclass(frozen=True)
-class SuspensionReport:
-    delta_h: tuple[Point, ...]
-    delta_hinv: tuple[Point, ...]
-    sing: tuple[Point, ...]
-    boundary_connections: tuple[BoundaryConnection, ...]
-    fake_boundaries: tuple[FakeBoundary, ...]
-    search_depth: int
-
-
 def singular_points(h: Iet) -> tuple[Point, ...]:
     inv = set((~h).discontinuities())
     return tuple(p for p in h.discontinuities() if p in inv)
@@ -242,18 +224,16 @@ def find_boundary_connections(h: Iet, depth: int) -> tuple[BoundaryConnection, .
     return tuple(out)
 
 
-def fake_boundary_walk(h: Iet, x: Point, cap: Optional[int] = None) -> Optional[FakeBoundary]:
+def fake_boundary_walk(h: Iet, x: Point) -> Optional[FakeBoundary]:
     """Track (h^i(x), h^i(x-)) until the two sides meet; None when the walk
-    exceeds the cap or leaves the gluable pattern (intermediate points must
-    be interval endpoints)."""
+    exceeds len(components) + d(h) + 1 steps or leaves the gluable pattern
+    (intermediate points must be interval endpoints)."""
     comps = h.source.components
-    if cap is None:
-        cap = len(comps) + h.d() + 1
     plus = x
     minus = (x.comp, x.x if x.x > 0 else comps[x.comp].length)
     right_track: list[Point] = []
     left_track: list[tuple[int, object]] = []
-    for _ in range(cap):
+    for _ in range(len(comps) + h.d() + 1):
         plus = h(plus)
         minus = h.left_limit(*minus)
         mc, mx = minus
@@ -287,23 +267,6 @@ def fake_boundaries(h: Iet) -> tuple[FakeBoundary, ...]:
         if fb is not None:
             out.append(fb)
     return tuple(out)
-
-
-def analyze_suspension(h: Iet, depth: int) -> SuspensionReport:
-    """Exact singular set, plus depth-bounded boundary connections and the
-    gluable fake boundaries (absence is relative to the depth, not global)."""
-    if depth < 1:
-        raise IetError("depth must be >= 1")
-    if h.source != h.target:
-        raise DomainMismatchError("needs an automorphism")
-    return SuspensionReport(
-        delta_h=h.discontinuities(),
-        delta_hinv=(~h).discontinuities(),
-        sing=singular_points(h),
-        boundary_connections=find_boundary_connections(h, depth),
-        fake_boundaries=fake_boundaries(h),
-        search_depth=depth,
-    )
 
 
 def glue_fake_boundary(h: Iet, fb: FakeBoundary) -> tuple[Iet, Iet]:
@@ -340,6 +303,7 @@ class NormCertificate:
 
 
 _MAX_PIPELINE_STEPS = 10_000
+_RETRIES = 3  # deeper searches after the first failed verification
 
 
 def _reduce(h: Iet, depth: int) -> tuple[Iet, Iet]:
@@ -392,20 +356,20 @@ def verify_linear_growth(h_m: Iet, n_check: int) -> tuple[bool, int]:
     return True, 0
 
 
-def minimal_model(h: Iet, depth: int = 64, n_check: int = 20, retries: int = 3) -> NormCertificate:
+def minimal_model(h: Iet, depth: int = 64, n_check: int = 20) -> NormCertificate:
     """Certified minimal model of an automorphism.
 
     Splits at every singular point, then along every boundary connection
     found within ``depth``, then glues all fake boundaries; the result is
     accepted only if d(h_m^n) = n d(h_m) holds exactly for n <= n_check,
-    retrying with a deeper search (x4 each time) otherwise.
+    retrying up to three times with a deeper search (x4 each time)
+    otherwise.
     """
     if depth < 1 or n_check < 2:
         raise IetError("depth >= 1 and n_check >= 2 required")
     if h.source != h.target:
         raise DomainMismatchError("needs an automorphism")
-    cur_depth = depth
-    for attempt in range(retries + 1):
+    for cur_depth in (depth * 4 ** i for i in range(_RETRIES + 1)):
         h_m, conj = _reduce(h, cur_depth)
         ok, fail_n = verify_linear_growth(h_m, n_check)
         if ok:
@@ -418,10 +382,7 @@ def minimal_model(h: Iet, depth: int = 64, n_check: int = 20, retries: int = 3) 
                 verified_up_to=n_check,
                 search_depth=cur_depth,
             )
-        if attempt == retries:
-            raise MinimalModelError(fail_n, h_m, cur_depth)
-        cur_depth *= 4
-    raise AssertionError("unreachable")  # pragma: no cover
+    raise MinimalModelError(fail_n, h_m, cur_depth)
 
 
 def norm_bounds(h: Iet, n_max: int) -> tuple[int, int]:
@@ -452,28 +413,3 @@ def norm_bounds(h: Iet, n_max: int) -> tuple[int, int]:
         if 0 <= v <= upper:
             lower = v
     return lower, upper
-
-
-def centralizer_orbit_check(h_m: Iet, g: Iet) -> tuple[bool, Optional[Point]]:
-    """For commuting g and a linear-growth model h_m, every jump of h_m must
-    be carried by g into the h_m-orbit of the jump set; the search is bounded
-    by 2 d(g) + 1 images either way.  Returns (ok, violating point or None)."""
-    if g * h_m != h_m * g:
-        raise IetError("inputs do not commute")
-    delta = h_m.discontinuities()
-    if not delta:
-        return True, None
-    bound = 2 * g.d() + 1
-    orbit = set(delta)
-    fwd = list(delta)
-    back = list(delta)
-    hinv = ~h_m
-    for _ in range(bound):
-        fwd = [h_m(p) for p in fwd]
-        back = [hinv(p) for p in back]
-        orbit.update(fwd)
-        orbit.update(back)
-    for x in delta:
-        if g(x) not in orbit:
-            return False, x
-    return True, None

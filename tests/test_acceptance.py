@@ -212,7 +212,7 @@ def test_criterion_09_q_rational_finiteness():
             assert (h ** e).is_identity()
         g1 = random_q_rational_iet(rng, q)
         g2 = random_q_rational_iet(rng, q)
-        size, _ = enumerate_finite_group([g1, g2], cap=10 ** 6)
+        size = enumerate_finite_group([g1, g2], cap=10 ** 6)
         assert 1 <= size <= math.factorial(q)
     print("criterion 9 PASS: h^lcm(1..q) = id and finite enumeration for q <= 6")
 

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ietlab import core
+from ietlab import approx
 from ietlab.approx import (
     FiniteQuotient,
     GridCapError,
     TraceRecorder,
     TraceVerificationError,
     TrackedNum,
-    all_words,
     common_grid,
     enumerate_finite_group,
     orbit_ball,
@@ -20,7 +22,6 @@ from ietlab.approx import (
     pl_trace,
     rationalize,
     translation_amplitude_count,
-    _closure,
 )
 from ietlab.core import (
     Domain,
@@ -34,7 +35,8 @@ from ietlab.core import (
     permutation_of,
 )
 from ietlab.field import QuadNum, Rel, lp_rational_point
-from ietlab.relations import Word, commutator_word, lcm_up_to
+from ietlab.menagerie import build_example_group, default_lambda, symmetric_embedding
+from ietlab.relations import CapExceededError, Word, commutator_word, lcm_up_to
 
 from lp_oracle import lp_nearby_points
 from randgen import random_iet, random_q_rational_iet, random_realizable_perm
@@ -76,11 +78,6 @@ def test_orbit_ball_polynomial_bound():
 
 
 # -- the PL trace -----------------------------------------------------------------
-
-
-def test_all_words_count():
-    assert len(all_words(2, 4)) == 4 + 16 + 64 + 256  # 340
-    assert len(all_words(1, 3)) == 2 + 4 + 8
 
 
 def system_holds_at(system, values):
@@ -129,6 +126,21 @@ def test_pl_trace_rejects_negative_radius():
         pl_trace([interval_rotation(ALPHA)], -1)
     with pytest.raises(IetError, match="radius"):
         rationalize([interval_rotation(ALPHA)], -1)
+
+
+def test_pl_trace_word_cap_is_checked_before_tracing(monkeypatch):
+    g1 = interval_rotation(ALPHA)
+    g2 = from_lengths((3, 2, 1), [Fraction(1, 4), ALPHA / 4, Fraction(3, 4) - ALPHA / 4])
+    for radius in (9, 12, 10 ** 9):  # radius 8 traces 87,380 words, radius 9 349,524
+        with pytest.raises(CapExceededError, match="words"):
+            pl_trace([g1, g2], radius)
+        with pytest.raises(CapExceededError):
+            rationalize([g1, g2], radius)
+    monkeypatch.setattr(approx, "WORD_CAP", 340)  # 4 + 16 + 64 + 256 words at radius 4
+    assert len(pl_trace([g1, g2], 4).word_pattern) == 340
+    monkeypatch.setattr(approx, "WORD_CAP", 339)
+    with pytest.raises(CapExceededError):
+        pl_trace([g1, g2], 4)
 
 
 def test_maps_off_the_unit_interval_are_rejected():
@@ -245,26 +257,34 @@ def test_rationalize_mixed_pair_preserves_pattern():
 
 
 def test_enumerate_cyclic():
-    size, table = enumerate_finite_group([interval_rotation(Fraction(1, 3))], want_table=True)
-    assert size == 3
-    assert table is not None and len(table) == 3
-    assert table[0] == [0, 1, 2]  # identity row
+    assert enumerate_finite_group([interval_rotation(Fraction(1, 3))]) == 3
 
 
 def test_enumerate_symmetric_on_four_cells():
     r4 = interval_rotation(Fraction(1, 4))
     swap = from_lengths((2, 1, 3), [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)])
-    size, _ = enumerate_finite_group([r4, swap])
+    size = enumerate_finite_group([r4, swap])
     assert size == 24  # a 4-cycle and a transposition generate everything
+    assert enumerate_finite_group([r4, swap], cap=24) == 24
+    with pytest.raises(GridCapError, match="order 24"):  # orbits of 4 cells, order 24
+        enumerate_finite_group([r4, swap], cap=23)
 
 
 def test_enumerate_identity_and_errors():
     ident = from_lengths((1,), [1])
-    assert enumerate_finite_group([ident])[0] == 1
+    assert enumerate_finite_group([ident]) == 1
     with pytest.raises(IetError):
         enumerate_finite_group([interval_rotation(ALPHA)])
-    with pytest.raises(GridCapError):
+    with pytest.raises(GridCapError, match="orbit has 97 cells"):
         enumerate_finite_group([interval_rotation(Fraction(1, 97))], cap=10)
+    assert enumerate_finite_group([interval_rotation(Fraction(1, 97))], cap=97) == 97
+    cycle = from_lengths((1, 3, 2), [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)])
+    with pytest.raises(GridCapError, match="orbit has 3 cells"):  # cell 0 is fixed
+        enumerate_finite_group([cycle], cap=2)
+    start = time.monotonic()  # the grid is refused before any of its cells is built
+    with pytest.raises(GridCapError, match="grid"):
+        enumerate_finite_group([interval_rotation(Fraction(1, 10 ** 9 + 7))], cap=10)
+    assert time.monotonic() - start < 5
 
 
 def test_common_grid():
@@ -286,6 +306,23 @@ def test_q_rational_power_identity():
             assert (h ** lcm_up_to(q)).is_identity()
 
 
+def bfs_order(perms):
+    """Reference group order: list every element by breadth-first closure."""
+    n = len(perms[0])
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for el in frontier:
+            for p in perms:
+                q = tuple(el[p[i]] for i in range(n))
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return len(seen)
+
+
 def test_permutation_group_order_matches_bfs():
     rng = random.Random(6)
     for _ in range(100):
@@ -295,8 +332,10 @@ def test_permutation_group_order_matches_bfs():
             p = list(range(n))
             rng.shuffle(p)
             perms.append(tuple(p))
-        bfs, _ = _closure(perms, cap=10 ** 5, want_table=False)
-        assert permutation_group_order(perms) == bfs
+        assert permutation_group_order(perms) == bfs_order(perms)
+    for n in range(1, 6):
+        perms = symmetric_embedding(build_example_group(default_lambda(n)), n).block_permutations
+        assert permutation_group_order(perms) == bfs_order(perms) == math.factorial(n + 2)
 
 
 def test_permutation_group_order_known_groups():

@@ -223,6 +223,7 @@ def test_cli_orbit_ball_and_finite_group(tmp_path, capsys):
     assert main(["orbit-ball", f, "--x", "0/1", "--radius", "2"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "size: 3" in out
+    assert "amplitudes: 2" in out and "bound: 25" in out  # (2R + 1)^M with R = 2, M = 2
     assert main(["finite-group", f, "--cap", "100"]) == EXIT_OK
     assert "order: 3" in capsys.readouterr().out
 
@@ -268,6 +269,19 @@ def test_cli_exit_codes_on_bad_input(tmp_path, capsys):
 def test_cli_exit_codes_on_failed_search_and_internal_error(tmp_path, capsys, monkeypatch):
     f = write_map(tmp_path, "r.iet", interval_rotation(Fraction(1, 3)))
     assert main(["finite-group", f, "--cap", "1"]) == EXIT_SOFT  # group of order 3
+    # grid and word caps are checked before the work starts
+    huge = write_map(tmp_path, "huge.iet", interval_rotation(Fraction(1, 10 ** 9 + 7)))
+    start = time.monotonic()
+    assert main(["finite-group", huge, "--cap", "10"]) == EXIT_SOFT
+    assert "grid" in capsys.readouterr().err
+    g2 = write_map(
+        tmp_path,
+        "g2.iet",
+        from_lengths((3, 2, 1), [Fraction(1, 4), ALPHA / 4, Fraction(3, 4) - ALPHA / 4]),
+    )
+    assert main(["rationalize", "--radius", "12", f, g2]) == EXIT_SOFT
+    assert "words" in capsys.readouterr().err
+    assert time.monotonic() - start < 5
 
     def raiser(error):
         def run(*args, **kwargs):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,10 @@ def test_words_reevaluate_to_elements():
 def test_symmetric_embedding_orders():
     assert symmetric_embedding(build_example_group(default_lambda(1)), 1).order == 6
     assert symmetric_embedding(build_example_group(default_lambda(3)), 3).order == 120
+    # 10! = 3,628,800 elements: the order comes from a stabilizer chain, never a listing
+    start = time.monotonic()
+    assert symmetric_embedding(build_example_group(default_lambda(8)), 8).order == 3_628_800
+    assert time.monotonic() - start < 30
 
 
 def test_symmetric_embedding_block_structure():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,6 @@ from ietlab.relations import (
     relation_certificate,
     small_rotation_power,
     shrink_support,
-    translation_amplitude_on,
     translation_response,
     vanishing_coordinate_certificate,
 )
@@ -476,6 +476,18 @@ def test_relation_certificate_soft_failure():
 
 
 # -- commutators of near-translations: exact behaviour checks ------------------------
+
+
+def translation_amplitude_on(h: Iet, comp: int, start, end) -> Optional[QuadNum]:
+    """If h maps [start, end) of a component into the same component by one
+    translation, its amount; None otherwise."""
+    start, end = QuadNum.of(start), QuadNum.of(end)
+    for p in h.pieces:
+        if p.src == comp and p.a <= start and end <= p.a + p.length:
+            if p.dst != comp:
+                return None
+            return p.b - p.a
+    return None
 
 
 def test_commutator_of_shared_translations_is_identity_inside():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -19,15 +20,13 @@ from ietlab.field import QuadNum
 from ietlab.suspension import (
     FakeBoundary,
     MinimalModelError,
-    analyze_suspension,
-    centralizer_orbit_check,
+    _split_map,
     fake_boundaries,
     find_boundary_connections,
     glue_fake_boundary,
     minimal_model,
     norm_bounds,
     singular_points,
-    split_at,
     verify_linear_growth,
 )
 
@@ -40,20 +39,20 @@ H = Fraction(1, 2)
 
 def test_split_interval():
     ident = Iet.identity(Domain.interval(1))
-    h2, incl = split_at(ident, make_point(ident.source, 0, H))
+    h2, fwd = _split_map(ident, make_point(ident.source, 0, H))
     kinds = [(c.kind, c.length) for c in h2.source.components]
     assert kinds == [(INTERVAL, QuadNum(H)), (INTERVAL, QuadNum(H))]
-    assert incl.source == h2.source and incl.target == ident.source
-    assert incl * h2 * ~incl == ident
+    assert fwd.source == ident.source and fwd.target == h2.source
+    assert ~fwd * h2 * fwd == ident
 
 
 def test_split_circle_opens_to_interval():
     r = circle_rotation(2, ALPHA)
     p = make_point(r.source, 0, Fraction(1, 3))
-    h2, incl = split_at(r, p)
+    h2, fwd = _split_map(r, p)
     assert [c.kind for c in h2.source.components] == [INTERVAL]
     assert h2.source.components[0].length == QuadNum(2)
-    assert incl * h2 * ~incl == r
+    assert ~fwd * h2 * fwd == r
     # opening the circle at a point makes the rotation discontinuous
     assert h2.d() == 1
 
@@ -62,7 +61,7 @@ def test_split_at_singular_point_lowers_sing_count():
     h = interval_rotation(H)  # Sing = {1/2}
     sing = singular_points(h)
     assert [pt.x for pt in sing] == [QuadNum(H)]
-    h2, _ = split_at(h, sing[0])
+    h2, _ = _split_map(h, sing[0])
     assert len(singular_points(h2)) == 0
     assert h2.d() == h.d() - 1
 
@@ -70,28 +69,29 @@ def test_split_at_singular_point_lowers_sing_count():
 def test_split_requires_interior():
     h = interval_rotation(H)
     with pytest.raises(IetError):
-        split_at(h, make_point(h.source, 0, 0))
+        _split_map(h, make_point(h.source, 0, 0))
 
 
 def test_analyze_identity():
-    rep = analyze_suspension(Iet.identity(Domain.interval(1)), 5)
-    assert rep.delta_h == () and rep.delta_hinv == ()
-    assert rep.sing == () and rep.boundary_connections == () and rep.fake_boundaries == ()
+    ident = Iet.identity(Domain.interval(1))
+    assert ident.discontinuities() == () and (~ident).discontinuities() == ()
+    assert singular_points(ident) == ()
+    assert find_boundary_connections(ident, 5) == () and fake_boundaries(ident) == ()
 
 
 def test_analyze_irrational_rotation():
     h = interval_rotation(ALPHA)
-    rep = analyze_suspension(h, 50)
-    assert [pt.x for pt in rep.delta_h] == [1 - ALPHA]
-    assert [pt.x for pt in rep.delta_hinv] == [ALPHA]
-    assert rep.sing == ()
+    assert [pt.x for pt in h.discontinuities()] == [1 - ALPHA]
+    assert [pt.x for pt in (~h).discontinuities()] == [ALPHA]
+    assert singular_points(h) == ()
     # orbit-walk oracle: h^k(alpha) never returns to 1 - alpha within depth
     y = make_point(h.source, 0, ALPHA)
     for _ in range(51):
         assert y.x != 1 - ALPHA
         y = h(y)
-    assert rep.boundary_connections == ()
-    assert len(rep.fake_boundaries) == 1 and rep.fake_boundaries[0].k == 2
+    assert find_boundary_connections(h, 50) == ()
+    fbs = fake_boundaries(h)
+    assert len(fbs) == 1 and fbs[0].k == 2
 
 
 def test_boundary_connection_constructed_k1():
@@ -204,6 +204,31 @@ def test_norm_bounds():
         lo, up = norm_bounds(h, 14)
         cert = minimal_model(h, depth=64, n_check=10)
         assert lo <= cert.norm <= up
+
+
+def centralizer_orbit_check(h_m: Iet, g: Iet) -> tuple[bool, Optional[Point]]:
+    """For commuting g and a linear-growth model h_m, every jump of h_m must
+    be carried by g into the h_m-orbit of the jump set; the search is bounded
+    by 2 d(g) + 1 images either way.  Returns (ok, violating point or None)."""
+    if g * h_m != h_m * g:
+        raise IetError("inputs do not commute")
+    delta = h_m.discontinuities()
+    if not delta:
+        return True, None
+    bound = 2 * g.d() + 1
+    orbit = set(delta)
+    fwd = list(delta)
+    back = list(delta)
+    hinv = ~h_m
+    for _ in range(bound):
+        fwd = [h_m(p) for p in fwd]
+        back = [hinv(p) for p in back]
+        orbit.update(fwd)
+        orbit.update(back)
+    for x in delta:
+        if g(x) not in orbit:
+            return False, x
+    return True, None
 
 
 def test_centralizer_orbit_check():
