@@ -326,12 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("-o", "--output", required=True)
     q.set_defaults(func=cmd_invert)
 
-    q = sub.add_parser("norm", help="bracket the discontinuity growth rate")
+    q = sub.add_parser("norm", help="proven upper bound on the discontinuity growth rate")
     q.add_argument("file")
     q.add_argument("--nmax", type=int, default=20)
     q.set_defaults(func=cmd_norm)
 
-    q = sub.add_parser("minimal-model", help="certified linear-growth conjugate")
+    q = sub.add_parser("minimal-model", help="conjugate model, linear growth verified up to --check")
     q.add_argument("file")
     q.add_argument("--depth", type=int, default=64, help="orbit search depth (default 64)")
     q.add_argument("--check", type=int, default=20, help="verify up to this power (default 20)")

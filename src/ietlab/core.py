@@ -195,10 +195,6 @@ class Subdomain:
             out.extend((ci, s, e) for s, e in merged)
         return Subdomain(domain, tuple(out))
 
-    @staticmethod
-    def full(domain: Domain) -> "Subdomain":
-        return Subdomain.make(domain, [(i, 0, c.length) for i, c in enumerate(domain.components)])
-
     def is_empty(self) -> bool:
         return not self.parts
 
@@ -242,21 +238,6 @@ class Subdomain:
     def covers(self, other: "Subdomain") -> bool:
         """Whether other is a subset of self."""
         return other.intersection(self.complement()).is_empty()
-
-    def shrink(self, eps) -> "Subdomain":
-        """Points whose closed eps-ball stays inside, part by part (a full
-        circle stays full; partial parts lose eps at either end)."""
-        eps = _num(eps)
-        out = []
-        for ci, s, e in self.parts:
-            comp = self.domain.components[ci]
-            if comp.kind == CIRCLE and s == 0 and e == comp.length:
-                out.append((ci, s, e))
-                continue
-            lo, hi = s + eps, e - eps
-            if lo < hi:
-                out.append((ci, lo, hi))
-        return Subdomain.make(self.domain, out)
 
     def _check(self, other: "Subdomain") -> None:
         if other.domain != self.domain:

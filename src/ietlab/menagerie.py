@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ietlab.approx import permutation_group_order
+from ietlab.approx import WORD_CAP, permutation_group_order
 from ietlab.core import (
     CIRCLE,
     INTERVAL,
@@ -32,7 +32,7 @@ from ietlab.core import (
     make_point,
 )
 from ietlab.field import QuadNum
-from ietlab.relations import Word, free_reduce
+from ietlab.relations import CapExceededError, Word, free_reduce
 from ietlab.rotations import is_multi_rotation
 
 
@@ -183,14 +183,6 @@ class SymmetricEmbedding:
     order: int
 
 
-def _blocks_disjoint(blocks) -> bool:
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if not blocks[i].intersection(blocks[j]).is_empty():
-                return False
-    return True
-
-
 def symmetric_embedding(g: ExampleGroup, n: int) -> SymmetricEmbedding:
     """sigma and its conjugates r^2j sigma r^-2j for j <= n, acting on n + 2
     pairwise disjoint blocks; verified to realize order (n + 2)! exactly."""
@@ -204,7 +196,9 @@ def symmetric_embedding(g: ExampleGroup, n: int) -> SymmetricEmbedding:
     for j in range(n + 1):
         lo = 1 + 2 * j * lam
         blocks.append(Subdomain.make(dom, [(g.CIRCLE_INDEX, lo, lo + 2 * lam)]))
-    if not _blocks_disjoint(blocks):
+    # half-open blocks are pairwise disjoint iff their measures add up
+    union = Subdomain.make(dom, [part for b in blocks for part in b.parts])
+    if union.measure() != sum(b.measure() for b in blocks):
         raise IetError("blocks overlap: lam must be below 1/(10 n)")
     gens = []
     words = []
@@ -239,9 +233,15 @@ def symmetric_embedding(g: ExampleGroup, n: int) -> SymmetricEmbedding:
 def free_semigroup_check(g: ExampleGroup, depth: int) -> bool:
     """Evaluate every nonempty positive word of length <= depth in r and
     r' = s r s; True when all are pairwise distinct and the base point of
-    the swapped interval is fixed exactly by the powers of r'."""
+    the swapped interval is fixed exactly by the powers of r'.
+
+    Raises :class:`CapExceededError`, before evaluating anything, when the
+    2^(depth+1) - 2 words exceed ``WORD_CAP`` (depth 15 is the largest).
+    """
     if depth < 1:
         raise IetError("depth must be >= 1")
+    if depth > WORD_CAP or 2 ** (depth + 1) - 2 > WORD_CAP:  # no huge power for a huge depth
+        raise CapExceededError(f"depth {depth} evaluates more than {WORD_CAP} words")
     r = g.r
     r_prime = g.s * r * g.s
     p = make_point(g.domain, g.CIRCLE_INDEX, 0)

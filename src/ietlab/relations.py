@@ -151,59 +151,25 @@ def commutator(g: Iet, h: Iet) -> Iet:
 # -- closed neighbourhoods and pinched supports --------------------------------------
 
 
-def _closed_cover(
-    domain: Domain, pts: Iterable[Point], eps, include_interval_ends: bool
-) -> dict[int, list[tuple]]:
-    """Merged closed eps-balls per component; circle arcs are doubled onto
-    [0, 2L] so containment queries can cross the coordinate cut."""
+def _eps_cover(domain: Domain, pts: Iterable[Point], eps) -> Subdomain:
+    """The closed eps-balls around pts and around the ends of interval
+    components, as half-open parts: [s, e) lies in a finite union of closed
+    intervals exactly when it lies in the union of their half-open versions.
+    A ball on a circle is cut at 0 by its copies one turn either way."""
     eps = QuadNum.of(eps)
-    raw: dict[int, list[tuple]] = {ci: [] for ci in range(len(domain.components))}
+    zero = QuadNum(0)
+    centers = [(p.comp, p.x) for p in pts]
     for ci, comp in enumerate(domain.components):
-        if include_interval_ends and comp.kind == INTERVAL:
-            raw[ci].append((QuadNum(0), eps))
-            raw[ci].append((comp.length - eps, comp.length))
-    for p in pts:
-        comp = domain.components[p.comp]
-        length = comp.length
         if comp.kind == INTERVAL:
-            lo = p.x - eps
-            hi = p.x + eps
-            raw[p.comp].append((lo if lo > 0 else QuadNum(0), hi if hi < length else length))
-        else:
-            if 2 * eps >= length:
-                raw[p.comp].append((QuadNum(0), 2 * length))
-                continue
-            lo = (p.x - eps).mod(length)
-            raw[p.comp].append((lo, lo + 2 * eps))
-    out: dict[int, list[tuple]] = {}
-    for ci, comp in enumerate(domain.components):
-        ivs = raw[ci]
-        if comp.kind == CIRCLE:
-            ivs = ivs + [(lo + comp.length, hi + comp.length) for lo, hi in ivs]
-        ivs.sort()
-        merged: list[list] = []
-        for lo, hi in ivs:
-            if merged and lo <= merged[-1][1]:
-                if hi > merged[-1][1]:
-                    merged[-1][1] = hi
-            else:
-                merged.append([lo, hi])
-        out[ci] = [tuple(iv) for iv in merged]
-    return out
-
-
-def _cover_contains(domain: Domain, cover: dict[int, list[tuple]], sub: Subdomain) -> bool:
-    for ci, s, e in sub.parts:
-        shift = domain.components[ci].length if domain.components[ci].kind == CIRCLE else None
-        candidates = [(s, e)] if shift is None else [(s, e), (s + shift, e + shift)]
-        ok = False
-        for lo, hi in cover.get(ci, ()):
-            for u, v in candidates:
-                if lo <= u and v <= hi:
-                    ok = True
-        if not ok:
-            return False
-    return True
+            centers += [(ci, zero), (ci, comp.length)]
+    parts = []
+    for ci, x in centers:
+        comp = domain.components[ci]
+        for turn in (-comp.length, zero, comp.length) if comp.kind == CIRCLE else (zero,):
+            lo, hi = x + turn - eps, x + turn + eps
+            if lo < comp.length and hi > 0:
+                parts.append((ci, lo if lo > 0 else zero, hi if hi < comp.length else comp.length))
+    return Subdomain.make(domain, parts)
 
 
 def jump_marks(s: Iet) -> list[Point]:
@@ -354,8 +320,7 @@ def shrink_support(r: Iet, s: Iet, cfg: ShrinkConfig) -> tuple[int, Iet]:
     n = small_rotation_power(r, QuadNum.of(cfg.epsilon) / 2, _SHRINK_N_CAP)
     rn = r ** n
     u = commutator(commutator(s, rn), rn)
-    cover = _closed_cover(s.source, jump_marks(s), cfg.epsilon, include_interval_ends=True)
-    if not _cover_contains(s.source, cover, u.support()):
+    if not _eps_cover(s.source, jump_marks(s), cfg.epsilon).covers(u.support()):
         raise ShrinkVerificationError("support escaped its eps-neighbourhood")
     return n, u
 

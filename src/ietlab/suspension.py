@@ -2,8 +2,9 @@
 
 For an interval exchange automorphism h, d(h^n) is subadditive in n, so the
 growth rate |h| = lim d(h^n)/n exists.  Cutting and regluing the domain
-conjugates h to a model h_m whose count is exactly linear:
-d(h_m^n) = n d(h_m) for every n, which pins |h| = d(h_m) as an integer.
+conjugates h to a model h_m whose count is meant to be exactly linear,
+d(h_m^n) = n d(h_m) for every n, which would pin |h| = d(h_m) as an integer
+(Novak, "Discontinuity growth of interval exchange maps", J. Mod. Dyn. 2009).
 
 Three moves build the model:
 
@@ -15,15 +16,22 @@ Three moves build the model:
   a jump x of h whose k-th power is nevertheless continuous at x (a "fake
   boundary"; gluing may turn an interval chain into a circle).
 
-Orbit searches are depth-bounded, so the pipeline's output is certified a
-posteriori by checking d(h_m^n) = n d(h_m) up to a requested power and
-retrying with a deeper search on failure.
+What a certificate proves and what it only verifies:
+
+* proven: |h| <= d(h_m), since conjugation keeps the rate and the rate of
+  h_m is at most d(h_m) by subadditivity;
+* verified up to N: d(h_m^n) = n d(h_m) for every n <= N, decided by the
+  one power h_m^N (see :func:`verify_linear_growth`).
+
+Linear growth for all n is not proven: a boundary connection longer than
+the search depth and than N goes unseen.  ``long_connection_map`` of the
+tests has one of 2,469 steps; its model has d(h_m^n) = 3n up to n = 2,048
+but not at n = 2,500, and its growth rate is 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from ietlab.core import (
@@ -43,10 +51,7 @@ class MinimalModelError(IetError):
     """Linear-growth verification failed at the retry cap."""
 
     def __init__(self, failing_n: int, model: Iet, depth: int):
-        super().__init__(
-            f"d(h_m^{failing_n}) != {failing_n} * d(h_m) at search depth {depth}; "
-            "a boundary connection deeper than the cap is still present"
-        )
+        super().__init__(f"d(h_m^{failing_n}) < {failing_n} * d(h_m) at search depth {depth}")
         self.failing_n = failing_n
         self.model = model
         self.depth = depth
@@ -288,11 +293,13 @@ def glue_fake_boundary(h: Iet, fb: FakeBoundary) -> tuple[Iet, Iet]:
 
 @dataclass(frozen=True)
 class NormCertificate:
-    """Conjugacy to a model with exactly linear discontinuity growth.
+    """Conjugacy to a model whose discontinuity growth is linear up to N.
 
     conjugator maps the original domain to the model domain and
-    conjugator o h o conjugator^-1 = h_m; d(h_m^n) = n * norm was verified
-    for all n <= verified_up_to.
+    conjugator o h o conjugator^-1 = h_m, with norm = d(h_m).  Proven:
+    |h| <= norm.  Verified by one power: d(h_m^n) = n * norm for every
+    n <= verified_up_to.  Not proven: that equality for all n, which would
+    make |h| = norm; the module docstring names a map where it fails.
     """
 
     h_m: Iet
@@ -345,15 +352,16 @@ def _reduce(h: Iet, depth: int) -> tuple[Iet, Iet]:
     raise IetError("surgery pipeline did not stabilize")  # pragma: no cover
 
 
-def verify_linear_growth(h_m: Iet, n_check: int) -> tuple[bool, int]:
-    """Check d(h_m^n) = n d(h_m) for n <= n_check; (ok, first failing n)."""
-    base = h_m.d()
-    g = h_m
-    for n in range(2, n_check + 1):
-        g = g * h_m
-        if g.d() != n * base:
-            return False, n
-    return True, 0
+def verify_linear_growth(h_m: Iet, n_check: int) -> bool:
+    """Whether d(h_m^n) = n d(h_m) for every n <= n_check, by one power.
+
+    Lemma: d is subadditive, d(g h) <= d(g) + d(h), so d(h^n) <= n d(h).
+    If d(h^N) = N d(h) with d = d(h), then for every n <= N,
+    N d = d(h^N) <= d(h^n) + d(h^(N-n)) <= d(h^n) + (N - n) d,
+    hence d(h^n) >= n d, and d(h^n) = n d.  So h_m ** n_check (repeated
+    squaring) decides exactly what the n_check - 1 successive products do.
+    """
+    return (h_m ** n_check).d() == n_check * h_m.d()
 
 
 def minimal_model(h: Iet, depth: int = 64, n_check: int = 20) -> NormCertificate:
@@ -371,8 +379,7 @@ def minimal_model(h: Iet, depth: int = 64, n_check: int = 20) -> NormCertificate
         raise DomainMismatchError("needs an automorphism")
     for cur_depth in (depth * 4 ** i for i in range(_RETRIES + 1)):
         h_m, conj = _reduce(h, cur_depth)
-        ok, fail_n = verify_linear_growth(h_m, n_check)
-        if ok:
+        if verify_linear_growth(h_m, n_check):
             if conj * h * ~conj != h_m:
                 raise IetError("conjugator bookkeeping failed")  # pragma: no cover
             return NormCertificate(
@@ -382,34 +389,24 @@ def minimal_model(h: Iet, depth: int = 64, n_check: int = 20) -> NormCertificate
                 verified_up_to=n_check,
                 search_depth=cur_depth,
             )
-    raise MinimalModelError(fail_n, h_m, cur_depth)
+    raise MinimalModelError(n_check, h_m, cur_depth)
 
 
 def norm_bounds(h: Iet, n_max: int) -> tuple[int, int]:
     """Bracket the growth rate |h| from d(h^n), n <= n_max.
 
     upper = floor(min d(h^n)/n) is always valid (the rate is the infimum
-    and an integer).  The lower bound is reported conservatively: the
-    rounded slope over the tail window when it is constant and consistent,
-    else 0, since finitely many terms of a subadditive sequence only ever
-    bound its limit from above.
+    and an integer).  lower is 0: finitely many terms of a subadditive
+    sequence bound its limit only from above, so they prove no positive
+    lower bound.
     """
     if n_max < 1:
         raise IetError("n_max must be >= 1")
     if h.source != h.target:
         raise DomainMismatchError("needs an automorphism")
-    ds = []
+    upper = h.d()
     g = h
-    for _ in range(n_max):
-        ds.append(g.d())
+    for n in range(2, n_max + 1):
         g = g * h
-    upper_frac = min(Fraction(ds[n - 1], n) for n in range(1, n_max + 1))
-    upper = upper_frac.numerator // upper_frac.denominator
-    window = range(max(1, n_max - 2), n_max + 1)
-    slopes = {(2 * ds[n - 1] + n) // (2 * n) for n in window}  # floor(d/n + 1/2)
-    lower = 0
-    if len(slopes) == 1:
-        v = slopes.pop()
-        if 0 <= v <= upper:
-            lower = v
-    return lower, upper
+        upper = min(upper, g.d() // n)
+    return 0, upper

@@ -1,11 +1,12 @@
-"""Shared random-instance generators for the test suite (seeded, exact)."""
+"""Shared random-instance generators for the test suite (seeded, exact),
+and one fixed hard instance."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from ietlab.core import Domain, Iet, from_lengths, perm_is_realizable
+from ietlab.core import CIRCLE, Component, Domain, Iet, from_lengths, perm_is_realizable
 from ietlab.field import QuadNum
 
 
@@ -47,3 +48,36 @@ def random_iet(rng: random.Random, nmax: int = 8, nmin: int = 2) -> Iet:
 def random_q_rational_iet(rng: random.Random, q: int) -> Iet:
     n = rng.randint(2, min(q, 6))
     return from_lengths(random_realizable_perm(rng, n), random_rational_lengths(rng, n, q))
+
+
+def random_domain(rnd) -> Domain:
+    """One to three circles and intervals of total length 1."""
+    k = rnd.randint(1, 3)
+    lengths = random_quad_lengths(rnd, k)
+    kinds = [rnd.choice((CIRCLE, "interval")) for _ in range(k)]
+    return Domain(tuple(Component(kinds[i], f"M{i}", lengths[i]) for i in range(k)))
+
+
+def cut_and_place(target: Domain) -> Iet:
+    """[0, 1) laid out along the components of a domain of total length 1."""
+    pieces = []
+    acc = QuadNum(0)
+    for i, c in enumerate(target.components):
+        pieces.append((0, acc, c.length, i, 0))
+        acc = acc + c.length
+    return Iet(Domain.interval(1), target, pieces)
+
+
+def long_connection_map() -> Iet:
+    """sigma = (4, 3, 2, 1) on lengths in Q(sqrt 2) whose boundary connection
+    is 2,469 steps long: the forward orbit of the first jump of h^-1 meets a
+    jump of h after exactly 2,469 steps and no other jump before.  Its growth
+    rate is 0, yet its depth-64 model has d(h_m^n) = 3n up to n = 2,048."""
+    r2 = QuadNum.sqrt(2)
+    lengths = [
+        Fraction(1305, 5012) - Fraction(87037, 3946950) * r2,
+        Fraction(1201, 5012) + Fraction(109591, 3946950) * r2,
+        Fraction(1, 4) + Fraction(1, 90) * r2,
+        Fraction(1, 4) - Fraction(53, 3150) * r2,
+    ]
+    return from_lengths((4, 3, 2, 1), lengths)

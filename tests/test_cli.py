@@ -15,7 +15,7 @@ from ietlab.rotations import roll_up_two_interval
 from ietlab.suspension import MinimalModelError
 from ietlab.textio import TextFormatError, parse_document, parse_iet, serialize_iet
 
-from randgen import random_iet
+from randgen import long_connection_map, random_iet
 
 R2 = QuadNum.sqrt(2)
 ALPHA = R2 - 1
@@ -175,6 +175,14 @@ def test_cli_minimal_model_and_norm(tmp_path, capsys):
     assert "lower: 0" in out and "upper: 0" in out
 
 
+def test_cli_norm_claims_no_lower_bound(tmp_path, capsys):
+    # d(h^n) = 3n for n <= 40, but the growth rate of this map is 0
+    f = write_map(tmp_path, "h.iet", long_connection_map())
+    assert main(["norm", f, "--nmax", "40"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "lower: 0" in out and "upper: 3" in out
+
+
 def test_cli_relation_hunt(tmp_path, capsys):
     from ietlab.relations import drift_direction, drifted
 
@@ -280,6 +288,10 @@ def test_cli_exit_codes_on_failed_search_and_internal_error(tmp_path, capsys, mo
         from_lengths((3, 2, 1), [Fraction(1, 4), ALPHA / 4, Fraction(3, 4) - ALPHA / 4]),
     )
     assert main(["rationalize", "--radius", "12", f, g2]) == EXIT_SOFT
+    assert "words" in capsys.readouterr().err
+    assert time.monotonic() - start < 5
+    start = time.monotonic()
+    assert main(["example", "free-semigroup", "--depth", "40"]) == EXIT_SOFT
     assert "words" in capsys.readouterr().err
     assert time.monotonic() - start < 5
 

@@ -29,7 +29,13 @@ from ietlab.core import (
 )
 from ietlab.field import QuadNum
 
-from randgen import random_iet, random_quad_lengths, random_realizable_perm
+from randgen import (
+    cut_and_place,
+    random_domain,
+    random_iet,
+    random_quad_lengths,
+    random_realizable_perm,
+)
 
 R2 = QuadNum.sqrt(2)
 ALPHA = R2 - 1  # irrational rotation number in (0, 1)
@@ -262,16 +268,21 @@ def test_point_normalization_on_circles():
         make_point(Domain.interval(1), 0, Fraction(3, 2))
 
 
+def full(domain: Domain) -> Subdomain:
+    """The whole domain as a subdomain."""
+    return Subdomain.make(domain, [(i, 0, c.length) for i, c in enumerate(domain.components)])
+
+
 def test_subdomain_algebra():
     dom = Domain.of(Component(CIRCLE, "C", QuadNum(2)), Component("interval", "J", QuadNum(1)))
     a = Subdomain.make(dom, [(0, 0, 1), (1, 0, H)])
     b = Subdomain.make(dom, [(0, H, Fraction(3, 2))])
     assert a.union(b).parts == ((0, QuadNum(0), QuadNum(Fraction(3, 2))), (1, QuadNum(0), QuadNum(H)))
     assert a.intersection(b).parts == ((0, QuadNum(H), QuadNum(1)),)
-    assert a.complement().union(a) == Subdomain.full(dom)
+    assert a.complement().union(a) == full(dom)
     assert a.covers(a.intersection(b))
     assert not a.intersection(b).covers(a)
-    assert Subdomain.full(dom).measure() == 3
+    assert full(dom).measure() == 3
     touching = Subdomain.make(dom, [(0, 0, 1), (0, 1, 2)])
     assert touching.parts == ((0, QuadNum(0), QuadNum(2)),)
 
@@ -424,23 +435,6 @@ def test_checked_mode_rejects_overlapping_trusted_pieces(monkeypatch):
     unsorted = [fixed_piece(H, H), fixed_piece(0, H)]
     with pytest.raises(IetError, match="disagrees"):
         Iet._trusted(dom, dom, unsorted)
-
-
-def random_domain(rnd) -> Domain:
-    k = rnd.randint(1, 3)
-    lengths = random_quad_lengths(rnd, k)
-    kinds = [rnd.choice((CIRCLE, "interval")) for _ in range(k)]
-    return Domain(tuple(Component(kinds[i], f"M{i}", lengths[i]) for i in range(k)))
-
-
-def cut_and_place(target: Domain) -> Iet:
-    """[0, 1) laid out along the components of a domain of total length 1."""
-    pieces = []
-    acc = QuadNum(0)
-    for i, c in enumerate(target.components):
-        pieces.append((0, acc, c.length, i, 0))
-        acc = acc + c.length
-    return Iet(Domain.interval(1), target, pieces)
 
 
 def compose_by_cuts(a: Iet, b: Iet, rnd) -> Iet:

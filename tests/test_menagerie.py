@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ietlab import menagerie
 from ietlab.core import Iet, IetError, Subdomain, make_point
 from ietlab.field import QuadNum
 from ietlab.menagerie import (
@@ -15,6 +16,7 @@ from ietlab.menagerie import (
     sigma_involution,
     symmetric_embedding,
 )
+from ietlab.relations import CapExceededError
 from ietlab.rotations import (
     is_multi_rotation,
     is_virtual_multi_rotation,
@@ -151,6 +153,19 @@ def test_free_semigroup_small_depths():
     assert free_semigroup_check(g, 1)  # r != s r s
     assert free_semigroup_check(g, 3)  # 14 words, pairwise distinct
     assert free_semigroup_check(g, 6)
+
+
+def test_free_semigroup_word_cap(monkeypatch):
+    g = build_example_group(default_lambda(1))
+    with pytest.raises(CapExceededError):
+        free_semigroup_check(g, 16)  # 131,070 words
+    with pytest.raises(CapExceededError):
+        free_semigroup_check(g, 10 ** 9)
+    monkeypatch.setattr(menagerie, "WORD_CAP", 14)  # 2 + 4 + 8 words at depth 3
+    assert free_semigroup_check(g, 3)
+    monkeypatch.setattr(menagerie, "WORD_CAP", 13)
+    with pytest.raises(CapExceededError):
+        free_semigroup_check(g, 3)
 
 
 def test_free_semigroup_fixed_point_criterion():

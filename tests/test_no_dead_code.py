@@ -24,10 +24,6 @@ ENTRY_POINTS = {
     "roll_up_two_interval": "discovers the irrational circle of a rolled-out rotation",
     "decompose_multi_rotation": "certifies each moving circle of a multi-rotation",
     "Iet.is_q_rational": "the q-rationality test of criterion 9",
-    "Subdomain.full": "Subdomain set algebra, so far called only by tests",
-    "Subdomain.measure": "Subdomain set algebra, so far called only by tests",
-    "Subdomain.covers": "Subdomain set algebra, so far called only by tests",
-    "Subdomain.shrink": "Subdomain set algebra, so far called only by tests",
 }
 
 

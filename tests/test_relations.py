@@ -490,6 +490,22 @@ def translation_amplitude_on(h: Iet, comp: int, start, end) -> Optional[QuadNum]
     return None
 
 
+def shrink(sub: Subdomain, eps) -> Subdomain:
+    """Points whose closed eps-ball stays inside, part by part (a full
+    circle stays full; partial parts lose eps at either end)."""
+    eps = QuadNum.of(eps)
+    out = []
+    for ci, s, e in sub.parts:
+        comp = sub.domain.components[ci]
+        if comp.kind == CIRCLE and s == 0 and e == comp.length:
+            out.append((ci, s, e))
+            continue
+        lo, hi = s + eps, e - eps
+        if lo < hi:
+            out.append((ci, lo, hi))
+    return Subdomain.make(sub.domain, out)
+
+
 def test_commutator_of_shared_translations_is_identity_inside():
     # g, h translate each component of E by a small amount; [g, h] = id on
     # the eps-shrunk interior of E
@@ -504,7 +520,7 @@ def test_commutator_of_shared_translations_is_identity_inside():
     e_sub = Subdomain.make(dom, [(0, 0, half - a)])
     eps = a  # both amplitudes lie in [-eps, eps] on E
     c = commutator(g, h)
-    for ci, s0, e0 in e_sub.shrink(eps).parts:
+    for ci, s0, e0 in shrink(e_sub, eps).parts:
         assert translation_amplitude_on(c, ci, s0, e0) == 0
 
 
@@ -539,7 +555,7 @@ def test_commutator_of_block_translations_is_small_translation():
     eps = b
     com = commutator(g, h)
     e_sub = Subdomain.make(dom, [(0, 0, q)])
-    for ci, s0, e0 in e_sub.shrink(2 * eps).parts:
+    for ci, s0, e0 in shrink(e_sub, 2 * eps).parts:
         amp = translation_amplitude_on(com, ci, s0, e0)
         assert amp is not None
         assert abs(amp) <= 2 * eps

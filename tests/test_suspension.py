@@ -1,9 +1,13 @@
 import random
+import time
 from fractions import Fraction
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ietlab import suspension
 from ietlab.core import (
     CIRCLE,
     INTERVAL,
@@ -30,7 +34,13 @@ from ietlab.suspension import (
     verify_linear_growth,
 )
 
-from randgen import random_iet
+from randgen import (
+    cut_and_place,
+    long_connection_map,
+    random_domain,
+    random_iet,
+    random_q_rational_iet,
+)
 
 R2 = QuadNum.sqrt(2)
 ALPHA = R2 - 1
@@ -190,8 +200,76 @@ def test_norm_homogeneity_and_conjugacy_invariance():
 
 
 def test_verify_linear_growth_detects_sublinearity():
-    ok, n = verify_linear_growth(interval_rotation(ALPHA), 5)
-    assert not ok and n == 2  # d(h^2) = 1 != 2
+    rot = interval_rotation(ALPHA)
+    assert not verify_linear_growth(rot, 5)  # d(h^5) = 1 != 5
+
+
+def first_sublinear_power(h: Iet, n_max: int) -> Optional[int]:
+    """The least n <= n_max with d(h^n) != n d(h), by n - 1 successive
+    products; None when there is none."""
+    base = h.d()
+    g = h
+    for n in range(2, n_max + 1):
+        g = g * h
+        if g.d() != n * base:
+            return n
+    return None
+
+
+def test_verify_linear_growth_matches_sequential_oracle():
+    rng, qrng = random.Random(2024), random.Random(2024)
+    angles = (ALPHA, Fraction(1, 3), Fraction(2, 7), ALPHA / 5)
+    kinds = {
+        "raw": [random_iet(rng, 6) for _ in range(6)],
+        # periodic maps, some of which first fail at n = 3
+        "q-rational": [random_q_rational_iet(qrng, qrng.randint(6, 12)) for _ in range(8)],
+        "rotation": [interval_rotation(a) for a in angles] + [circle_rotation(1, ALPHA)],
+        "model": [minimal_model(random_iet(rng, 6), depth=64, n_check=8).h_m for _ in range(6)],
+    }
+    failures = []
+    for kind, maps in kinds.items():
+        for h in maps:
+            first = first_sublinear_power(h, 24)
+            failures.append(first)
+            for n in range(2, 25):
+                expect = first is None or first > n
+                assert verify_linear_growth(h, n) == expect, (kind, n, first)
+    # both verdicts occur, and some map first fails past n = 2
+    assert None in failures and 2 in failures
+    assert any(f is not None and f > 2 for f in failures)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_discontinuity_count_is_subadditive(seed):
+    # the premise of verify_linear_growth, on mixed circle/interval domains
+    rnd = random.Random(seed)
+    phi = cut_and_place(random_domain(rnd))
+    g = phi * random_iet(rnd, 6) * ~phi
+    h = phi * random_iet(rnd, 6) * ~phi
+    for a, b in ((g, h), (h, g), (g, g), (g * h, ~g)):
+        assert (a * b).d() <= a.d() + b.d()
+
+
+def test_long_connection_model_is_linear_to_2048_only(monkeypatch):
+    h = long_connection_map()
+    cert = minimal_model(h)
+    assert cert.norm == 3 and cert.verified_up_to == 20
+    # one power each (repeated squaring), not N - 1 successive products
+    for n, linear in ((2048, True), (2500, False)):
+        start = time.monotonic()
+        assert verify_linear_growth(cert.h_m, n) is linear
+        assert time.monotonic() - start < 10
+    # the deeper retries would not finish in minutes: stop after depth 64
+    monkeypatch.setattr(suspension, "_RETRIES", 0)
+    with pytest.raises(MinimalModelError, match=r"d\(h_m\^2500\) < 2500 \* d\(h_m\)") as err:
+        minimal_model(h, depth=64, n_check=2500)
+    assert err.value.failing_n == 2500 and err.value.depth == 64
+
+
+def test_norm_bounds_claims_no_lower_bound():
+    # the tail slope of d(h^n) is 3 for n <= 40, yet the rate is 0
+    assert norm_bounds(long_connection_map(), 40) == (0, 3)
 
 
 def test_norm_bounds():
