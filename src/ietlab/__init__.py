@@ -8,6 +8,7 @@ from ietlab.core import (
     IetError,
     PartitionError,
     Point,
+    SelfCheckError,
     Subdomain,
     circle_rotation,
     from_lengths,
@@ -47,6 +48,7 @@ __all__ = [
     "Point",
     "QuadNum",
     "Rel",
+    "SelfCheckError",
     "Subdomain",
     "Word",
     "circle_rotation",

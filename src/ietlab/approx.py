@@ -11,13 +11,20 @@ system reproduces the exact trivial/nontrivial pattern of the traced words.
 :func:`rationalize` solves that system, yielding rational generators with
 the same marked ball; rational generators act on a finite grid, so the group
 they generate is finite, and :func:`permutation_group_order` gives its exact
-order from the cell permutations by a stabilizer chain.
+order from the cell permutations.  Most such groups are the whole symmetric
+or alternating group of the grid; the giant test of Seress, *Permutation
+Group Algorithms* (2003), §10.2, recognises them (a transitive group with
+a cycle of prime length p, n/2 < p < n - 2, contains A_n) and returns n!
+or n!/2 at once.  Every other group, and every group on fewer than 8
+cells, gets its order from a Schreier–Sims stabilizer chain; checked mode
+re-computes each giant answer by the chain.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +38,7 @@ from ietlab.core import (
     Iet,
     IetError,
     Point,
+    SelfCheckError,
     from_lengths,
     lengths_of,
     permutation_of,
@@ -411,10 +419,29 @@ def rationalize(generators: Sequence[Iet], radius: int) -> tuple[list[Iet], Fini
 
 # -- finite groups from rational maps -------------------------------------------------
 
+GIANT_WARMUP = 30  # product-replacement steps before the first draw
+GIANT_DRAWS = 64  # elements tried before falling back to the chain
+
 
 def permutation_group_order(perms: Sequence[tuple[int, ...]]) -> int:
-    """Exact order of the permutation group the inputs generate, by a
-    deterministic stabilizer chain (no element listing, no caps)."""
+    """Exact order of the permutation group G the inputs generate on
+    range(n), with no element listing and no caps.
+
+    Giant test first (Seress, *Permutation Group Algorithms*, 2003, §10.2,
+    after Jordan 1873): if G is transitive and some element has a cycle of
+    prime length p with n/2 < p < n - 2, then G contains A_n.  The other
+    cycles of that element have total length below p, so its power by their
+    lcm is a p-cycle; a transitive group with a p-cycle, p > n/2, is
+    primitive; and a primitive group with a p-cycle, p <= n - 3, contains
+    A_n (Jordan).  The order is then n! when a generator is odd and n!/2
+    otherwise.  Candidates are ``GIANT_DRAWS`` elements drawn by product
+    replacement from a fixed seed, so runs repeat exactly.  For n < 8 (the
+    interval holds no prime), for intransitive groups and when no draw has
+    such a cycle, a deterministic Schreier–Sims stabilizer chain gives the
+    order, so it is exact on every path.  In checked mode
+    (``IETLAB_CHECK=1``) every giant answer is re-computed by the chain, and
+    a disagreement raises :class:`SelfCheckError`.
+    """
     perms = [tuple(p) for p in perms]
     if not perms:
         return 1
@@ -423,10 +450,65 @@ def permutation_group_order(perms: Sequence[tuple[int, ...]]) -> int:
     gens = [p for p in perms if p != ident]
     if not gens:
         return 1
+    order = _giant_order(gens, n)
+    if order is None:
+        return _chain_order(gens, n)
+    if core.CHECKED and _chain_order(gens, n) != order:
+        raise SelfCheckError(f"giant test gave order {order}; the stabilizer chain disagrees")
+    return order
 
-    def mul(a, b):  # apply b first
-        return tuple(map(a.__getitem__, b))
 
+def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:  # apply b first
+    return tuple(map(a.__getitem__, b))
+
+
+def _giant_order(gens: list[tuple[int, ...]], n: int) -> Optional[int]:
+    """n! or n!/2 when the giant test proves G >= A_n, else None."""
+    if n < 8 or _largest_orbit(gens, n) != n:
+        return None
+    rng = random.Random(0)
+    state = [gens[i % len(gens)] for i in range(max(10, len(gens)))]
+    acc = tuple(range(n))
+    for step in range(GIANT_WARMUP + GIANT_DRAWS):
+        i = rng.randrange(len(state))
+        j = rng.randrange(len(state) - 1)
+        if j >= i:
+            j += 1
+        if rng.randrange(2):
+            state[i] = _mul(state[i], state[j])
+        else:
+            state[i] = _mul(state[j], state[i])
+        acc = _mul(acc, state[i])
+        if step >= GIANT_WARMUP:
+            p = max(_cycle_lengths(acc))
+            if 2 * p > n and p < n - 2 and _is_prime(p):
+                odd = any((n - len(_cycle_lengths(g))) % 2 for g in gens)
+                return math.factorial(n) // (1 if odd else 2)
+    return None
+
+
+def _cycle_lengths(g: tuple[int, ...]) -> list[int]:
+    seen = bytearray(len(g))
+    lengths = []
+    for start in range(len(g)):
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = 1
+            x = g[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def _chain_order(gens: list[tuple[int, ...]], n: int) -> int:
+    """Order of the group the non-identity gens generate, by a
+    deterministic Schreier–Sims stabilizer chain."""
+    ident = tuple(range(n))
     base: list[int] = []
     strong: list[list[tuple[int, ...]]] = []
     inverse: dict[tuple[int, ...], tuple[int, ...]] = {}  # of each strong generator
@@ -466,8 +548,8 @@ def permutation_group_order(perms: Sequence[tuple[int, ...]]) -> int:
             for g, gi in gens:
                 y = g[x]
                 if y not in t:
-                    t[y] = mul(g, tx)
-                    ti[y] = mul(txi, gi)
+                    t[y] = _mul(g, tx)
+                    ti[y] = _mul(txi, gi)
                     frontier.append(y)
         trans[i] = t
         trans_inv[i] = ti
@@ -477,7 +559,7 @@ def permutation_group_order(perms: Sequence[tuple[int, ...]]) -> int:
             rep_inv = trans_inv[i].get(g[base[i]])
             if rep_inv is None:
                 return g, i
-            g = mul(rep_inv, g)
+            g = _mul(rep_inv, g)
             i += 1
         return g, len(base)
 
@@ -497,7 +579,7 @@ def permutation_group_order(perms: Sequence[tuple[int, ...]]) -> int:
             tx = trans[i][x]
             for g in strong[i]:
                 y = g[x]
-                sg = mul(trans_inv[i][y], mul(g, tx))
+                sg = _mul(trans_inv[i][y], _mul(g, tx))
                 if sg == ident:
                     continue
                 res, j = strip(sg, i + 1)

@@ -24,7 +24,7 @@ from ietlab.approx import (
     rationalize,
     translation_amplitude_count,
 )
-from ietlab.core import Iet, IetError, Point, lengths_of, make_point
+from ietlab.core import Iet, IetError, Point, SelfCheckError, lengths_of, make_point
 from ietlab.field import LiteralError, LpInternalError, QuadNum, format_number, parse_number
 from ietlab.menagerie import (
     build_example_group,
@@ -52,7 +52,12 @@ EXIT_INTERNAL = 3
 # searches that ran out of depth, grid or power budget: nothing found
 SOFT_ERRORS = (MinimalModelError, GridCapError, CapExceededError)
 # exact self-checks that failed: a bug, never a property of the input
-INTERNAL_ERRORS = (LpInternalError, TraceVerificationError, ShrinkVerificationError)
+INTERNAL_ERRORS = (
+    LpInternalError,
+    SelfCheckError,
+    TraceVerificationError,
+    ShrinkVerificationError,
+)
 
 
 class InputError(Exception):

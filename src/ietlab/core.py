@@ -15,7 +15,8 @@ limits, with wrap-around on circles.
 checks that they partition both domains.  Products and inverses of maps in
 canonical form are partitions by construction and skip those checks; with
 ``IETLAB_CHECK=1`` in the environment when this module is imported, they
-are rebuilt through ``Iet(...)`` as well and must come out the same.
+are rebuilt through ``Iet(...)`` as well and must come out the same, or
+:class:`SelfCheckError` is raised.
 
 Coordinates are QuadNum values (or any exactly ordered number type with the
 same arithmetic protocol, which the piecewise-linear tracing in
@@ -41,6 +42,12 @@ class IetError(ValueError):
 
 class PartitionError(IetError):
     """Pieces do not partition the source, or images the target."""
+
+
+class SelfCheckError(RuntimeError):
+    """A checked-mode (``IETLAB_CHECK=1``) re-validation of a fast path
+    disagreed with the slow definition: a bug, never a property of the
+    input, so it is not an :class:`IetError`."""
 
 
 class DomainMismatchError(IetError):
@@ -310,8 +317,13 @@ class Iet:
         ``Iet(...)``, which stays the entry point for every other caller."""
         h = object.__new__(Iet)
         h._fill(source, target, pieces)
-        if CHECKED and h.pieces != Iet(source, target, pieces).pieces:
-            raise IetError("trusted construction disagrees with validation")
+        if CHECKED:
+            try:
+                checked = Iet(source, target, pieces)
+            except PartitionError as e:
+                raise SelfCheckError(f"trusted construction is not a partition: {e}") from e
+            if h.pieces != checked.pieces:
+                raise SelfCheckError("trusted construction disagrees with validation")
         return h
 
     # -- constructors ------------------------------------------------------------

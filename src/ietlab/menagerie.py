@@ -10,8 +10,9 @@ an irrational amount and fixes the interval, s swaps the interval with the
 first half of the circle.  Words in r and s produce, for every n, an
 involution sigma exchanging two tiny blocks, whose r-conjugates generate
 the full symmetric group on n + 2 blocks; r and s r s generate a free
-semigroup.  Both claims are verified here exactly: the group order by a
-stabilizer chain, the free semigroup by enumerating words.
+semigroup.  Both claims are verified here exactly: the group order by
+:func:`ietlab.approx.permutation_group_order` (the giant test, else a
+stabilizer chain), the free semigroup by enumerating words.
 """
 
 from __future__ import annotations

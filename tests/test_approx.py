@@ -28,6 +28,7 @@ from ietlab.core import (
     Iet,
     IetError,
     Point,
+    SelfCheckError,
     from_lengths,
     interval_rotation,
     lengths_of,
@@ -326,7 +327,7 @@ def bfs_order(perms):
 def test_permutation_group_order_matches_bfs():
     rng = random.Random(6)
     for _ in range(100):
-        n = rng.randint(1, 7)
+        n = rng.randint(1, 8)  # n = 8 reaches the giant test
         perms = []
         for _ in range(rng.randint(1, 3)):
             p = list(range(n))
@@ -342,3 +343,130 @@ def test_permutation_group_order_known_groups():
     assert permutation_group_order([]) == 1
     assert permutation_group_order([(1, 2, 3, 0), (1, 0, 2, 3)]) == 24
     assert permutation_group_order([tuple(range(10))]) == 1
+
+
+def random_giant_test_input(rng, n):
+    """Generators of a random group on range(n): whole symmetric or
+    alternating groups, block-preserving (imprimitive) groups, groups that
+    fix a point, and small cyclic groups."""
+    kind = rng.randrange(4)
+
+    def shuffled(points):
+        p = list(range(n))
+        images = list(points)
+        rng.shuffle(images)
+        for x, y in zip(points, images):
+            p[x] = y
+        return tuple(p)
+
+    if kind == 0:  # usually S_n or A_n; squares are even
+        gens = [shuffled(range(n)) for _ in range(rng.randint(2, 3))]
+        return [g if rng.randrange(2) else tuple(g[x] for x in g) for g in gens]
+    if kind == 1:  # permutes the blocks {0, 1}, {2, 3}, ... (n even) or fixes n - 1
+        half = n // 2
+        blocks = list(range(half))
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            rng.shuffle(blocks)
+            flips = [rng.randrange(2) for _ in range(half)]
+            p = list(range(n))
+            for b in range(half):
+                p[2 * b] = 2 * blocks[b] + flips[b]
+                p[2 * b + 1] = 2 * blocks[b] + 1 - flips[b]
+            gens.append(tuple(p))
+        return gens
+    if kind == 2:  # fixes the last point
+        return [shuffled(range(n - 1)) for _ in range(rng.randint(1, 2))]
+    shift = rng.randint(1, n - 1)
+    return [tuple((x + shift) % n for x in range(n))]
+
+
+def test_giant_test_agrees_with_the_chain(monkeypatch):
+    rng = random.Random(7)
+    real = approx._giant_order
+    answered = []
+
+    def giant(gens, n):
+        order = real(gens, n)
+        answered.append(order is not None)
+        return order
+
+    monkeypatch.setattr(core, "CHECKED", False)  # the chain runs once, below
+    for _ in range(24):
+        n = rng.randint(8, 40)
+        perms = random_giant_test_input(rng, n)
+        monkeypatch.setattr(approx, "_giant_order", giant)
+        order = permutation_group_order(perms)
+        monkeypatch.setattr(approx, "_giant_order", lambda gens, n: None)
+        assert order == permutation_group_order(perms), n
+    assert 6 <= sum(answered) < len(answered)  # both paths ran
+
+
+def cycle_perm(n, *cycles):
+    p = list(range(n))
+    for c in cycles:
+        for x, y in zip(c, c[1:] + c[:1]):
+            p[x] = y
+    return tuple(p)
+
+
+def psl_2_8():
+    """PSL(2, 8) = PGL(2, 8) on the 9 points of the projective line over
+    GF(8) = GF(2)[t]/(t^3 + t + 1); the point 8 is infinity."""
+
+    def gf_mul(a, b):
+        r = 0
+        for i in range(3):
+            if b >> i & 1:
+                r ^= a << i
+        for i in (4, 3):
+            if r >> i & 1:
+                r ^= 0b1011 << (i - 3)
+        return r
+
+    inverse = {a: next(b for b in range(1, 8) if gf_mul(a, b) == 1) for a in range(1, 8)}
+    shift = tuple(x ^ 1 if x < 8 else 8 for x in range(9))
+    scale = tuple(gf_mul(2, x) if x < 8 else 8 for x in range(9))
+    invert = tuple(8 if x == 0 else 0 if x == 8 else inverse[x] for x in range(9))
+    return [shift, scale, invert]
+
+
+def test_giant_test_falls_back_on_its_boundary_cases(monkeypatch):
+    calls = []
+    real = approx._chain_order
+
+    def chain(gens, n):
+        calls.append(n)
+        return real(gens, n)
+
+    monkeypatch.setattr(core, "CHECKED", False)
+    monkeypatch.setattr(approx, "_chain_order", chain)
+    # transitive with 7-cycles, but p = 7 = n - 2
+    assert permutation_group_order(psl_2_8()) == 504
+    # transitive with 7-cycles, but imprimitive: p = 7 = n / 2
+    s7_wr_s2 = [
+        cycle_perm(14, tuple(range(7))),
+        cycle_perm(14, (0, 1)),
+        cycle_perm(14, *((i, i + 7) for i in range(7))),
+    ]
+    assert permutation_group_order(s7_wr_s2) == 2 * math.factorial(7) ** 2
+    # S_11 has 7-cycles (12/2 < 7 < 12 - 2) but fixes the point 11 of 12
+    s11 = [cycle_perm(12, tuple(range(11))), cycle_perm(12, (0, 1))]
+    assert permutation_group_order(s11) == math.factorial(11)
+    assert calls == [9, 14, 12]
+    # S_12 and A_12 need no chain
+    s12 = [cycle_perm(12, tuple(range(12))), cycle_perm(12, (0, 1))]
+    assert permutation_group_order(s12) == math.factorial(12)
+    a12 = [cycle_perm(12, tuple(range(11))), cycle_perm(12, (9, 10, 11))]
+    assert permutation_group_order(a12) == math.factorial(12) // 2
+    assert calls == [9, 14, 12]
+
+
+def test_checked_mode_catches_a_wrong_giant_answer(monkeypatch):
+    s9 = [cycle_perm(9, tuple(range(9))), cycle_perm(9, (0, 1))]
+    monkeypatch.setattr(approx, "_giant_order", lambda gens, n: math.factorial(n) // 2)
+    monkeypatch.setattr(core, "CHECKED", False)
+    assert permutation_group_order(s9) == math.factorial(9) // 2  # unchecked, it is believed
+    monkeypatch.setattr(core, "CHECKED", True)
+    with pytest.raises(SelfCheckError, match="chain disagrees"):
+        permutation_group_order(s9)

@@ -4,18 +4,28 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ietlab import cli
+from ietlab import approx, cli, core
 from ietlab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_SOFT, main
-from ietlab.core import Domain, Iet, circle_rotation, from_lengths, interval_rotation
+from ietlab.core import (
+    CIRCLE,
+    Component,
+    Domain,
+    Iet,
+    circle_rotation,
+    from_lengths,
+    interval_rotation,
+)
 from ietlab.field import LpInternalError, QuadNum
 from ietlab.menagerie import example_2_3
 from ietlab.relations import CapExceededError, drift_direction, drifted
-from ietlab.rotations import roll_up_two_interval
+from ietlab.rotations import decompose_multi_rotation, roll_up_two_interval
 from ietlab.suspension import MinimalModelError
 from ietlab.textio import TextFormatError, parse_document, parse_iet, serialize_iet
 
-from randgen import long_connection_map, random_iet
+from randgen import long_connection_map, random_iet, random_quad_lengths
 
 R2 = QuadNum.sqrt(2)
 ALPHA = R2 - 1
@@ -124,6 +134,28 @@ def test_certificate_blocks_round_trip():
     assert len(certs2) == 1
     assert certs2[0] == cert
     assert serialize_iet(h2, certs=tuple(certs2)) == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_certificate_blocks_round_trip_on_random_maps(seed):
+    rnd = random.Random(seed)
+    l = Fraction(rnd.randint(2, 99), 100)
+    h = example_2_3(l, (R2 * rnd.randint(1, 50)).mod(l))  # tau / l is irrational
+    lengths = random_quad_lengths(rnd, rnd.randint(1, 3))
+    dom = Domain(tuple(Component(CIRCLE, f"C{i}", x) for i, x in enumerate(lengths)))
+    pieces = []
+    for i, x in enumerate(lengths):
+        t = x * (R2 * rnd.randint(1, 50)).mod(1)  # t / x is irrational
+        pieces += [(i, 0, x - t, i, t), (i, x - t, t, i, 0)]
+    m = Iet(dom, dom, pieces)
+    certs = decompose_multi_rotation(m).certs
+    assert len(certs) == len(lengths)
+    for g, cs in ((h, (roll_up_two_interval(h, l),)), (m, certs)):
+        text = serialize_iet(g, certs=cs)
+        g2, cs2 = parse_document(text)
+        assert g2 == g and tuple(cs2) == cs
+        assert serialize_iet(g2, certs=tuple(cs2)) == text
 
 
 # -- command line -------------------------------------------------------------------
@@ -310,6 +342,27 @@ def test_cli_exit_codes_on_failed_search_and_internal_error(tmp_path, capsys, mo
     assert main(["rationalize", "--radius", "1", f]) == EXIT_INTERNAL
     err = capsys.readouterr().err.splitlines()
     assert err[-1] == "internal error: degenerate dual basis"
+
+
+def test_cli_failed_self_checks_exit_3(tmp_path, capsys, monkeypatch):
+    a = write_map(tmp_path, "a.iet", interval_rotation(Fraction(1, 3)))
+    out = str(tmp_path / "c.iet")
+    real = Iet._trusted
+    monkeypatch.setattr(core, "CHECKED", True)
+    for how in (lambda ps: ps[::-1], lambda ps: ps[:-1]):  # disagreeing, not a partition
+        monkeypatch.setattr(Iet, "_trusted", staticmethod(lambda s, t, ps: real(s, t, how(ps))))
+        assert main(["compose", a, a, "-o", out]) == EXIT_INTERNAL
+        assert capsys.readouterr().err.startswith("internal error: trusted construction")
+    monkeypatch.setattr(Iet, "_trusted", real)
+    # a 9-cycle and a transposition of the cells of the grid 1/9 generate S_9
+    r9 = write_map(tmp_path, "r9.iet", interval_rotation(Fraction(1, 9)))
+    ninth = Fraction(1, 9)
+    swap = write_map(tmp_path, "swap.iet", from_lengths((2, 1, 3), [ninth, ninth, 7 * ninth]))
+    assert main(["finite-group", r9, swap]) == EXIT_OK
+    assert capsys.readouterr().out == "order: 362880\n"
+    monkeypatch.setattr(approx, "_giant_order", lambda gens, n: 181440)
+    assert main(["finite-group", r9, swap]) == EXIT_INTERNAL
+    assert "chain disagrees" in capsys.readouterr().err
 
 
 def test_cli_json_report_deterministic(tmp_path, capsys):

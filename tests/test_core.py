@@ -17,6 +17,7 @@ from ietlab.core import (
     Piece,
     Point,
     PointError,
+    SelfCheckError,
     Subdomain,
     circle_rotation,
     from_lengths,
@@ -28,6 +29,7 @@ from ietlab.core import (
     subdomain_as_domain,
 )
 from ietlab.field import QuadNum
+from ietlab.textio import serialize_iet
 
 from randgen import (
     cut_and_place,
@@ -429,12 +431,35 @@ def test_checked_mode_rejects_overlapping_trusted_pieces(monkeypatch):
     monkeypatch.setattr(core, "CHECKED", False)
     Iet._trusted(dom, dom, overlap)  # trusted: nothing is checked
     monkeypatch.setattr(core, "CHECKED", True)
-    with pytest.raises(PartitionError):
+    with pytest.raises(SelfCheckError, match="not a partition") as caught:
         Iet._trusted(dom, dom, overlap)
+    assert isinstance(caught.value.__cause__, PartitionError)
     # a valid piece set out of (src, a) order would merge differently
     unsorted = [fixed_piece(H, H), fixed_piece(0, H)]
-    with pytest.raises(IetError, match="disagrees"):
+    with pytest.raises(SelfCheckError, match="disagrees"):
         Iet._trusted(dom, dom, unsorted)
+
+
+def corrupt_trusted(monkeypatch, how):
+    """Turn checked mode on and feed the trusted constructor the pieces of
+    every product and inverse after ``how`` has rearranged them."""
+    real = Iet._trusted
+    monkeypatch.setattr(Iet, "_trusted", staticmethod(lambda s, t, ps: real(s, t, how(ps))))
+    monkeypatch.setattr(core, "CHECKED", True)
+
+
+@pytest.mark.parametrize(
+    "how, match",
+    [(lambda ps: ps[::-1], "disagrees"), (lambda ps: ps[:-1], "not a partition")],
+    ids=["unsorted", "gap"],
+)
+def test_a_failed_kernel_self_check_is_a_self_check_error(monkeypatch, how, match):
+    r = interval_rotation(Fraction(1, 3))
+    corrupt_trusted(monkeypatch, how)
+    for op in (lambda: r * r, lambda: ~r):
+        with pytest.raises(SelfCheckError, match=match):
+            op()
+    assert not issubclass(SelfCheckError, IetError)  # never mistaken for bad input
 
 
 def compose_by_cuts(a: Iet, b: Iet, rnd) -> Iet:
@@ -470,3 +495,23 @@ def test_trusted_products_and_inverses_match_validating_constructor(seed):
         flipped = [(p.dst, p.b, p.length, p.src, p.a) for p in a.pieces]
         rnd.shuffle(flipped)
         assert ~a == Iet(a.target, a.source, flipped)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_refined_pieces_give_the_same_canonical_map(seed):
+    # the canonical form is unique: cutting pieces further changes nothing
+    rnd = random.Random(seed)
+    phi = cut_and_place(random_domain(rnd))  # source and target differ
+    m = phi * random_iet(rnd, 6) * ~phi  # automorphism of a mixed domain
+    for h in (random_iet(rnd, 6), phi, m):
+        pieces = []
+        for p in h.pieces:
+            cuts = sorted({Fraction(rnd.randint(1, 9), 10) for _ in range(rnd.randint(0, 3))})
+            for lo, hi in zip([0] + cuts, cuts + [1]):
+                off = p.length * lo
+                pieces.append((p.src, p.a + off, p.length * (hi - lo), p.dst, p.b + off))
+        rnd.shuffle(pieces)
+        g = Iet(h.source, h.target, pieces)
+        assert g == h and hash(g) == hash(h)
+        assert serialize_iet(g) == serialize_iet(h)
