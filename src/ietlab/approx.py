@@ -440,12 +440,17 @@ def permutation_group_order(perms: Sequence[tuple[int, ...]]) -> int:
     such a cycle, a deterministic Schreier–Sims stabilizer chain gives the
     order, so it is exact on every path.  In checked mode
     (``IETLAB_CHECK=1``) every giant answer is re-computed by the chain, and
-    a disagreement raises :class:`SelfCheckError`.
+    a disagreement raises :class:`SelfCheckError`.  Raises :class:`IetError`
+    unless every input is a bijection of one range(n).
     """
     perms = [tuple(p) for p in perms]
     if not perms:
         return 1
     n = len(perms[0])
+    points = list(range(n))
+    for p in perms:
+        if sorted(p) != points:
+            raise IetError(f"not a permutation of range({n}): {p}")
     ident = tuple(range(n))
     gens = [p for p in perms if p != ident]
     if not gens:

@@ -39,7 +39,7 @@ from ietlab.core import (
     perm_validate,
 )
 from ietlab.field import QuadNum
-from ietlab.rotations import circle_angles, is_multi_rotation
+from ietlab.rotations import circle_angles, is_multi_rotation, multi_rotation_power
 
 
 class CapExceededError(IetError):
@@ -313,12 +313,14 @@ def shrink_support(r: Iet, s: Iet, cfg: ShrinkConfig) -> tuple[int, Iet]:
     The power search runs at eps/2 (movement at most eps/4): the inner
     commutator then translates by at most eps/2 off the eps/2-neighbourhood
     of the jumps, and the outer one dies off the eps-neighbourhood; each of
-    the two commutator steps spends a factor of two.
+    the two commutator steps spends a factor of two.  R^n is built in closed
+    form by :func:`ietlab.rotations.multi_rotation_power`, which checked
+    mode compares with ``r ** n``.
     """
     if r.source != s.source or r.source != r.target or s.source != s.target:
         raise IetError("R and S must be automorphisms of one domain")
     n = small_rotation_power(r, QuadNum.of(cfg.epsilon) / 2, _SHRINK_N_CAP)
-    rn = r ** n
+    rn = multi_rotation_power(r, n)
     u = commutator(commutator(s, rn), rn)
     if not _eps_cover(s.source, jump_marks(s), cfg.epsilon).covers(u.support()):
         raise ShrinkVerificationError("support escaped its eps-neighbourhood")

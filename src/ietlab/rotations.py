@@ -8,6 +8,11 @@ a rotation of irrational angle.  This module verifies supplied certificates
 exactly; discovery is implemented only for the two cases where it is
 mechanical (a literal circle component, and the two-piece rolled-out
 rotation pattern on an interval).
+
+Powers of a multi-rotation are built in closed form
+(:func:`multi_rotation_power`): R^n turns each circle by n times its
+angle, with no composition.  In checked mode (``IETLAB_CHECK=1``) each one
+is compared with ``R ** n``, the product of repeated squaring.
 """
 
 from __future__ import annotations
@@ -16,12 +21,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from ietlab import core
 from ietlab.core import (
     CIRCLE,
     INTERVAL,
     DomainMismatchError,
     Iet,
     IetError,
+    SelfCheckError,
     Subdomain,
     circle_rotation,
     subdomain_as_domain,
@@ -58,6 +65,30 @@ def circle_angles(h: Iet) -> dict[int, QuadNum]:
             continue
         first = next(p for p in h.pieces if p.src == ci)
         out[ci] = first.b - first.a  # piece at 0 maps 0 to the angle
+    return out
+
+
+def multi_rotation_power(h: Iet, n: int) -> Iet:
+    """h^n for a multi-rotation h and any integer n, in closed form.
+
+    On a circle of length L turned by a, h^n turns by (n a) mod L: two
+    pieces, or one fixed piece when that is 0; intervals stay fixed
+    pointwise.  The result goes through the validating ``Iet(...)``.  In
+    checked mode it must equal ``h ** n``, or :class:`SelfCheckError` is
+    raised.  Raises :class:`IetError` when h is not a multi-rotation.
+    """
+    angles = circle_angles(h)
+    pieces = []
+    for ci, comp in enumerate(h.source.components):
+        length = comp.length
+        t = (angles[ci] * n).mod(length) if ci in angles else 0
+        if t == 0:
+            pieces.append((ci, 0, length, ci, 0))
+        else:
+            pieces += [(ci, 0, length - t, ci, t), (ci, length - t, t, ci, 0)]
+    out = Iet(h.source, h.source, pieces)
+    if core.CHECKED and out != h ** n:
+        raise SelfCheckError(f"closed-form power {n} of a multi-rotation disagrees with h ** n")
     return out
 
 
@@ -158,12 +189,12 @@ def decompose_multi_rotation(h: Iet) -> Optional[MultiRotationDecomposition]:
         ratio = ang / length
         if ratio.is_rational() and ratio != 0:
             power = math.lcm(power, ratio.a.denominator)
-    hk = h ** power
+    hk = multi_rotation_power(h, power)
     certs = []
     for ci, comp in enumerate(h.source.components):
         if comp.kind != CIRCLE:
             continue
-        ang = circle_angles(hk).get(ci, QuadNum(0))
+        ang = (angles[ci] * power).mod(comp.length)
         if ang == 0:
             continue
         sub = Subdomain.make(h.source, [(ci, 0, comp.length)])

@@ -345,6 +345,16 @@ def test_permutation_group_order_known_groups():
     assert permutation_group_order([tuple(range(10))]) == 1
 
 
+@pytest.mark.parametrize(
+    "perms",
+    [[(1, 1, 0)], [(1, 2, 0, 0)], [(1, 0, 2), (1, 0)], [(0, 1, 2), (2, 0, 1, 3)]],
+    ids=["repeat", "repeat-4", "mixed-lengths", "mixed-lengths-identity-first"],
+)
+def test_permutation_group_order_refuses_non_permutations(perms):
+    with pytest.raises(IetError, match="not a permutation"):
+        permutation_group_order(perms)
+
+
 def random_giant_test_input(rng, n):
     """Generators of a random group on range(n): whole symmetric or
     alternating groups, block-preserving (imprimitive) groups, groups that

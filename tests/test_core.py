@@ -417,6 +417,18 @@ def test_support_conjugation_on_mixed_domains():
         assert (g * hd * ~g).support() == g.image_of(hd.support())
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_group_laws_on_mixed_domains(seed):
+    rnd = random.Random(seed)
+    phi = cut_and_place(random_domain(rnd))
+    g, h, k = (phi * random_iet(rnd, 6) * ~phi for _ in range(3))
+    ident = Iet.identity(phi.target)
+    assert (g * h) * k == g * (h * k)
+    assert g * ~g == ident == ~g * g
+    assert ident * g == g == g * ident
+
+
 # -- the trusted kernel: products and inverses ---------------------------------------
 
 

@@ -2,13 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ietlab import core, rotations
 from ietlab.core import (
     CIRCLE,
     Component,
     Domain,
     Iet,
     IetError,
+    SelfCheckError,
     Subdomain,
     circle_rotation,
     from_lengths,
@@ -16,12 +20,14 @@ from ietlab.core import (
     subdomain_as_domain,
 )
 from ietlab.field import QuadNum
+from ietlab.relations import ShrinkConfig, commutator, shrink_support
 from ietlab.rotations import (
     IrrationalCircleCert,
     circle_angles,
     decompose_multi_rotation,
     is_multi_rotation,
     is_virtual_multi_rotation,
+    multi_rotation_power,
     roll_up_two_interval,
     verify_irrational_circle,
 )
@@ -260,3 +266,87 @@ def test_irrational_circles_disjoint_or_coincide():
     # the same circle certified twice coincides with itself
     again = roll_up_two_interval(h, half)
     assert again.circle_subdomain == c1.circle_subdomain
+
+
+# -- powers of multi-rotations in closed form ----------------------------------------
+
+
+def random_multi_rotation(rnd) -> Iet:
+    """One to three circles and up to two fixed intervals, in random order,
+    with rational or quadratic lengths.  A circle turns by a rational
+    fraction of its length with denominator dividing 12 (so a multiple of 12
+    turns it by 0), by a rational angle, or by a quadratic one."""
+    kinds = [CIRCLE] * rnd.randint(1, 3) + ["interval"] * rnd.randint(0, 2)
+    rnd.shuffle(kinds)
+    comps, pieces = [], []
+    for ci, kind in enumerate(kinds):
+        length = QuadNum(Fraction(rnd.randint(1, 12), rnd.randint(1, 12)))
+        if rnd.randrange(2):
+            length = length + R2 * Fraction(rnd.randint(-5, 5), 100)  # stays positive
+        comps.append(Component(kind, f"M{ci}", length))
+        way = rnd.randrange(3) if kind == CIRCLE else None
+        if way is None:
+            angle = QuadNum(0)
+        elif way == 0:
+            angle = length * Fraction(rnd.randrange(12), 12)
+        else:
+            irrational = Fraction(rnd.randint(1, 9), 1000) if way == 2 else 0
+            angle = QuadNum(Fraction(rnd.randint(1, 99), 100), irrational, 2).mod(length)
+        if angle == 0:
+            pieces.append((ci, 0, length, ci, 0))
+        else:
+            pieces += [(ci, 0, length - angle, ci, angle), (ci, length - angle, angle, ci, 0)]
+    dom = Domain(tuple(comps))
+    return Iet(dom, dom, pieces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(-10 ** 5, 10 ** 5))
+@example(seed=0, n=0)
+def test_multi_rotation_power_matches_repeated_squaring(seed, n):
+    h = random_multi_rotation(random.Random(seed))
+    assert is_multi_rotation(h)
+    # a multiple of 12 turns every circle whose angle is a k/12 fraction of it by 0
+    twelves = 12 * (n // 12) if n >= 0 else -12 * (-n // 12)
+    for m in (n, twelves, 0, 1, -1):
+        assert multi_rotation_power(h, m) == h ** m, m
+
+
+def test_multi_rotation_power_needs_a_multi_rotation():
+    with pytest.raises(IetError):
+        multi_rotation_power(interval_rotation(ALPHA), 3)
+
+
+def test_checked_mode_catches_a_wrong_closed_form(monkeypatch):
+    r = circle_rotation(1, ALPHA)
+    monkeypatch.setattr(rotations, "circle_angles", lambda h: {0: ALPHA / 2})
+    monkeypatch.setattr(core, "CHECKED", False)
+    assert multi_rotation_power(r, 5) != r ** 5  # the wrong form goes unseen
+    monkeypatch.setattr(core, "CHECKED", True)
+    with pytest.raises(SelfCheckError, match="disagrees"):
+        multi_rotation_power(r, 5)
+
+
+def shrink_input(rnd, circles: int):
+    """R turning each unit circle by a quadratic angle, and S an interval
+    exchange on each circle, with the two circles swapped half the time."""
+    dom = Domain(tuple(Component(CIRCLE, f"C{i}", QuadNum(1)) for i in range(circles)))
+    r_pieces, s_pieces = [], []
+    for ci in range(circles):
+        ang = QuadNum(Fraction(rnd.randint(1, 99), 100), Fraction(rnd.randint(1, 9), 1000), 2)
+        r_pieces += [(ci, 0, 1 - ang, ci, ang), (ci, 1 - ang, ang, ci, 0)]
+        s_pieces += [(ci, p.a, p.length, ci, p.b) for p in random_iet(rnd, 5).pieces]
+    r, s = Iet(dom, dom, r_pieces), Iet(dom, dom, s_pieces)
+    if circles == 2 and rnd.randrange(2):
+        s = Iet(dom, dom, [(0, 0, 1, 1, 0), (1, 0, 1, 0, 0)]) * s
+    return r, s
+
+
+def test_shrink_support_matches_the_commutator_of_repeated_squaring():
+    rnd = random.Random(2718)
+    cfg = ShrinkConfig(QuadNum(Fraction(1, 100)))
+    for circles in (1, 1, 1, 2, 2, 2, 2, 2):
+        r, s = shrink_input(rnd, circles)
+        n, u = shrink_support(r, s, cfg)
+        rn = r ** n
+        assert u == commutator(commutator(s, rn), rn), (circles, n)
