@@ -291,12 +291,8 @@ class Iet:
         for p in pieces:
             if merged:
                 q = merged[-1]
-                if (
-                    q.src == p.src
-                    and q.dst == p.dst
-                    and q.a + q.length == p.a
-                    and q.b + q.length == p.b
-                ):
+                # pieces of one source component are adjacent: they partition it
+                if q.src == p.src and q.dst == p.dst and q.b + q.length == p.b:
                     merged[-1] = Piece(q.src, q.a, q.length + p.length, q.dst, q.b)
                     continue
             merged.append(p)
@@ -400,17 +396,30 @@ class Iet:
             raise DomainMismatchError("composition needs matching middle domain")
         out = []
         for p in other.pieces:
-            lo, hi = p.b, p.b + p.length
+            lo = p.b
+            hi = lo + p.length
             starts = self._starts[p.dst]
             gps = self._by_comp[p.dst]
+            last = len(gps) - 1
             i = bisect.bisect_right(starts, lo) - 1
-            while i < len(gps) and gps[i].a < hi:
+            g = gps[i]
+            b = g.b + (lo - g.a)
+            # self's pieces partition their component: piece i ends where
+            # piece i + 1 starts, so [lo, hi) is cut at the starts inside it
+            if i == last or hi <= starts[i + 1]:
+                out.append(Piece(p.src, p.a, p.length, g.dst, b))
+                continue
+            ln = starts[i + 1] - lo
+            out.append(Piece(p.src, p.a, ln, g.dst, b))
+            a = p.a + ln
+            i += 1
+            while i < last and starts[i + 1] < hi:
                 g = gps[i]
-                s = lo if lo > g.a else g.a
-                e = hi if hi < g.a + g.length else g.a + g.length
-                if s < e:
-                    out.append(Piece(p.src, p.a + (s - p.b), e - s, g.dst, g.b + (s - g.a)))
+                out.append(Piece(p.src, a, g.length, g.dst, g.b))
+                a = a + g.length
                 i += 1
+            g = gps[i]
+            out.append(Piece(p.src, a, hi - g.a, g.dst, g.b))
         # other's pieces run in (src, a) order and each is cut left to right
         return Iet._trusted(other.source, self.target, out)
 
@@ -425,13 +434,19 @@ class Iet:
             raise DomainMismatchError("powers need an automorphism")
         if n < 0:
             return (~self) ** (-n)
-        result = Iet.identity(self.source)
+        if n == 0:
+            return Iet.identity(self.source)
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        # the lowest set bit's power starts the product: no product with the identity
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = base * result
-            base2 = base * base if n > 1 else base
-            base = base2
             n >>= 1
         return result
 

@@ -69,6 +69,13 @@ class QuadNum:
     immutable by convention.  A ``float`` part raises ``TypeError``: it
     would be read as its binary value (``0.01`` as ``5764607523034235 /
     576460752303423488``), never as the decimal it was written as.
+
+    ``+``, ``-``, the comparisons and ``==`` read a ``QuadNum`` operand's
+    integers directly, skip the cross-multiplication when the denominators
+    are equal, and take an ``int`` k without converting it:
+    ``(p ± k*den, q, den)`` is already normalized, so it needs no gcd.  A
+    ``Fraction`` operand is converted by :func:`_coerce` first.  No operator
+    calls another one, so each operation is one call.
     """
 
     __slots__ = ("p", "q", "den", "d")
@@ -118,33 +125,52 @@ class QuadNum:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        d = _join_fields(self.d, o.d)
-        return _quad(
-            self.p * o.den + o.p * self.den, self.q * o.den + o.q * self.den, self.den * o.den, d
-        )
+        if other.__class__ is not QuadNum:
+            if isinstance(other, int):
+                return _raw(self.p + other * self.den, self.q, self.den, self.d)
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d = self.d
+        if d != other.d:
+            d = _join_fields(d, other.d)
+        den = self.den
+        if den == other.den:
+            return _quad(self.p + other.p, self.q + other.q, den, d)
+        oden = other.den
+        return _quad(self.p * oden + other.p * den, self.q * oden + other.q * den, den * oden, d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if other.__class__ is not QuadNum:
+            if isinstance(other, int):
+                return _raw(self.p - other * self.den, self.q, self.den, self.d)
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d = self.d
+        if d != other.d:
+            d = _join_fields(d, other.d)
+        den = self.den
+        if den == other.den:
+            return _quad(self.p - other.p, self.q - other.q, den, d)
+        oden = other.den
+        return _quad(self.p * oden - other.p * den, self.q * oden - other.q * den, den * oden, d)
+
+    def __rsub__(self, other):
+        if isinstance(other, int):
+            return _raw(other * self.den - self.p, -self.q, self.den, self.d)
         o = _coerce(other)
         if o is None:
             return NotImplemented
         d = _join_fields(self.d, o.d)
         return _quad(
-            self.p * o.den - o.p * self.den, self.q * o.den - o.q * self.den, self.den * o.den, d
+            o.p * self.den - self.p * o.den, o.q * self.den - self.q * o.den, self.den * o.den, d
         )
 
-    def __rsub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __neg__(self):
-        return _quad(-self.p, -self.q, self.den, self.d)
+        return _raw(-self.p, -self.q, self.den, self.d)
 
     def __mul__(self, other):
         o = _coerce(other)
@@ -160,25 +186,13 @@ class QuadNum:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        d = _join_fields(self.d, o.d)
-        p1, q1, p2, q2 = self.p, self.q, o.p, o.q
-        # multiply through by the conjugate p2 - q2*sqrt(d); its norm is
-        # zero only for o == 0 because d is not a square
-        norm = p2 * p2 - q2 * q2 * d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero")
-        p = (p1 * p2 - q1 * q2 * d) * o.den
-        q = (q1 * p2 - p1 * q2) * o.den
-        den = self.den * norm
-        if den < 0:
-            p, q, den = -p, -q, -den
-        return _quad(p, q, den, d)
+        return _divide(self, o)
 
     def __rtruediv__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _divide(o, self)
 
     # -- order ---------------------------------------------------------------
 
@@ -187,11 +201,27 @@ class QuadNum:
         return _sign(self.p, self.q, self.d)
 
     def _cmp(self, other) -> Optional[int]:
-        o = _coerce(other)
-        if o is None:
-            return None
-        d = _join_fields(self.d, o.d)
-        return _sign(self.p * o.den - o.p * self.den, self.q * o.den - o.q * self.den, d)
+        if other.__class__ is not QuadNum:
+            if isinstance(other, int):
+                return _sign(self.p - other * self.den, self.q, self.d)
+            other = _coerce(other)
+            if other is None:
+                return None
+        d = self.d
+        if d != other.d:
+            d = _join_fields(d, other.d)
+        den = self.den
+        if den == other.den:
+            p, q = self.p - other.p, self.q - other.q
+        else:
+            oden = other.den
+            p, q = self.p * oden - other.p * den, self.q * oden - other.q * den
+        # the sign of p + q*sqrt(d), as in _sign
+        if q == 0:
+            return (p > 0) - (p < 0)
+        if p == 0 or (p > 0) == (q > 0):
+            return 1 if q > 0 else -1
+        return 1 if (p * p > q * q * d) == (p > 0) else -1
 
     def __lt__(self, other):
         c = self._cmp(other)
@@ -210,13 +240,20 @@ class QuadNum:
         return NotImplemented if c is None else c >= 0
 
     def __eq__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.p == o.p and self.q == o.q and self.den == o.den and self.d == o.d
+        if other.__class__ is not QuadNum:
+            if isinstance(other, int):
+                return self.den == 1 and self.q == 0 and self.p == other
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return (
+            self.p == other.p and self.q == other.q and self.den == other.den and self.d == other.d
+        )
+
+    _equal = __eq__  # for __ne__: a wrapped __eq__ would count twice
 
     def __ne__(self, other):
-        r = self.__eq__(other)
+        r = self._equal(other)
         return r if r is NotImplemented else not r
 
     def __hash__(self):
@@ -228,7 +265,7 @@ class QuadNum:
         return self.p != 0 or self.q != 0
 
     def __abs__(self):
-        return -self if self.sign() < 0 else self
+        return _raw(-self.p, -self.q, self.den, self.d) if self.sign() < 0 else self
 
     # -- integer parts -------------------------------------------------------
 
@@ -263,6 +300,29 @@ def _quad(p: int, q: int, den: int, d: int) -> QuadNum:
     x = object.__new__(QuadNum)
     x.p, x.q, x.den, x.d = p, q, den, d if q else 0
     return x
+
+
+def _raw(p: int, q: int, den: int, d: int) -> QuadNum:
+    """(p + q*sqrt(d)) / den from integers that are already normalized."""
+    x = object.__new__(QuadNum)
+    x.p, x.q, x.den, x.d = p, q, den, d
+    return x
+
+
+def _divide(x: QuadNum, y: QuadNum) -> QuadNum:
+    d = _join_fields(x.d, y.d)
+    p1, q1, p2, q2 = x.p, x.q, y.p, y.q
+    # multiply through by the conjugate p2 - q2*sqrt(d); its norm is
+    # zero only for y == 0 because d is not a square
+    norm = p2 * p2 - q2 * q2 * d
+    if norm == 0:
+        raise ZeroDivisionError("division by zero")
+    p = (p1 * p2 - q1 * q2 * d) * y.den
+    q = (q1 * p2 - p1 * q2) * y.den
+    den = x.den * norm
+    if den < 0:
+        p, q, den = -p, -q, -den
+    return _quad(p, q, den, d)
 
 
 def _coerce(x) -> Optional[QuadNum]:

@@ -39,7 +39,7 @@ from ietlab.core import (
     perm_validate,
 )
 from ietlab.field import QuadNum
-from ietlab.rotations import circle_angles, is_multi_rotation, multi_rotation_power
+from ietlab.rotations import circle_angles, multi_rotation_power
 
 
 class CapExceededError(IetError):
@@ -263,13 +263,13 @@ def small_rotation_power(r: Iet, eps, cap: int = 500_000) -> int:
     returns to the window are walked exactly by the three-gap theorem
     (:func:`_window_returns`), and every other circle is tested exactly at
     each return, so the answer is the true minimum.  No floating point is
-    used.  Raises :class:`CapExceededError` when the least n exceeds cap.
+    used.  Raises :class:`CapExceededError` when the least n exceeds cap,
+    and :class:`IetError` (from :func:`circle_angles`) when r is not a
+    multi-rotation.
     """
     eps = QuadNum.of(eps)
     if not eps > 0:
         raise IetError("eps must be positive")
-    if not is_multi_rotation(r):
-        raise IetError("small powers need a multi-rotation")
     thresh = eps / 2
     circles: list[tuple[QuadNum, QuadNum]] = []  # (beta, delta)
     for ci, ang in circle_angles(r).items():

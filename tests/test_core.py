@@ -35,6 +35,7 @@ from randgen import (
     cut_and_place,
     random_domain,
     random_iet,
+    random_q_rational_iet,
     random_quad_lengths,
     random_realizable_perm,
 )
@@ -507,6 +508,34 @@ def test_trusted_products_and_inverses_match_validating_constructor(seed):
         flipped = [(p.dst, p.b, p.length, p.src, p.a) for p in a.pieces]
         rnd.shuffle(flipped)
         assert ~a == Iet(a.target, a.source, flipped)
+
+
+def on_circle(h: Iet) -> Iet:
+    """A map of [0, 1) read as a map of the circle R/Z, cut at 0."""
+    dom = Domain.circle(1)
+    return Iet(dom, dom, h.pieces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_products_with_coinciding_breakpoints_match_validating_constructor(seed):
+    # a piece image that starts at, or ends at, a piece start of the outer map:
+    # inverse pairs, powers on a rational grid, circle maps meeting at the cut
+    rnd = random.Random(seed)
+    h = random_iet(rnd, 6)
+    phi = cut_and_place(random_domain(rnd))
+    m = phi * random_iet(rnd, 6) * ~phi
+    q = rnd.randint(2, 12)
+    g, k = random_q_rational_iet(rnd, q), random_q_rational_iet(rnd, q)
+    powers = [g ** n for n in range(1, 5)]
+    rot = circle_rotation(1, Fraction(rnd.randint(1, q - 1), q))
+    cg, ck = on_circle(g), on_circle(k)
+    pairs = [(h, ~h), (~h, h), (m, ~m), (~m, m), (g, k), (cg, ck), (cg, ~cg), (rot, cg)]
+    pairs += [(a, b) for a in powers for b in powers]
+    pairs += [(rot ** i, rot ** j) for i in range(q) for j in (1, q - 1)]
+    for a, b in pairs:
+        assert a * b == compose_by_cuts(a, b, rnd)
+    assert all(a * ~a == Iet.identity(a.source) for a in (h, m, cg, rot) + tuple(powers))
 
 
 @settings(max_examples=60, deadline=None)

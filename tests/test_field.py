@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -75,8 +76,23 @@ def test_arithmetic_and_order():
 
 
 def test_field_mixing_is_an_error():
-    with pytest.raises(FieldMismatchError):
-        QuadNum.sqrt(2) + QuadNum.sqrt(3)
+    r2, r3 = QuadNum.sqrt(2), QuadNum(1, Fraction(1, 3), 3)
+    for op in (
+        operator.add,
+        operator.sub,
+        operator.mul,
+        operator.truediv,
+        operator.lt,
+        operator.le,
+        operator.gt,
+        operator.ge,
+    ):
+        with pytest.raises(FieldMismatchError):
+            op(r2, r3)
+        with pytest.raises(FieldMismatchError):
+            op(r3, r2)
+    # sqrt(2) and sqrt(3) share p, q and den, yet differ: == is False, not an error
+    assert (r2 == QuadNum.sqrt(3), r2 != QuadNum.sqrt(3)) == (False, True)
     # rationals interoperate with every field
     assert QuadNum(1) + QuadNum.sqrt(2) == QuadNum(1, 1, 2)
 
@@ -98,6 +114,17 @@ def test_floats_are_rejected():
         QuadNum.of(0.25)
     with pytest.raises(TypeError):
         QuadNum(1) < 0.5
+
+
+@pytest.mark.parametrize("other", [0.5, "1", None], ids=["float", "str", "None"])
+def test_foreign_operands_are_type_errors(other):
+    for x in (QuadNum(1), QuadNum(1, 1, 2)):
+        for op in (operator.add, operator.sub, operator.lt, operator.ge):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+        assert x != other and not x == other
 
 
 def test_floor_and_mod():
@@ -333,6 +360,51 @@ def test_order_matches_oracle(a1, b1, a2, b2, d):
     assert (x != y) == (s != 0)
     assert (x < a2) == (o_sign(a1 - a2, b1, d) < 0)
     assert (a2 < x) == (o_sign(a1 - a2, b1, d) > 0)
+
+
+CMP = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
+
+
+def signs_compare(s: int) -> tuple[bool, ...]:
+    """What the six comparisons of a value with sign s against 0 give."""
+    return tuple(op(s, 0) for op in CMP)
+
+
+NUMERATORS = st.integers(-300, 300)
+
+
+@PROPS
+@given(NUMERATORS, NUMERATORS, NUMERATORS, NUMERATORS, st.sampled_from([1, 2, 3, 7, 97]), FIELDS)
+def test_shared_denominator_operands_match_oracle(p1, q1, p2, q2, den, d):
+    a1, b1, a2, b2 = (Fraction(v, den) for v in (p1, q1, p2, q2))
+    x, y = QuadNum(a1, b1, d), QuadNum(a2, b2, d)
+    assume(x.den == y.den)
+    assert pair(x + y) == (a1 + a2, b1 + b2)
+    assert pair(x - y) == (a1 - a2, b1 - b2)
+    assert pair(y - x) == (a2 - a1, b2 - b1)
+    for r in (x + y, x - y, y - x):
+        assert_normalized(r)
+    s = o_sign(a1 - a2, b1 - b2, d)
+    assert tuple(op(x, y) for op in CMP) == signs_compare(s)
+    assert tuple(op(y, x) for op in CMP) == signs_compare(-s)
+
+
+@PROPS
+@given(FRACS, FRACS, st.integers(-60, 60), FIELDS)
+def test_int_operands_match_oracle(a1, b1, k, d):
+    x = QuadNum(a1, b1, d)
+    s = o_sign(a1 - k, b1, d)
+    assert tuple(op(x, k) for op in CMP) == signs_compare(s)
+    assert tuple(op(k, x) for op in CMP) == signs_compare(-s)
+    for r, want in (
+        (x + k, (a1 + k, b1)),
+        (k + x, (a1 + k, b1)),
+        (x - k, (a1 - k, b1)),
+        (k - x, (k - a1, -b1)),
+        (abs(x), (a1, b1) if o_sign(a1, b1, d) >= 0 else (-a1, -b1)),
+    ):
+        assert pair(r) == want
+        assert_normalized(r)
 
 
 @PROPS

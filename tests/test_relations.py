@@ -223,6 +223,12 @@ def test_small_rotation_power_cap():
         small_rotation_power(circle_rotation(1, ALPHA), Fraction(1, 100), cap=10)
 
 
+def test_small_rotation_power_needs_a_multi_rotation():
+    for h in (interval_rotation(Fraction(1, 3)), from_lengths((3, 2, 1), [Fraction(1, 3)] * 3)):
+        with pytest.raises(IetError, match="not a multi-rotation"):
+            small_rotation_power(h, Fraction(1, 100))
+
+
 def scan_small_power(circles, eps, cap):
     """Oracle: scan n = 1..cap for the first n with (ang*n) mod length within
     eps/2 of 0 on every circle; None past the cap."""
