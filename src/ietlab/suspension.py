@@ -27,13 +27,27 @@ Linear growth for all n is not proven: a boundary connection longer than
 the search depth and than N goes unseen.  ``long_connection_map`` of the
 tests has one of 2,469 steps; its model has d(h_m^n) = 3n up to n = 2,048
 but not at n = 2,500, and its growth rate is 0.
+
+The connection and fake-boundary searches walk orbits on integers.  Every
+coordinate of h is (P + Q sqrt(d)) / D over one common denominator D, and
+each step adds to a point's (P, Q) the integer translation of the piece
+that holds it, so every orbit point is again over D and the walk is exact:
+it visits the very values ``Iet.__call__`` and ``Iet.left_limit`` give,
+with no ``QuadNum`` built.  The kernel and the jump sets of h and h^-1 are
+built once per map and shared by the searches of a surgery pass.  With
+``IETLAB_CHECK=1`` every search is run again through ``Iet.__call__`` and
+``Iet.left_limit`` and must agree, or :class:`SelfCheckError` is raised.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
+from ietlab import core
 from ietlab.core import (
     CIRCLE,
     INTERVAL,
@@ -43,8 +57,9 @@ from ietlab.core import (
     Iet,
     IetError,
     Point,
+    SelfCheckError,
 )
-from ietlab.field import QuadNum
+from ietlab.field import FieldMismatchError, QuadNum
 
 
 class MinimalModelError(IetError):
@@ -203,75 +218,221 @@ class FakeBoundary:
     left_track: tuple[tuple[int, object], ...]
 
 
+# -- the orbit kernel ---------------------------------------------------------------
+
+
+class _Orbits:
+    """Orbits of an automorphism by its definition: points are (component,
+    coordinate) pairs stepped by ``Iet.__call__`` and ``Iet.left_limit``.
+
+    ``points`` and ``inv_points`` are the jumps of h and of h^-1 as
+    :class:`Point`; ``jumps`` and ``inv_jumps`` are the same jumps as this
+    class's points, and ``marks`` tags each with 1 (a jump of h), 2 (of
+    h^-1) or 3 (of both).  ``zero[c]`` and ``end[c]`` are coordinate 0 and
+    the length of component c; the searches below only ever test those for
+    equality, since a left limit lies in (0, length].
+    """
+
+    def __init__(self, h: Iet):
+        if h.source != h.target:
+            raise DomainMismatchError("needs an automorphism")
+        self.h = h
+        comps = h.source.components
+        self.circle = [c.kind == CIRCLE for c in comps]
+        self.zero = [self.key(i, QuadNum(0)) for i in range(len(comps))]
+        self.end = [self.key(i, c.length) for i, c in enumerate(comps)]
+        self.points = h.discontinuities()
+        self.inv_points = (~h).discontinuities()
+        self.jumps = [self.key(p.comp, p.x) for p in self.points]
+        self.inv_jumps = [self.key(p.comp, p.x) for p in self.inv_points]
+        self.marks = dict.fromkeys(self.jumps, 1)
+        for y in self.inv_jumps:
+            self.marks[y] = self.marks.get(y, 0) | 2
+
+    def key(self, comp: int, x):
+        return comp, x
+
+    def value(self, y):
+        return y[1]
+
+    def point(self, y) -> Point:
+        return Point(y[0], self.value(y))
+
+    def image(self, y):
+        z = self.h(Point(*y))
+        return z.comp, z.x
+
+    def left_limit(self, y):
+        return self.h.left_limit(*y)
+
+
+class _IntOrbits(_Orbits):
+    """The same orbits on integers (see the module docstring): a point is
+    (comp, P, Q) for (P + Q sqrt(d)) / D and a piece is the move (dst, dP,
+    dQ) from its start to its image start.  A step is a binary search over
+    the component's starts, by the sign test of :func:`ietlab.field._sign`,
+    and one integer pair addition."""
+
+    def __init__(self, h: Iet):
+        values = [c.length for c in h.source.components]
+        for p in h.pieces:
+            values += (p.a, p.b)
+        fields = {v.d for v in values if v.q}
+        if len(fields) > 1:
+            raise FieldMismatchError(f"a map over more than one field: sqrt of {sorted(fields)}")
+        self.d = fields.pop() if fields else 0
+        self.den = math.lcm(*(v.den for v in values))
+        # per component: the starts' P and Q, and each piece's move
+        self.table = {}
+        for p in h.pieces:
+            sp, sq, moves = self.table.setdefault(p.src, ([], [], []))
+            _, pa, qa = self.key(p.src, p.a)
+            _, pb, qb = self.key(p.dst, p.b)
+            sp.append(pa)
+            sq.append(qa)
+            moves.append((p.dst, pb - pa, qb - qa))
+        super().__init__(h)
+
+    def key(self, comp: int, x):
+        s = self.den // x.den
+        return comp, x.p * s, x.q * s
+
+    def value(self, y):
+        return QuadNum(Fraction(y[1], self.den), Fraction(y[2], self.den), self.d)
+
+    def _piece(self, comp: int, P: int, Q: int, least: int):
+        """The move of the last piece of comp whose start s has x - s >= 0
+        (least = 0: the piece holding x) or x - s > 0 (least = 1: the piece
+        just below x), for x = (P + Q sqrt(d)) / D."""
+        sp, sq, moves = self.table[comp]
+        d = self.d
+        lo, hi = 1, len(sp)  # the first start is 0, below every x searched
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            p, q = P - sp[mid], Q - sq[mid]
+            # the sign of p + q sqrt(d), as in field._sign; p >= 1 is p > 0
+            if q == 0:
+                above = p >= least
+            elif p == 0 or (p > 0) == (q > 0):
+                above = q > 0
+            else:
+                above = (p * p > q * q * d) == (p > 0)
+            if above:
+                lo = mid + 1
+            else:
+                hi = mid
+        return moves[lo - 1]
+
+    def image(self, y):
+        c, P, Q = y
+        dst, dp, dq = self._piece(c, P, Q, 0)
+        return dst, P + dp, Q + dq
+
+    def left_limit(self, y):
+        c, P, Q = y
+        dst, dp, dq = self._piece(c, P, Q, 1)
+        return dst, P + dp, Q + dq
+
+
+@functools.lru_cache(maxsize=1)
+def _kernel(h: Iet) -> _IntOrbits:
+    """The integer orbit kernel of h, kept for the next search on the same
+    map: one surgery pass runs up to four searches on one map."""
+    return _IntOrbits(h)
+
+
+def _checked(search, h: Iet, *args):
+    """search on the integer kernel of h; in checked mode also on the
+    definition, which must give the same result."""
+    out = search(_kernel(h), *args)
+    if core.CHECKED and out != search(_Orbits(h), *args):
+        raise SelfCheckError(f"{search.__name__}: integer orbit walk disagrees with Iet evaluation")
+    return out
+
+
+# -- the searches -------------------------------------------------------------------
+
+
 def singular_points(h: Iet) -> tuple[Point, ...]:
-    inv = set((~h).discontinuities())
-    return tuple(p for p in h.discontinuities() if p in inv)
+    """Jumps of h that are jumps of h^-1 too."""
+    o = _kernel(h)
+    return tuple(p for p, y in zip(o.points, o.jumps) if o.marks[y] == 3)
+
+
+def _boundary_connections(o: _Orbits, depth: int) -> tuple[BoundaryConnection, ...]:
+    marks, image = o.marks, o.image
+    out = []
+    for x in o.inv_jumps:
+        y = x
+        for k in range(depth + 1):
+            m = marks.get(y)
+            if m is not None:
+                if k and m & 2:
+                    break  # a shorter connection starts at y
+                if m & 1:
+                    orbit = [x]
+                    for _ in range(k):
+                        orbit.append(image(orbit[-1]))
+                    out.append(BoundaryConnection(o.point(x), k, tuple(map(o.point, orbit))))
+                    break
+            y = image(y)
+    return tuple(out)
 
 
 def find_boundary_connections(h: Iet, depth: int) -> tuple[BoundaryConnection, ...]:
     """All depth-bounded orbits x, h(x), ..., h^k(x) with x a jump of h^-1,
     h^k(x) a jump of h, and no other jump of either map along the way."""
-    delta_h = set(h.discontinuities())
-    delta_inv = (~h).discontinuities()
-    delta_inv_set = set(delta_inv)
-    out = []
-    for x in delta_inv:
-        y = x
-        orbit = [x]
-        for k in range(depth + 1):
-            if k >= 1 and y in delta_inv_set:
-                break  # a shorter connection starts at y
-            if y in delta_h:
-                out.append(BoundaryConnection(x, k, tuple(orbit)))
-                break
-            y = h(y)
-            orbit.append(y)
-    return tuple(out)
+    return _checked(_boundary_connections, h, depth)
 
 
-def fake_boundary_walk(h: Iet, x: Point) -> Optional[FakeBoundary]:
-    """Track (h^i(x), h^i(x-)) until the two sides meet; None when the walk
-    exceeds len(components) + d(h) + 1 steps or leaves the gluable pattern
-    (intermediate points must be interval endpoints)."""
-    comps = h.source.components
-    plus = x
-    minus = (x.comp, x.x if x.x > 0 else comps[x.comp].length)
-    right_track: list[Point] = []
-    left_track: list[tuple[int, object]] = []
-    for _ in range(len(comps) + h.d() + 1):
-        plus = h(plus)
-        minus = h.left_limit(*minus)
-        mc, mx = minus
-        genuine_pt = None
-        if mx < comps[mc].length:
-            genuine_pt = Point(mc, mx)
-        elif comps[mc].kind == CIRCLE:
-            genuine_pt = Point(mc, QuadNum(0))  # circle closes up at its cut
-        if genuine_pt is not None and genuine_pt == plus:
+def _fake_boundary_walk(o: _Orbits, x: Point) -> Optional[FakeBoundary]:
+    plus = o.key(x.comp, x.x)
+    minus = o.end[x.comp] if plus == o.zero[x.comp] else plus
+    right_track = []
+    left_track = []
+    for _ in range(len(o.circle) + len(o.jumps) + 1):
+        plus = o.image(plus)
+        minus = o.left_limit(minus)
+        mc = minus[0]
+        genuine = None
+        if minus != o.end[mc]:
+            genuine = minus
+        elif o.circle[mc]:
+            genuine = o.zero[mc]  # circle closes up at its cut
+        if genuine == plus:
             k = len(right_track) + 1
             if k < 2:
                 raise IetError("walk met at the first step from a genuine jump")  # pragma: no cover
-            return FakeBoundary(x, k, tuple(right_track), tuple(left_track))
+            left = tuple((y[0], o.value(y)) for y in left_track)
+            return FakeBoundary(x, k, tuple(map(o.point, right_track)), left)
         # intermediates must look like a boundary circle: the forward point a
         # left endpoint, the limit point a missing right endpoint
-        if not (comps[plus.comp].kind == INTERVAL and plus.x == 0):
+        pc = plus[0]
+        if o.circle[pc] or plus != o.zero[pc] or genuine is not None:
             return None
-        if genuine_pt is not None:
-            return None
-        if any(t[0] == mc for t in left_track) or any(p.comp == plus.comp for p in right_track):
+        if any(y[0] == mc for y in left_track) or any(y[0] == pc for y in right_track):
             return None  # tracks must not revisit a component end
         right_track.append(plus)
-        left_track.append((mc, mx))
+        left_track.append(minus)
     return None
 
 
+def fake_boundary_walk(h: Iet, x: Point) -> Optional[FakeBoundary]:
+    """Track (h^i(x), h^i(x-)) from a jump x of h until the two sides meet;
+    None when the walk exceeds len(components) + d(h) + 1 steps or leaves
+    the gluable pattern (intermediate points must be interval endpoints)."""
+    if x not in _kernel(h).points:
+        raise IetError(f"{x} is not a jump of the map")
+    return _checked(_fake_boundary_walk, h, x)
+
+
+def _fake_boundaries(o: _Orbits) -> tuple[FakeBoundary, ...]:
+    walks = (_fake_boundary_walk(o, x) for x in o.points)
+    return tuple(fb for fb in walks if fb is not None)
+
+
 def fake_boundaries(h: Iet) -> tuple[FakeBoundary, ...]:
-    out = []
-    for x in h.discontinuities():
-        fb = fake_boundary_walk(h, x)
-        if fb is not None:
-            out.append(fb)
-    return tuple(out)
+    return _checked(_fake_boundaries, h)
 
 
 def glue_fake_boundary(h: Iet, fb: FakeBoundary) -> tuple[Iet, Iet]:

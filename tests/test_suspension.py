@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ietlab import suspension
+from ietlab import core, suspension
 from ietlab.core import (
     CIRCLE,
     INTERVAL,
@@ -15,6 +15,7 @@ from ietlab.core import (
     Iet,
     IetError,
     Point,
+    SelfCheckError,
     circle_rotation,
     from_lengths,
     interval_rotation,
@@ -22,6 +23,7 @@ from ietlab.core import (
 )
 from ietlab.field import QuadNum
 from ietlab.suspension import (
+    BoundaryConnection,
     FakeBoundary,
     MinimalModelError,
     _split_map,
@@ -40,6 +42,8 @@ from randgen import (
     random_domain,
     random_iet,
     random_q_rational_iet,
+    random_quad_lengths,
+    random_realizable_perm,
 )
 
 R2 = QuadNum.sqrt(2)
@@ -116,6 +120,183 @@ def test_boundary_connection_constructed_k1():
     assert [p.x for p in bc.orbit] == [Fraction(1, 5), Fraction(4, 5)]
 
 
+# -- the orbit searches against Iet evaluation ----------------------------------------
+
+
+def connections_by_evaluation(h: Iet, depth: int) -> tuple[BoundaryConnection, ...]:
+    """The connection search by definition: every step through Iet.__call__."""
+    delta_h = set(h.discontinuities())
+    delta_inv = (~h).discontinuities()
+    delta_inv_set = set(delta_inv)
+    out = []
+    for x in delta_inv:
+        y = x
+        orbit = [x]
+        for k in range(depth + 1):
+            if k >= 1 and y in delta_inv_set:
+                break  # a shorter connection starts at y
+            if y in delta_h:
+                out.append(BoundaryConnection(x, k, tuple(orbit)))
+                break
+            y = h(y)
+            orbit.append(y)
+    return tuple(out)
+
+
+def fake_walk_by_evaluation(h: Iet, x: Point) -> Optional[FakeBoundary]:
+    """The fake-boundary walk by definition, through Iet.__call__ and
+    Iet.left_limit."""
+    comps = h.source.components
+    plus = x
+    minus = (x.comp, x.x if x.x > 0 else comps[x.comp].length)
+    right_track: list[Point] = []
+    left_track: list[tuple[int, object]] = []
+    for _ in range(len(comps) + h.d() + 1):
+        plus = h(plus)
+        minus = h.left_limit(*minus)
+        mc, mx = minus
+        genuine_pt = None
+        if mx < comps[mc].length:
+            genuine_pt = Point(mc, mx)
+        elif comps[mc].kind == CIRCLE:
+            genuine_pt = Point(mc, QuadNum(0))
+        if genuine_pt is not None and genuine_pt == plus:
+            assert len(right_track) >= 1
+            return FakeBoundary(x, len(right_track) + 1, tuple(right_track), tuple(left_track))
+        if not (comps[plus.comp].kind == INTERVAL and plus.x == 0):
+            return None
+        if genuine_pt is not None:
+            return None
+        if any(t[0] == mc for t in left_track) or any(p.comp == plus.comp for p in right_track):
+            return None
+        right_track.append(plus)
+        left_track.append((mc, mx))
+    return None
+
+
+def fake_boundaries_by_evaluation(h: Iet) -> tuple[FakeBoundary, ...]:
+    walks = (fake_walk_by_evaluation(h, x) for x in h.discontinuities())
+    return tuple(fb for fb in walks if fb is not None)
+
+
+def irreducible(p) -> bool:
+    return all(set(p[:m]) != set(range(1, m + 1)) for m in range(1, len(p)))
+
+
+def connected_map(rnd, k: int) -> Iet:
+    """sigma = (3, 2, 1) with a boundary connection of k = 1 or 2 steps from
+    the jump x = l3 of h^-1: l1 = 2 l3 sends it onto the jump l1 + l2 of h;
+    2 l1 = l2 + 3 l3 with 2 l3 < l1 sends it to 2 l1 - l3, inside the middle
+    piece, and then onto the jump l1.  t = l3 is drawn from Q(sqrt 2)."""
+    t = random_quad_lengths(rnd, 2)[0] / (5 + rnd.randrange(20))
+    if k == 1:
+        lengths = [2 * t, 1 - 3 * t, t]
+    else:
+        l1 = (1 + 2 * t) / 3
+        lengths = [l1, 2 * l1 - 3 * t, t]
+    return from_lengths((3, 2, 1), lengths)
+
+
+def orbit_instance(rnd, kind: str) -> Iet:
+    if kind == "irreducible":
+        n = rnd.randint(2, 8)
+        perm = random_realizable_perm(rnd, n)
+        while not irreducible(perm):
+            perm = random_realizable_perm(rnd, n)
+        return from_lengths(perm, random_quad_lengths(rnd, n))
+    if kind == "q-rational":
+        return random_q_rational_iet(rnd, rnd.randint(2, 12))
+    if kind == "rotation":
+        angle = random_quad_lengths(rnd, 2)[0]
+        if rnd.randrange(2):
+            angle = Fraction(rnd.randint(1, 9), 10)
+        return interval_rotation(angle) if rnd.randrange(2) else circle_rotation(1, angle)
+    if kind == "mixed":
+        phi = cut_and_place(random_domain(rnd))
+        return phi * random_iet(rnd, 6) * ~phi
+    return connected_map(rnd, 1 if kind == "connection k=1" else 2)
+
+
+ORBIT_KINDS = ("irreducible", "q-rational", "rotation", "mixed", "connection k=1", "connection k=2")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(ORBIT_KINDS), st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 2, 5, 64)))
+def test_orbit_searches_equal_evaluation(kind, seed, depth):
+    h = orbit_instance(random.Random(seed), kind)
+    found = find_boundary_connections(h, depth)
+    assert found == connections_by_evaluation(h, depth)
+    fbs = fake_boundaries(h)
+    assert fbs == fake_boundaries_by_evaluation(h)
+    inv = set((~h).discontinuities())
+    assert singular_points(h) == tuple(p for p in h.discontinuities() if p in inv)
+    for fb in fbs:
+        assert suspension.fake_boundary_walk(h, fb.x) == fb
+    if kind.startswith("connection"):
+        k = 1 if kind == "connection k=1" else 2
+        assert any(bc.k == k for bc in found) == (depth >= k)
+
+
+def test_surgery_pass_searches_a_map_once(monkeypatch):
+    # one kernel per map: the jump sets of h and h^-1 are found once
+    h = interval_rotation(ALPHA)
+    calls = []
+    original = Iet.discontinuities
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    suspension._kernel.cache_clear()
+    monkeypatch.setattr(Iet, "discontinuities", counted)
+    singular_points(h)
+    find_boundary_connections(h, 64)
+    fbs = fake_boundaries(h)
+    for fb in fbs:
+        suspension.fake_boundary_walk(h, fb.x)
+    monkeypatch.undo()
+    # checked mode (on in the suite) adds two per search: h and h^-1 by definition
+    assert len(fbs) == 1
+    searches = 2 + len(fbs)
+    assert len(calls) == 2 + (2 * searches if core.CHECKED else 0)
+
+
+def test_long_connection_is_found_at_depth_4096():
+    h = long_connection_map()
+    found = find_boundary_connections(h, 4096)
+    first = (~h).discontinuities()[0]
+    bc = next(b for b in found if b.x == first)
+    assert bc.k == 2469 and len(bc.orbit) == 2470
+    assert found == connections_by_evaluation(h, 4096)
+    assert find_boundary_connections(h, 2468) == ()
+
+
+def test_checked_mode_catches_a_wrong_orbit_step(monkeypatch):
+    h = connected_map(random.Random(3), 2)
+    step = suspension._IntOrbits.image
+    # one step too many from every point: the kernel walks h^2
+    monkeypatch.setattr(suspension._IntOrbits, "image", lambda self, y: step(self, step(self, y)))
+    monkeypatch.setattr(core, "CHECKED", False)
+    assert find_boundary_connections(h, 8) != connections_by_evaluation(h, 8)  # goes unseen
+    monkeypatch.setattr(core, "CHECKED", True)
+    with pytest.raises(SelfCheckError, match="disagrees"):
+        find_boundary_connections(h, 8)
+
+
+def test_checked_mode_catches_a_wrong_left_limit(monkeypatch):
+    h = interval_rotation(ALPHA)
+    limit = suspension._IntOrbits.left_limit
+    # two left limits per step: the walk from 1 - alpha no longer meets
+    monkeypatch.setattr(
+        suspension._IntOrbits, "left_limit", lambda self, y: limit(self, limit(self, y))
+    )
+    monkeypatch.setattr(core, "CHECKED", False)
+    assert fake_boundaries(h) == () != fake_boundaries_by_evaluation(h)  # goes unseen
+    monkeypatch.setattr(core, "CHECKED", True)
+    with pytest.raises(SelfCheckError, match="disagrees"):
+        fake_boundaries(h)
+
+
 def test_glue_fake_boundary_rolls_interval_rotation_into_circle():
     h = interval_rotation(ALPHA)
     fbs = fake_boundaries(h)
@@ -130,8 +311,11 @@ def test_glue_rejects_invalid_record():
     h = interval_rotation(ALPHA)
     fb = fake_boundaries(h)[0]
     bogus = FakeBoundary(Point(0, QuadNum(Fraction(1, 3))), fb.k, fb.right_track, fb.left_track)
-    with pytest.raises(IetError):
+    with pytest.raises(IetError, match="not a jump"):
         glue_fake_boundary(h, bogus)
+    # the left end of an interval is no jump either: the walk starts only at jumps
+    with pytest.raises(IetError, match="not a jump"):
+        suspension.fake_boundary_walk(h, Point(0, QuadNum(0)))
     with pytest.raises(IetError):
         glue_fake_boundary(Iet.identity(Domain.interval(1)), fb)
 
