@@ -20,23 +20,26 @@ What a certificate proves and what it only verifies:
 
 * proven: |h| <= d(h_m), since conjugation keeps the rate and the rate of
   h_m is at most d(h_m) by subadditivity;
-* verified up to N: d(h_m^n) = n d(h_m) for every n <= N, decided by the
-  one power h_m^N (see :func:`verify_linear_growth`).
+* verified up to N: d(h_m^n) = n d(h_m) for every n <= N, decided by
+  walking the orbits of h_m's jumps for N steps (see
+  :func:`verify_linear_growth`).
 
 Linear growth for all n is not proven: a boundary connection longer than
 the search depth and than N goes unseen.  ``long_connection_map`` of the
 tests has one of 2,469 steps; its model has d(h_m^n) = 3n up to n = 2,048
 but not at n = 2,500, and its growth rate is 0.
 
-The connection and fake-boundary searches walk orbits on integers.  Every
-coordinate of h is (P + Q sqrt(d)) / D over one common denominator D, and
-each step adds to a point's (P, Q) the integer translation of the piece
-that holds it, so every orbit point is again over D and the walk is exact:
-it visits the very values ``Iet.__call__`` and ``Iet.left_limit`` give,
-with no ``QuadNum`` built.  The kernel and the jump sets of h and h^-1 are
-built once per map and shared by the searches of a surgery pass.  With
-``IETLAB_CHECK=1`` every search is run again through ``Iet.__call__`` and
-``Iet.left_limit`` and must agree, or :class:`SelfCheckError` is raised.
+The connection and fake-boundary searches and the growth check walk orbits
+on integers.  Every coordinate of h is (P + Q sqrt(d)) / D over one common
+denominator D, and each step adds to a point's (P, Q) the integer
+translation of the piece that holds it, so every orbit point is again over
+D and the walk is exact: it visits the very values ``Iet.__call__`` and
+``Iet.left_limit`` give, with no ``QuadNum`` built.  The kernel and the
+jump sets of h and h^-1 are built once per map and shared by the searches
+of a surgery pass and by the growth check of its last map.  With
+``IETLAB_CHECK=1`` every walk is run again through ``Iet.__call__`` and
+``Iet.left_limit`` and must agree, and the growth check must agree with the
+power h_m^N, or :class:`SelfCheckError` is raised.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from ietlab import core
@@ -59,7 +61,7 @@ from ietlab.core import (
     Point,
     SelfCheckError,
 )
-from ietlab.field import FieldMismatchError, QuadNum
+from ietlab.field import FieldMismatchError, QuadNum, _quad
 
 
 class MinimalModelError(IetError):
@@ -258,6 +260,15 @@ class _Orbits:
     def point(self, y) -> Point:
         return Point(y[0], self.value(y))
 
+    def genuine(self, y):
+        """The point a left limit y stands for: y itself below the end of
+        its component, coordinate 0 at the end of a circle, and None at the
+        missing right end of an interval."""
+        c = y[0]
+        if y != self.end[c]:
+            return y
+        return self.zero[c] if self.circle[c] else None
+
     def image(self, y):
         z = self.h(Point(*y))
         return z.comp, z.x
@@ -281,7 +292,9 @@ class _IntOrbits(_Orbits):
         if len(fields) > 1:
             raise FieldMismatchError(f"a map over more than one field: sqrt of {sorted(fields)}")
         self.d = fields.pop() if fields else 0
-        self.den = math.lcm(*(v.den for v in values))
+        # a list, not a generator: lcm(*generator) leaves odd-sized tuples
+        # on CPython's free lists, which only a full collection clears
+        self.den = math.lcm(*[v.den for v in values])
         # per component: the starts' P and Q, and each piece's move
         self.table = {}
         for p in h.pieces:
@@ -298,7 +311,7 @@ class _IntOrbits(_Orbits):
         return comp, x.p * s, x.q * s
 
     def value(self, y):
-        return QuadNum(Fraction(y[1], self.den), Fraction(y[2], self.den), self.d)
+        return _quad(y[1], y[2], self.den, self.d)
 
     def _piece(self, comp: int, P: int, Q: int, least: int):
         """The move of the last piece of comp whose start s has x - s >= 0
@@ -356,7 +369,7 @@ def _checked(search, h: Iet, *args):
 def singular_points(h: Iet) -> tuple[Point, ...]:
     """Jumps of h that are jumps of h^-1 too."""
     o = _kernel(h)
-    return tuple(p for p, y in zip(o.points, o.jumps) if o.marks[y] == 3)
+    return tuple([p for p, y in zip(o.points, o.jumps) if o.marks[y] == 3])
 
 
 def _boundary_connections(o: _Orbits, depth: int) -> tuple[BoundaryConnection, ...]:
@@ -394,11 +407,7 @@ def _fake_boundary_walk(o: _Orbits, x: Point) -> Optional[FakeBoundary]:
         plus = o.image(plus)
         minus = o.left_limit(minus)
         mc = minus[0]
-        genuine = None
-        if minus != o.end[mc]:
-            genuine = minus
-        elif o.circle[mc]:
-            genuine = o.zero[mc]  # circle closes up at its cut
+        genuine = o.genuine(minus)
         if genuine == plus:
             k = len(right_track) + 1
             if k < 2:
@@ -427,8 +436,8 @@ def fake_boundary_walk(h: Iet, x: Point) -> Optional[FakeBoundary]:
 
 
 def _fake_boundaries(o: _Orbits) -> tuple[FakeBoundary, ...]:
-    walks = (_fake_boundary_walk(o, x) for x in o.points)
-    return tuple(fb for fb in walks if fb is not None)
+    walks = [_fake_boundary_walk(o, x) for x in o.points]
+    return tuple([fb for fb in walks if fb is not None])
 
 
 def fake_boundaries(h: Iet) -> tuple[FakeBoundary, ...]:
@@ -458,7 +467,8 @@ class NormCertificate:
 
     conjugator maps the original domain to the model domain and
     conjugator o h o conjugator^-1 = h_m, with norm = d(h_m).  Proven:
-    |h| <= norm.  Verified by one power: d(h_m^n) = n * norm for every
+    |h| <= norm.  Verified by walking the orbits of h_m's jumps (see
+    :func:`verify_linear_growth`): d(h_m^n) = n * norm for every
     n <= verified_up_to.  Not proven: that equality for all n, which would
     make |h| = norm; the module docstring names a map where it fails.
     """
@@ -513,16 +523,62 @@ def _reduce(h: Iet, depth: int) -> tuple[Iet, Iet]:
     raise IetError("surgery pipeline did not stabilize")  # pragma: no cover
 
 
-def verify_linear_growth(h_m: Iet, n_check: int) -> bool:
-    """Whether d(h_m^n) = n d(h_m) for every n <= n_check, by one power.
+def _linear_growth(o: _Orbits, n: int) -> bool:
+    image, left_limit, genuine, marks = o.image, o.left_limit, o.genuine, o.marks
+    for y in o.jumps:
+        plus = y
+        minus = o.end[y[0]] if y == o.zero[y[0]] else y
+        for s in range(1, n + 1):
+            plus, minus = image(plus), left_limit(minus)
+            if genuine(minus) == plus or (s < n and marks.get(plus, 0) & 1):
+                return False  # (b), or (a) from a jump
+    for z in (zero for zero, circle in zip(o.zero, o.circle) if not circle):
+        for _ in range(n - 1):
+            z = image(z)
+            if marks.get(z, 0) & 1:
+                return False  # (a) from the left end of an interval
+    return True
 
-    Lemma: d is subadditive, d(g h) <= d(g) + d(h), so d(h^n) <= n d(h).
-    If d(h^N) = N d(h) with d = d(h), then for every n <= N,
-    N d = d(h^N) <= d(h^n) + d(h^(N-n)) <= d(h^n) + (N - n) d,
-    hence d(h^n) >= n d, and d(h^n) = n d.  So h_m ** n_check (repeated
-    squaring) decides exactly what the n_check - 1 successive products do.
+
+def verify_linear_growth(h_m: Iet, n_check: int) -> bool:
+    """Whether d(h_m^n) = n d(h_m) for every n <= n_check, by walking the
+    orbits of the jumps of h_m for n_check steps.
+
+    Write h = h_m, N = n_check, J for the jumps of h and E for the left
+    ends of its interval components.  A point x has a right track h^s(x)
+    and a left track h^s(x-), the left limits, which lie in the completion
+    (c, t) with 0 < t <= length: on a circle (c, length) is the point
+    (c, 0), on an interval it is a missing right end and equals no point.
+    h^N jumps at x, a point not in E, iff its tracks differ at step N.
+
+    Lemma.  d(h^N) = N d(h) iff both of these hold:
+    (a) no orbit h(z), ..., h^(N-1)(z) with z in J or E meets J;
+    (b) for every y in J and every s = 1..N, h^s(y) differs from h^s(y-).
+
+    Proof.  Let x be a jump of h^N.  Its tracks agree at step 0, and if
+    they agree at step j and h^j(x) is not in J, they agree at step j + 1
+    (so h^(j+1)(x) is not in E, which has no left neighbourhood).  Hence
+    the orbit of x meets J before step N; let y = h^k(x) be its first
+    point in J.  From step k on the tracks of x are those of y, so they
+    differ at step N iff those of y differ at step N - k.  The map
+    x -> (y, k) is injective, as x = h^-k(y), so d(h^N) <= N d(h), and
+    equality holds iff every pair (y, k) in J x {0, ..., N-1} is met: iff
+    h^-k(y) is not in E, no h^-i(y) with 0 < i <= k is in J, and the
+    tracks of y differ at step N - k.  Over all pairs this is (b) and,
+    read forward, (a).
+
+    (a) and (b) for N imply them for every n <= N, so the one walk
+    decides every n <= N.  It takes N (2 d(h) + |E|) steps on the integer
+    kernel of h, which the last surgery pass has built, and no product.
+    In checked mode the walk runs on the definition too, and the power
+    h^N must agree, or :class:`SelfCheckError` is raised.
     """
-    return (h_m ** n_check).d() == n_check * h_m.d()
+    if n_check < 1:
+        raise IetError("n_check >= 1 required")
+    linear = _checked(_linear_growth, h_m, n_check)
+    if core.CHECKED and linear != ((h_m ** n_check).d() == n_check * h_m.d()):
+        raise SelfCheckError("verify_linear_growth: the orbit walk disagrees with the power h_m^N")
+    return linear
 
 
 def minimal_model(h: Iet, depth: int = 64, n_check: int = 20) -> NormCertificate:
@@ -546,7 +602,7 @@ def minimal_model(h: Iet, depth: int = 64, n_check: int = 20) -> NormCertificate
             return NormCertificate(
                 h_m=h_m,
                 conjugator=conj,
-                norm=h_m.d(),
+                norm=len(_kernel(h_m).points),
                 verified_up_to=n_check,
                 search_depth=cur_depth,
             )

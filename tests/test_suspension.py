@@ -11,6 +11,7 @@ from ietlab import core, suspension
 from ietlab.core import (
     CIRCLE,
     INTERVAL,
+    Component,
     Domain,
     Iet,
     IetError,
@@ -297,6 +298,27 @@ def test_checked_mode_catches_a_wrong_left_limit(monkeypatch):
         fake_boundaries(h)
 
 
+def test_kernel_values_equal_the_fraction_construction():
+    # value() normalizes (P + Q sqrt(d)) / D by one gcd; the old route went
+    # through two Fractions and QuadNum's lcm
+    rnd = random.Random(11)
+    maps = [orbit_instance(rnd, kind) for kind in ORBIT_KINDS for _ in range(3)]
+    maps.append(interval_rotation(Fraction(3, 10)))
+    kinds = set()
+    for h in maps:
+        o = suspension._IntOrbits(h)
+        keys = o.jumps + o.inv_jumps + o.zero + o.end
+        for c, (sp, sq, _) in o.table.items():
+            keys += [(c, p, q) for p, q in zip(sp, sq)]
+        for y in keys:
+            v = o.value(y)
+            old = QuadNum(Fraction(y[1], o.den), Fraction(y[2], o.den), o.d)
+            assert (v.p, v.q, v.den, v.d) == (old.p, old.q, old.den, old.d)
+            assert v == old and hash(v) == hash(old)
+            kinds.add(v.q == 0)
+    assert kinds == {True, False}  # rational and irrational points both occur
+
+
 def test_glue_fake_boundary_rolls_interval_rotation_into_circle():
     h = interval_rotation(ALPHA)
     fbs = fake_boundaries(h)
@@ -383,6 +405,91 @@ def test_norm_homogeneity_and_conjugacy_invariance():
             assert minimal_model(g * h * ~g, depth=64, n_check=10).norm == cert.norm
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(("mixed", "q-rational", "model")),
+    st.integers(0, 2 ** 32 - 1),
+    st.integers(2, 30),
+)
+def test_growth_walk_equals_the_power(kind, seed, n):
+    rnd = random.Random(seed)
+    if kind == "q-rational":
+        h = random_q_rational_iet(rnd, rnd.randint(2, 12))
+    else:
+        h = orbit_instance(rnd, "mixed")
+        if kind == "model":
+            h = minimal_model(h, depth=64, n_check=2).h_m
+    assert verify_linear_growth(h, n) == ((h ** n).d() == n * h.d())
+
+
+def test_growth_walk_decides_by_each_condition():
+    third = QuadNum(Fraction(1, 3))
+    comps = [Component(CIRCLE, "A", third), Component(CIRCLE, "B", third)]
+    cycle = Domain(tuple(comps + [Component(INTERVAL, "I", third)]))
+    cases = {
+        # the tracks of the jump 1 - alpha meet at alpha: (b)
+        "tracks meet": interval_rotation(ALPHA),
+        # h(0) = 1/2 is a jump, but h^2 is right-continuous at the left end 0: (a)
+        "left end meets a jump": from_lengths((3, 2, 1), [H, H / 2, H / 2]),
+        # A -> B -> I -> A: the tracks of the jump (B, 0) meet at A's cut,
+        # its left track at (A, 1/3) and its right track at (A, 0): (b)
+        "tracks meet at a circle's cut": Iet(
+            cycle, cycle, [(0, 0, third, 1, 0), (1, 0, third, 2, 0), (2, 0, third, 0, 0)]
+        ),
+    }
+    for name, h in cases.items():
+        assert h.d() > 0 and (h ** 2).d() < 2 * h.d(), name
+        assert not verify_linear_growth(h, 2), name
+
+
+def test_checked_mode_catches_a_wrong_growth_step(monkeypatch):
+    h = interval_rotation(ALPHA)
+    step = suspension._IntOrbits.image
+    # two steps at a time: the walk's tracks never meet, so h looks linear
+    monkeypatch.setattr(suspension._IntOrbits, "image", lambda self, y: step(self, step(self, y)))
+    monkeypatch.setattr(core, "CHECKED", False)
+    assert verify_linear_growth(h, 5)  # goes unseen; d(h^5) = 1
+    monkeypatch.setattr(core, "CHECKED", True)
+    with pytest.raises(SelfCheckError, match="disagrees"):
+        verify_linear_growth(h, 5)
+
+
+def test_checked_mode_holds_the_growth_walk_to_the_power(monkeypatch):
+    # a walk wrong on both kernels alike is caught by the power h^N
+    h = interval_rotation(ALPHA)
+    monkeypatch.setattr(suspension, "_linear_growth", lambda o, n: True)
+    monkeypatch.setattr(core, "CHECKED", False)
+    assert verify_linear_growth(h, 5)  # goes unseen
+    monkeypatch.setattr(core, "CHECKED", True)
+    with pytest.raises(SelfCheckError, match="power"):
+        verify_linear_growth(h, 5)
+
+
+def test_minimal_model_counts_each_maps_jumps_once(monkeypatch):
+    # the growth check and the norm reuse the kernel of the last surgery
+    # pass: h_m's jumps are found once, and no map's twice
+    rnd = random.Random(7)
+    calls = []
+    original = Iet.discontinuities
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(core, "CHECKED", False)
+    monkeypatch.setattr(Iet, "discontinuities", counted)
+    counts = []
+    for h in (interval_rotation(ALPHA), from_lengths((4, 3, 2, 1), random_quad_lengths(rnd, 4))):
+        suspension._kernel.cache_clear()
+        calls.clear()
+        cert = minimal_model(h, depth=64, n_check=20)
+        assert calls.count(cert.h_m) == 1
+        assert len(calls) == len(set(calls))  # each map of the pipeline and its inverse
+        counts.append(len(calls))
+    # the rotation is glued into a circle: two maps, each with its inverse
+    assert counts == [4, 2]
+
+
 def test_verify_linear_growth_detects_sublinearity():
     rot = interval_rotation(ALPHA)
     assert not verify_linear_growth(rot, 5)  # d(h^5) = 1 != 5
@@ -439,7 +546,7 @@ def test_long_connection_model_is_linear_to_2048_only(monkeypatch):
     h = long_connection_map()
     cert = minimal_model(h)
     assert cert.norm == 3 and cert.verified_up_to == 20
-    # one power each (repeated squaring), not N - 1 successive products
+    # one walk of the jumps' orbits each, neither h_m^N nor N - 1 products
     for n, linear in ((2048, True), (2500, False)):
         start = time.monotonic()
         assert verify_linear_growth(cert.h_m, n) is linear
