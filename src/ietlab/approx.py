@@ -4,10 +4,14 @@ Because translations commute, the orbit of a point under words in finitely
 many interval exchanges grows polynomially; :func:`orbit_ball` enumerates it
 exactly.  More is true: with the permutations frozen, every comparison that
 steers the composition of words is affine in the unknown piece lengths with
-rational coefficients.  :func:`pl_trace` replays all words of bounded length
-over coordinates that carry their own affine form and records every
-comparison as a linear constraint, so any rational solution of the recorded
-system reproduces the exact trivial/nontrivial pattern of the traced words.
+rational coefficients.  :func:`pl_trace` replays every freely reduced word
+of bounded length over coordinates that carry their own affine form and
+records every comparison as a linear constraint, so any rational solution
+of the recorded system reproduces the exact trivial/nontrivial pattern of
+the traced words.  That is the pattern of the whole marked ball: a word
+that is not freely reduced names the same map as its free reduction, for
+every choice of lengths.  Each comparison is decided on integers, once per
+distinct difference form.
 :func:`rationalize` solves that system, yielding rational generators with
 the same marked ball; rational generators act on a finite grid, so the group
 they generate is finite, and :func:`permutation_group_order` gives its exact
@@ -49,6 +53,10 @@ from ietlab.field import (
     LpInternalError,
     QuadNum,
     Rel,
+    _dot,
+    _join_fields,
+    _quad,
+    _sign,
     lp_rational_point,
 )
 from ietlab.relations import CapExceededError, Word
@@ -105,38 +113,87 @@ def translation_amplitude_count(generators: Sequence[Iet]) -> int:
 
 
 class TraceRecorder:
-    """Collects, from tracked comparisons, the affine constraints over the
-    unknown lengths that steered a composition."""
+    """Decides tracked comparisons at the realized point and collects, as
+    affine constraints over the unknown lengths, the decisions that steered
+    a composition.
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._seen: set = set()
-        # (num, den) -> (form, value); holding no TrackedNum avoids a cycle
-        self._constants: dict[tuple[int, int], tuple[tuple[int, ...], QuadNum]] = {}
+    The realized lengths are held once, as integers: length i is
+    ``(P_i + Q_i*sqrt(d)) / D`` over one common denominator ``D`` in one
+    field ``d``.  A form ``v . x + c`` then has the sign of the integer pair
+    ``(v . P + c*D, v . Q)``.  The value of a tracked number is its form at
+    the realized point, so a comparison's outcome depends on its difference
+    form alone: each form, scaled to coprime integers with a positive
+    leading coefficient, is decided once and recorded once, in the order it
+    was first met.  A dict keeps the sign of every form met, scaled or not,
+    so a repeated comparison is one lookup.  In checked mode
+    (``IETLAB_CHECK=1``) every sign, those read from the dict included, is
+    re-derived as the ``QuadNum`` sign of the form evaluated at the realized
+    point, and a mismatch raises :class:`SelfCheckError`.  While ``muted``
+    is set, comparisons are decided but neither recorded nor remembered.
+    """
+
+    def __init__(self, realized: Sequence):
+        point = tuple(QuadNum.of(x) for x in realized)
+        field = 0
+        for x in point:
+            field = _join_fields(field, x.d)
+        scale = math.lcm(*(x.den for x in point))
+        self.dim = len(point)
+        self.point = point
+        self.field = field
+        self.scale = scale
+        self.rational = [x.p * (scale // x.den) for x in point]
+        self.irrational = [x.q * (scale // x.den) for x in point]
+        self.muted = False
+        self._signs: dict[tuple[int, ...], int] = {}
+        self._constants: dict[int, tuple[int, ...]] = {}
         self.constraints: list[LinConstraint] = []
 
     def constant(self, num: int, den: int = 1) -> "TrackedNum":
         """The tracked constant num / den (reduced, den > 0)."""
-        known = self._constants.get((num, den))
-        if known is None:
-            known = (0,) * self.dim + (num,), QuadNum(Fraction(num, den))
-            self._constants[num, den] = known
-        return TrackedNum(known[0], den, known[1], self)
+        vec = self._constants.get(num)
+        if vec is None:
+            vec = self._constants[num] = (0,) * self.dim + (num,)
+        return TrackedNum(vec, den, self)
+
+    def decide(self, vec: tuple[int, ...]) -> int:
+        """Sign of the form ``vec[:-1] . x + vec[-1]`` at the realized point;
+        a form met for the first time is recorded, a constant pins nothing
+        down."""
+        if not any(vec[:-1]):
+            c = vec[-1]
+            return (c > 0) - (c < 0)
+        s = self._signs.get(vec)
+        if s is None:
+            g = math.gcd(*vec)
+            if next(v for v in vec if v) < 0:
+                g = -g
+            form = tuple([v // g for v in vec])
+            s = self._signs.get(form)
+            if s is None:
+                p = _dot(form, self.rational) + form[-1] * self.scale
+                s = _sign(p, _dot(form, self.irrational), self.field)
+                if not self.muted:
+                    self._signs[form] = s
+                    if s == 0:
+                        self.record(form, Rel.ZERO)
+                    else:
+                        self.record(form if s > 0 else tuple(map(operator.neg, form)), Rel.POSITIVE)
+            if g < 0:
+                s = -s
+            if not self.muted:
+                self._signs[vec] = s
+        if core.CHECKED:
+            value = vec[-1]
+            for c, x in zip(vec, self.point):
+                value = x * c + value
+            if value.sign() != s:
+                raise SelfCheckError(f"traced sign {s} of {vec} disagrees with its value {value}")
+        return s
 
     def record(self, vec: tuple[int, ...], rel: Rel) -> None:
-        """Record ``vec[:-1] . x + vec[-1]`` (= 0 | > 0), scaled to coprime
-        integers; a comparison of constants pins nothing down."""
-        if not any(vec[:-1]):
-            return
-        g = math.gcd(*vec)
-        if g != 1:
-            vec = tuple(v // g for v in vec)
-        if rel is Rel.ZERO and next(v for v in vec if v) < 0:
-            vec = tuple(-v for v in vec)
-        key = (vec, rel)
-        if key in self._seen:
-            return
-        self._seen.add(key)
+        """Record ``vec[:-1] . x + vec[-1]`` (= 0 | > 0), a form in coprime
+        integers."""
         self.constraints.append(LinConstraint.make(vec[:-1], vec[-1], rel))
 
 
@@ -152,28 +209,33 @@ def _combine(a: "TrackedNum", b: "TrackedNum", op) -> tuple[tuple[int, ...], int
 
 
 class TrackedNum:
-    """An exact value together with the affine form, over the unknown length
-    coordinates, it was computed from.
+    """An affine form over the unknown length coordinates, standing for its
+    value at the recorder's realized point.
 
     The form is ``(vec[:-1] . x + vec[-1]) / den``: one integer tuple, the
     coefficients and then the constant, over a positive integer ``den``
     (1 unless a fractional constant takes part).  Arithmetic combines the
-    forms on the integers; comparisons consult the exact value and record
-    their outcome.
+    forms on the integers; comparisons are decided, and recorded, by the
+    recorder.  ``value`` evaluates the form at the realized point.
     """
 
-    __slots__ = ("vec", "den", "value", "rec")
+    __slots__ = ("vec", "den", "rec")
 
-    def __init__(self, vec: tuple[int, ...], den: int, value: QuadNum, rec: TraceRecorder):
+    def __init__(self, vec: tuple[int, ...], den: int, rec: TraceRecorder):
         self.vec = vec
         self.den = den
-        self.value = value
         self.rec = rec
 
     @staticmethod
-    def unknown(index: int, value: QuadNum, rec: TraceRecorder) -> "TrackedNum":
+    def unknown(index: int, rec: TraceRecorder) -> "TrackedNum":
         vec = tuple(1 if i == index else 0 for i in range(rec.dim + 1))
-        return TrackedNum(vec, 1, value, rec)
+        return TrackedNum(vec, 1, rec)
+
+    @property
+    def value(self) -> QuadNum:
+        rec, vec = self.rec, self.vec
+        p = _dot(vec, rec.rational) + vec[-1] * rec.scale
+        return _quad(p, _dot(vec, rec.irrational), self.den * rec.scale, rec.field)
 
     def _coerce(self, other) -> Optional["TrackedNum"]:
         if type(other) is TrackedNum:
@@ -190,7 +252,7 @@ class TrackedNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return TrackedNum(*_combine(self, o, operator.add), self.value + o.value, self.rec)
+        return TrackedNum(*_combine(self, o, operator.add), self.rec)
 
     __radd__ = __add__
 
@@ -198,7 +260,7 @@ class TrackedNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return TrackedNum(*_combine(self, o, operator.sub), self.value - o.value, self.rec)
+        return TrackedNum(*_combine(self, o, operator.sub), self.rec)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -207,21 +269,17 @@ class TrackedNum:
         return o - self
 
     def __neg__(self):
-        return TrackedNum(tuple(map(operator.neg, self.vec)), self.den, -self.value, self.rec)
+        return TrackedNum(tuple(map(operator.neg, self.vec)), self.den, self.rec)
 
     def _cmp_record(self, other) -> int:
         o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare TrackedNum with {type(other)}")
-        vec, _ = _combine(self, o, operator.sub)
-        s = (self.value - o.value).sign()
-        if s == 0:
-            self.rec.record(vec, Rel.ZERO)
-        elif s > 0:
-            self.rec.record(vec, Rel.POSITIVE)
-        else:
-            self.rec.record(tuple(map(operator.neg, vec)), Rel.POSITIVE)
-        return s
+        # the sign of self - o, scaled by the positive den * o.den
+        da, db = self.den, o.den
+        if da == db:
+            return self.rec.decide(tuple(map(operator.sub, self.vec, o.vec)))
+        return self.rec.decide(tuple([x * db - y * da for x, y in zip(self.vec, o.vec)]))
 
     def __lt__(self, other):
         return self._cmp_record(other) < 0
@@ -256,9 +314,12 @@ class TrackedNum:
 
 @dataclass(frozen=True)
 class PlTrace:
-    """Constraint system steering all words of bounded length, the real point
-    that realized it, and the trivial/nontrivial pattern (nontrivial words
-    carry a witness piece index with nonzero translation)."""
+    """Constraint system steering every freely reduced word of bounded
+    length, the real point that realized it, and the trivial/nontrivial
+    pattern of those words (nontrivial words carry a witness piece index
+    with nonzero translation).  The pattern covers the whole marked ball:
+    any other word names the same map as its free reduction, at every
+    choice of lengths, and an empty reduction names the identity."""
 
     system: ConstraintSystem
     realized_point: tuple[QuadNum, ...]
@@ -271,11 +332,33 @@ def _tracked_generators(generators: Sequence[Iet], rec: TraceRecorder) -> list[I
     offset = 0
     for g in generators:
         sigma = permutation_of(g)
-        ls = lengths_of(g)
-        tls = [TrackedNum.unknown(offset + j, ls[j], rec) for j in range(len(ls))]
-        offset += len(ls)
+        n = len(g.pieces)
+        tls = [TrackedNum.unknown(offset + j, rec) for j in range(n)]
+        offset += n
         tracked.append(from_lengths(sigma, tls, domain=dom))
     return tracked
+
+
+def _decided(rec: TraceRecorder, make, *args) -> Iet:
+    """The traced map ``make(*args)`` with only its own decisions recorded.
+
+    Checked mode rebuilds every product and inverse through ``Iet(...)``,
+    whose comparisons re-check decisions already taken; recorded, they would
+    make the system depend on the mode.  So the map is made unchecked, then
+    re-validated the same way with the recorder muted."""
+    if not core.CHECKED:
+        return make(*args)
+    core.CHECKED = False
+    try:
+        h = make(*args)
+    finally:
+        core.CHECKED = True
+    rec.muted = True
+    try:
+        Iet._trusted(h.source, h.target, list(h.pieces))
+    finally:
+        rec.muted = False
+    return h
 
 
 def _on_unit_interval(g: Iet) -> bool:
@@ -299,13 +382,17 @@ def _classify(w_iet: Iet) -> Optional[int]:
 
 
 def pl_trace(generators: Sequence[Iet], radius: int) -> PlTrace:
-    """Replay every word of length <= radius, recording each combinatorial
-    decision as an affine constraint over the unknown lengths.
+    """Replay every freely reduced word of length <= radius, recording each
+    combinatorial decision as an affine constraint over the unknown lengths.
 
-    Raises :class:`CapExceededError`, before tracing anything, when there
-    are more than ``WORD_CAP`` such words.  In checked mode
-    (``IETLAB_CHECK=1``) every recorded constraint is then evaluated
-    exactly at the realized point, and a violation raises
+    Those words cover the marked ball: a word with a factor x x^-1 names the
+    same map as the word without it, whatever the lengths, so its pattern
+    is that of its free reduction.  With k generators there are
+    2k (2k - 1)^(n - 1) reduced words of length n.  Raises
+    :class:`CapExceededError`, before tracing anything, when there are more
+    than ``WORD_CAP`` of them in all.  The recorded system is the same in
+    checked mode (``IETLAB_CHECK=1``), where every recorded constraint is
+    then evaluated exactly at the realized point, and a violation raises
     :class:`TraceVerificationError`.
     """
     if not generators:
@@ -317,39 +404,41 @@ def pl_trace(generators: Sequence[Iet], radius: int) -> PlTrace:
             raise IetError("tracing needs generators of the unit interval [0, 1)")
         if g.source != g.target:
             raise IetError("tracing needs automorphisms")
-    words, layer = 0, 1
+    words, layer = 0, 2 * len(generators)
     for _ in range(radius):
-        layer *= 2 * len(generators)
         words += layer
         if words > WORD_CAP:
             raise CapExceededError(f"radius {radius} traces more than {WORD_CAP} words")
-    dim = sum(len(g.pieces) for g in generators)
-    rec = TraceRecorder(dim)
-    tracked = _tracked_generators(generators, rec)
-    letter_maps = []
-    for i, g in enumerate(tracked):
-        letter_maps.append(((i, 1), g))
-        letter_maps.append(((i, -1), ~g))
+        layer *= 2 * len(generators) - 1
+    realized = [x for g in generators for x in lengths_of(g)]
+    rec = TraceRecorder(realized)
+    letters = []  # the inverse of letter j is letter j ^ 1
+    for i, g in enumerate(_tracked_generators(generators, rec)):
+        letters.append(((i, 1), g))
+        letters.append(((i, -1), _decided(rec, g.__invert__)))
 
     # only the words of the last length are extended, so only they keep
     # their maps, and the longest words keep none
     pattern: dict[Word, Optional[int]] = {}
-    frontier = [((), Iet.identity(tracked[0].source))]
-    for depth in range(1, radius + 1):
+    frontier = []
+    if radius:
+        for j, (letter, lmap) in enumerate(letters):
+            pattern[Word((letter,))] = _classify(lmap)
+            frontier.append(((letter,), j, lmap))
+    for depth in range(2, radius + 1):
         nxt = []
-        for w, base in frontier:
-            for letter, lmap in letter_maps:
+        for w, last, base in frontier:
+            for j, (letter, lmap) in enumerate(letters):
+                if j == last ^ 1:
+                    continue
                 w2 = w + (letter,)
-                iet2 = base * lmap
+                iet2 = _decided(rec, base.__mul__, lmap)
                 pattern[Word(w2)] = _classify(iet2)
                 if depth < radius:
-                    nxt.append((w2, iet2))
+                    nxt.append((w2, j, iet2))
         frontier = nxt
 
-    realized = []
-    for g in generators:
-        realized.extend(lengths_of(g))
-    system = ConstraintSystem(dim, tuple(rec.constraints))
+    system = ConstraintSystem(rec.dim, tuple(rec.constraints))
     if core.CHECKED and not system.satisfied_by(realized):
         raise TraceVerificationError("the realized point violates its own trace")
     return PlTrace(system=system, realized_point=tuple(realized), word_pattern=pattern)
@@ -369,7 +458,7 @@ class FiniteQuotient:
 
 GRID_WARN = 10 ** 6
 GRID_CAP = 10 ** 7
-WORD_CAP = 10 ** 5  # two generators: radius 8 traces 87,380 words, radius 9 349,524
+WORD_CAP = 10 ** 5  # two generators: radius 9 traces 39,364 words, radius 10 118,096
 
 
 def _cell_permutation(g: Iet, grid: int) -> tuple[int, ...]:

@@ -35,9 +35,9 @@ from ietlab.core import (
     make_point,
     permutation_of,
 )
-from ietlab.field import QuadNum, Rel, lp_rational_point
+from ietlab.field import FieldMismatchError, QuadNum, Rel, lp_rational_point
 from ietlab.menagerie import build_example_group, default_lambda, symmetric_embedding
-from ietlab.relations import CapExceededError, Word, commutator_word, lcm_up_to
+from ietlab.relations import CapExceededError, Word, commutator_word, free_reduce, lcm_up_to
 
 from lp_oracle import lp_nearby_points
 from randgen import random_iet, random_q_rational_iet, random_realizable_perm
@@ -132,14 +132,16 @@ def test_pl_trace_rejects_negative_radius():
 def test_pl_trace_word_cap_is_checked_before_tracing(monkeypatch):
     g1 = interval_rotation(ALPHA)
     g2 = from_lengths((3, 2, 1), [Fraction(1, 4), ALPHA / 4, Fraction(3, 4) - ALPHA / 4])
-    for radius in (9, 12, 10 ** 9):  # radius 8 traces 87,380 words, radius 9 349,524
+    for radius in (10, 12, 10 ** 9):  # radius 9 traces 39,364 words, radius 10 118,096
         with pytest.raises(CapExceededError, match="words"):
             pl_trace([g1, g2], radius)
         with pytest.raises(CapExceededError):
             rationalize([g1, g2], radius)
-    monkeypatch.setattr(approx, "WORD_CAP", 340)  # 4 + 16 + 64 + 256 words at radius 4
-    assert len(pl_trace([g1, g2], 4).word_pattern) == 340
-    monkeypatch.setattr(approx, "WORD_CAP", 339)
+    monkeypatch.setattr(approx, "WORD_CAP", 160)  # 4 + 12 + 36 + 108 reduced words at radius 4
+    pattern = pl_trace([g1, g2], 4).word_pattern
+    assert len(pattern) == 160 and all(free_reduce(w) == w for w in pattern)
+    assert pl_trace([g1, g2], 0).word_pattern == {}
+    monkeypatch.setattr(approx, "WORD_CAP", 159)
     with pytest.raises(CapExceededError):
         pl_trace([g1, g2], 4)
 
@@ -166,6 +168,38 @@ def test_pl_trace_checked_mode_rejects_a_constraint_its_point_violates(monkeypat
     assert not system_holds_at(pl_trace([g], 1).system, lengths_of(g))
 
 
+def test_checked_mode_rejects_a_wrong_remembered_sign(monkeypatch):
+    monkeypatch.setattr(core, "CHECKED", True)
+    rec = TraceRecorder([Fraction(1, 3), Fraction(2, 3)])
+    x = TrackedNum.unknown(0, rec)
+    assert x > 0  # decided, remembered and recorded
+    assert len(rec._signs) == 1 and len(rec.constraints) == 1
+    form = next(iter(rec._signs))
+    rec._signs[form] = -rec._signs[form]  # corrupt the one memo entry
+    with pytest.raises(SelfCheckError, match="sign"):
+        _ = x > 0
+    monkeypatch.setattr(core, "CHECKED", False)
+    assert not x > 0  # unchecked, the memo is believed
+
+
+def test_pl_trace_records_the_same_system_in_checked_mode(monkeypatch):
+    rng = random.Random(12)
+    for _ in range(4):
+        gens = [random_iet(rng, 4) for _ in range(2)]
+        monkeypatch.setattr(core, "CHECKED", True)
+        checked = pl_trace(gens, 2)
+        monkeypatch.setattr(core, "CHECKED", False)
+        unchecked = pl_trace(gens, 2)
+        assert checked.system == unchecked.system
+        assert checked.word_pattern == unchecked.word_pattern
+
+
+def test_pl_trace_rejects_generators_over_two_fields():
+    g3 = interval_rotation(QuadNum.sqrt(3) - 1)
+    with pytest.raises(FieldMismatchError):  # before tracing, at any radius
+        pl_trace([interval_rotation(ALPHA), g3], 1)
+
+
 TRACK_CONSTANTS = st.one_of(
     st.integers(-3, 3),
     st.fractions(min_value=-3, max_value=3, max_denominator=5),
@@ -180,8 +214,8 @@ def test_tracked_arithmetic_keeps_its_affine_form(data):
     frac = st.fractions(min_value=0, max_value=1, max_denominator=12)
     parts = data.draw(st.lists(st.tuples(frac, frac), min_size=dim, max_size=dim))
     realized = [QuadNum(a, b, 2) for a, b in parts]
-    rec = TraceRecorder(dim)
-    pool = [TrackedNum.unknown(i, v, rec) for i, v in enumerate(realized)]
+    rec = TraceRecorder(realized)
+    pool = [TrackedNum.unknown(i, rec) for i in range(dim)]
     for _ in range(data.draw(st.integers(1, 12))):
         x = data.draw(st.sampled_from(pool))
         y = data.draw(st.sampled_from(pool) | TRACK_CONSTANTS)
