@@ -462,14 +462,14 @@ WORD_CAP = 10 ** 5  # two generators: radius 9 traces 39,364 words, radius 10 11
 
 
 def _cell_permutation(g: Iet, grid: int) -> tuple[int, ...]:
-    out = []
-    for j in range(grid):
-        x = QuadNum(Fraction(j, grid))
-        y = g(Point(0, x)).x
-        cell = y.a * grid
-        if not y.is_rational() or cell.denominator != 1:
-            raise IetError("map does not permute the grid cells")  # pragma: no cover
-        out.append(int(cell))
+    """Where a rational map of [0, 1) sends each cell [j/grid, (j+1)/grid):
+    a piece moves its whole range of cells by one whole number of cells."""
+    out: list[int] = []
+    for p in g.pieces:  # sorted by start, so the cells come in order
+        n, b = p.length * grid, p.b * grid
+        if not (n.q == b.q == 0 and n.den == b.den == 1):
+            raise IetError("map does not permute the grid cells")
+        out.extend(range(b.p, b.p + n.p))
     return tuple(out)
 
 

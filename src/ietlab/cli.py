@@ -25,7 +25,14 @@ from ietlab.approx import (
     translation_amplitude_count,
 )
 from ietlab.core import Iet, IetError, Point, SelfCheckError, lengths_of, make_point
-from ietlab.field import LiteralError, LpInternalError, QuadNum, format_number, parse_number
+from ietlab.field import (
+    FieldMismatchError,
+    LiteralError,
+    LpInternalError,
+    QuadNum,
+    format_number,
+    parse_number,
+)
 from ietlab.menagerie import (
     build_example_group,
     default_lambda,
@@ -411,7 +418,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except INTERNAL_ERRORS as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (IetError, TextFormatError, LiteralError) as e:
+    except (IetError, TextFormatError, LiteralError, FieldMismatchError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     report.emit(args.json)

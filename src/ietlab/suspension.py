@@ -6,12 +6,13 @@ conjugates h to a model h_m whose count is meant to be exactly linear,
 d(h_m^n) = n d(h_m) for every n, which would pin |h| = d(h_m) as an integer
 (Novak, "Discontinuity growth of interval exchange maps", J. Mod. Dyn. 2009).
 
-Three moves build the model:
+Two moves build the model, each one domain map and one conjugation:
 
-* splitting the domain at a point where both h and its inverse jump
-  (each such split lowers that count by one);
-* splitting along a forward orbit that starts at a jump of the inverse and
-  ends at a jump of h (a "boundary connection"; the split lowers d by one);
+* cutting the domain at every point where both h and its inverse jump
+  (each cut lowers that count by one); when there is none, cutting along
+  the whole forward orbit of the shortest "boundary connection", which
+  starts at a jump of the inverse and ends at a jump of h (this lowers d
+  by one);
 * regluing component endpoints along the pair of one-sided orbit tracks of
   a jump x of h whose k-th power is nevertheless continuous at x (a "fake
   boundary"; gluing may turn an interval chain into a circle).
@@ -26,8 +27,10 @@ What a certificate proves and what it only verifies:
 
 Linear growth for all n is not proven: a boundary connection longer than
 the search depth and than N goes unseen.  ``long_connection_map`` of the
-tests has one of 2,469 steps; its model has d(h_m^n) = 3n up to n = 2,048
-but not at n = 2,500, and its growth rate is 0.
+tests has one of 2,469 steps; its depth-64 model has d(h_m^n) = 3n up to
+n = 2,048 but not at n = 2,500, and its growth rate is 0.  With N = 2,500
+(``--check 2500``) the retry at depth 4,096 cuts the whole connection in
+one move and certifies norm 0, with 2,471 components.
 
 The connection and fake-boundary searches and the growth check walk orbits
 on integers.  Every coordinate of h is (P + Q sqrt(d)) / D over one common
@@ -47,7 +50,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from ietlab import core
 from ietlab.core import (
@@ -85,44 +88,47 @@ def _fresh_id(base: str, used: set[str]) -> str:
     return cand
 
 
-def _split_domain(domain: Domain, comp: int, x) -> tuple[Domain, Iet]:
-    """Cut one component at coordinate x; returns (new domain, map old -> new)."""
+def _split_domain(domain: Domain, cuts: Sequence[Point]) -> tuple[Domain, Iet]:
+    """Cut the domain at every listed point at once; returns (new domain,
+    map old -> new).  An interval is cut at its sorted points; a circle
+    opens at the first of its points in the order given and is cut at the
+    others.  The parts of component c are intervals c.0, c.1, ... in order."""
+    at: dict[int, list] = {}
+    for pt in cuts:
+        at.setdefault(pt.comp, []).append(pt.x)
     comps: list[Component] = []
     pieces = []
     used: set[str] = set()
     for i, cc in enumerate(domain.components):
-        if i != comp:
+        if i not in at:
             pieces.append((i, 0, cc.length, len(comps), 0))
             comps.append(Component(cc.kind, _fresh_id(cc.cid, used), cc.length))
             continue
-        if cc.kind == INTERVAL:
-            j = len(comps)
-            comps.append(Component(INTERVAL, _fresh_id(cc.cid + ".a", used), x))
-            comps.append(Component(INTERVAL, _fresh_id(cc.cid + ".b", used), cc.length - x))
-            pieces.append((i, 0, x, j, 0))
-            pieces.append((i, x, cc.length - x, j + 1, 0))
-        else:
-            # circle opened into an interval based at x
-            j = len(comps)
-            comps.append(Component(INTERVAL, _fresh_id(cc.cid + ".o", used), cc.length))
-            if x == 0:
-                pieces.append((i, 0, cc.length, j, 0))
-            else:
-                pieces.append((i, x, cc.length - x, j, 0))
-                pieces.append((i, 0, x, j, cc.length - x))
+        L = cc.length
+        base = at[i][0] if cc.kind == CIRCLE else QuadNum(0)
+        # the cuts as offsets from the base, where a circle opens
+        offs = sorted({x - base if x >= base else x - base + L for x in at[i]} | {QuadNum(0)})
+        for j, (lo, hi) in enumerate(zip(offs, offs[1:] + [L])):
+            k = len(comps)
+            comps.append(Component(INTERVAL, _fresh_id(f"{cc.cid}.{j}", used), hi - lo))
+            start = base + lo if lo < L - base else base + lo - L
+            head = min(hi - lo, L - start)
+            pieces.append((i, start, head, k, 0))
+            if head < hi - lo:  # the part runs across the circle's coordinate 0
+                pieces.append((i, 0, hi - lo - head, k, head))
     newdom = Domain(tuple(comps))
     return newdom, Iet(domain, newdom, pieces)
 
 
-def _split_map(h: Iet, pt: Point) -> tuple[Iet, Iet]:
-    """Split the domain of an automorphism at an interior point.
+def _split_map(h: Iet, cuts: Sequence[Point]) -> tuple[Iet, Iet]:
+    """Split the domain of an automorphism at a list of interior points,
+    all with one conjugation.
 
     Returns (h', fwd) with fwd : old -> new and h' = fwd h fwd^-1.
     """
-    comp = h.source.components[pt.comp]
-    if comp.kind == INTERVAL and pt.x == 0:
+    if any(h.source[pt.comp].kind == INTERVAL and pt.x == 0 for pt in cuts):
         raise IetError("cannot split at a non-interior point")
-    _, fwd = _split_domain(h.source, pt.comp, pt.x)
+    _, fwd = _split_domain(h.source, cuts)
     return fwd * h * ~fwd, fwd
 
 
@@ -488,38 +494,20 @@ def _reduce(h: Iet, depth: int) -> tuple[Iet, Iet]:
     cur = h
     conj = Iet.identity(h.source)
     for _ in range(_MAX_PIPELINE_STEPS):
-        sing = singular_points(cur)
-        if sing:
-            cur, fwd = _split_map(cur, sing[0])
-            conj = fwd * conj
-            continue
-        bcs = find_boundary_connections(cur, depth)
+        cuts = singular_points(cur)
+        bcs = () if cuts else find_boundary_connections(cur, depth)
         if bcs:
-            bc = min(bcs, key=lambda b: (b.k, b.x.key()))
-            pts = list(dict.fromkeys(bc.orbit))
-            done_one = False
-            i = 0
-            while i < len(pts):
-                pt = pts[i]
-                comp = cur.source.components[pt.comp]
-                if comp.kind == INTERVAL and pt.x == 0:
-                    i += 1
-                    continue  # already an endpoint
-                cur, fwd = _split_map(cur, pt)
-                conj = fwd * conj
-                pts = [fwd(q) for q in pts]  # carry the rest into the new domain
-                done_one = True
-                i += 1
-            if done_one:
-                continue
-            # a connection's endpoints are genuine jumps, hence interior
-            raise IetError("boundary connection with no interior point")  # pragma: no cover
-        fbs = fake_boundaries(cur)
-        if fbs:
+            # the whole orbit; none of it is an interval's left end, as the
+            # point before would be a jump of h, where the connection ends
+            cuts = min(bcs, key=lambda b: (b.k, b.x.key())).orbit
+        if cuts:
+            cur, fwd = _split_map(cur, cuts)
+        else:
+            fbs = fake_boundaries(cur)
+            if not fbs:
+                return cur, conj
             cur, fwd = glue_fake_boundary(cur, fbs[0])
-            conj = fwd * conj
-            continue
-        return cur, conj
+        conj = fwd * conj
     raise IetError("surgery pipeline did not stabilize")  # pragma: no cover
 
 
@@ -532,9 +520,12 @@ def _linear_growth(o: _Orbits, n: int) -> bool:
             plus, minus = image(plus), left_limit(minus)
             if genuine(minus) == plus or (s < n and marks.get(plus, 0) & 1):
                 return False  # (b), or (a) from a jump
-    for z in (zero for zero, circle in zip(o.zero, o.circle) if not circle):
+    ends = {zero for zero, circle in zip(o.zero, o.circle) if not circle}
+    for z in ends:
         for _ in range(n - 1):
             z = image(z)
+            if z in ends:
+                break  # not a jump, and its own walk covers the rest
             if marks.get(z, 0) & 1:
                 return False  # (a) from the left end of an interval
     return True
@@ -568,7 +559,9 @@ def verify_linear_growth(h_m: Iet, n_check: int) -> bool:
     read forward, (a).
 
     (a) and (b) for N imply them for every n <= N, so the one walk
-    decides every n <= N.  It takes N (2 d(h) + |E|) steps on the integer
+    decides every n <= N.  A walk from E stops at the first point of E it
+    meets: that point is no jump, and its own walk covers the remaining
+    steps.  The walk takes at most N (2 d(h) + |E|) steps on the integer
     kernel of h, which the last surgery pass has built, and no product.
     In checked mode the walk runs on the definition too, and the power
     h^N must agree, or :class:`SelfCheckError` is raised.

@@ -154,6 +154,18 @@ def test_maps_off_the_unit_interval_are_rejected():
             call([swap])
 
 
+def test_cell_permutation_equals_evaluating_each_cell():
+    rng = random.Random(41)
+    for _ in range(30):
+        q = rng.randint(2, 24)
+        g = random_q_rational_iet(rng, q)
+        grid = q * rng.randint(1, 3)
+        cells = [g(Point(0, QuadNum(Fraction(j, grid)))).x.a * grid for j in range(grid)]
+        assert approx._cell_permutation(g, grid) == tuple(cells)
+    with pytest.raises(IetError, match="grid cells"):
+        approx._cell_permutation(interval_rotation(Fraction(1, 3)), 2)
+
+
 def test_pl_trace_checked_mode_rejects_a_constraint_its_point_violates(monkeypatch):
     record = TraceRecorder.record
 
@@ -161,6 +173,7 @@ def test_pl_trace_checked_mode_rejects_a_constraint_its_point_violates(monkeypat
         record(self, tuple(-v for v in vec) if rel is Rel.POSITIVE else vec, rel)
 
     monkeypatch.setattr(TraceRecorder, "record", flipped)
+    monkeypatch.setattr(core, "CHECKED", True)
     g = interval_rotation(ALPHA)
     with pytest.raises(TraceVerificationError):
         pl_trace([g], 1)

@@ -215,6 +215,15 @@ def test_cli_norm_claims_no_lower_bound(tmp_path, capsys):
     assert "lower: 0" in out and "upper: 3" in out
 
 
+def test_cli_certifies_the_long_connection_at_rate_0(tmp_path, capsys, monkeypatch):
+    # checks off: the checked run of the same certificate is in test_suspension
+    monkeypatch.setattr(core, "CHECKED", False)
+    f = write_map(tmp_path, "h.iet", long_connection_map())
+    assert main(["--json", "minimal-model", f, "--check", "2500"]) == EXIT_OK
+    outcome = json.loads(capsys.readouterr().out)["outcome"]
+    assert (outcome["norm"], outcome["verified_up_to"], outcome["search_depth"]) == (0, 2500, 4096)
+
+
 def test_cli_relation_hunt(tmp_path, capsys):
     from ietlab.relations import drift_direction, drifted
 
@@ -304,6 +313,19 @@ def test_cli_exit_codes_on_bad_input(tmp_path, capsys):
     assert main(["finite-group", swap]) == EXIT_INPUT
     assert main(["rationalize", "--radius", "1", swap]) == EXIT_INPUT
     assert "unit interval" in capsys.readouterr().err
+
+
+def test_cli_maps_over_two_fields_are_bad_input(tmp_path, capsys):
+    a = write_map(tmp_path, "a.iet", interval_rotation(ALPHA))
+    b = write_map(tmp_path, "b.iet", interval_rotation(QuadNum.sqrt(3) - 1))
+    out = str(tmp_path / "c.iet")
+    for argv in (
+        ["rationalize", "--radius", "2", a, b],
+        ["compose", a, b, "-o", out],
+        ["orbit-ball", a, b, "--x", "0/1", "--radius", "2"],
+    ):
+        assert main(argv) == EXIT_INPUT
+        assert "cannot mix sqrt" in capsys.readouterr().err
 
 
 def test_cli_exit_codes_on_failed_search_and_internal_error(tmp_path, capsys, monkeypatch):

@@ -54,7 +54,7 @@ H = Fraction(1, 2)
 
 def test_split_interval():
     ident = Iet.identity(Domain.interval(1))
-    h2, fwd = _split_map(ident, make_point(ident.source, 0, H))
+    h2, fwd = _split_map(ident, [make_point(ident.source, 0, H)])
     kinds = [(c.kind, c.length) for c in h2.source.components]
     assert kinds == [(INTERVAL, QuadNum(H)), (INTERVAL, QuadNum(H))]
     assert fwd.source == ident.source and fwd.target == h2.source
@@ -64,7 +64,7 @@ def test_split_interval():
 def test_split_circle_opens_to_interval():
     r = circle_rotation(2, ALPHA)
     p = make_point(r.source, 0, Fraction(1, 3))
-    h2, fwd = _split_map(r, p)
+    h2, fwd = _split_map(r, [p])
     assert [c.kind for c in h2.source.components] == [INTERVAL]
     assert h2.source.components[0].length == QuadNum(2)
     assert ~fwd * h2 * fwd == r
@@ -76,7 +76,7 @@ def test_split_at_singular_point_lowers_sing_count():
     h = interval_rotation(H)  # Sing = {1/2}
     sing = singular_points(h)
     assert [pt.x for pt in sing] == [QuadNum(H)]
-    h2, _ = _split_map(h, sing[0])
+    h2, _ = _split_map(h, [sing[0]])
     assert len(singular_points(h2)) == 0
     assert h2.d() == h.d() - 1
 
@@ -84,7 +84,45 @@ def test_split_at_singular_point_lowers_sing_count():
 def test_split_requires_interior():
     h = interval_rotation(H)
     with pytest.raises(IetError):
-        _split_map(h, make_point(h.source, 0, 0))
+        _split_map(h, [make_point(h.source, 0, 0)])
+
+
+def shape(h: Iet):
+    """h without its component ids: kinds, lengths and pieces."""
+    kinds = [tuple((c.kind, c.length) for c in dom.components) for dom in (h.source, h.target)]
+    return kinds, h.pieces
+
+
+def split_one_at_a_time(h: Iet, cuts: list[Point]) -> tuple[Iet, Iet]:
+    """_split_map at each point in turn, the rest carried into the new domain."""
+    fwd_all = Iet.identity(h.source)
+    for i in range(len(cuts)):
+        h, fwd = _split_map(h, [cuts[i]])
+        fwd_all = fwd * fwd_all
+        cuts = [fwd(p) for p in cuts]
+    return h, fwd_all
+
+
+def test_split_at_several_points_equals_one_at_a_time():
+    dom = Domain.of(Component(INTERVAL, "I", QuadNum(H)), Component(CIRCLE, "C", QuadNum(H)))
+    phi = cut_and_place(dom)
+    h = phi * random_iet(random.Random(5), 6) * ~phi
+    # unsorted interval cuts; the circle's first cut is not its smallest
+    xs = [(0, Fraction(3, 8)), (1, Fraction(1, 3)), (0, Fraction(1, 8)), (1, Fraction(1, 10))]
+    cuts = [make_point(dom, c, x) for c, x in xs + [(1, Fraction(2, 5)), (0, Fraction(1, 4))]]
+    h2, fwd = _split_map(h, cuts)
+    parts = [(c.kind, c.cid, c.length) for c in h2.source.components]
+    lengths = [Fraction(1, 8)] * 3 + [Fraction(1, 15), Fraction(1, 5), Fraction(7, 30)]
+    ids = ["I.0", "I.1", "I.2", "I.3", "C.0", "C.1", "C.2"]
+    assert parts == [(INTERVAL, i, QuadNum(x)) for i, x in zip(ids, [Fraction(1, 8)] + lengths)]
+    assert fwd * h * ~fwd == h2 and ~fwd * h2 * fwd == h
+    h1, fwd1 = split_one_at_a_time(h, cuts)
+    assert shape(h2) == shape(h1) and shape(fwd) == shape(fwd1)
+    # a circle opened at its coordinate 0, and the same point listed twice
+    r = circle_rotation(1, ALPHA)
+    zero = make_point(r.source, 0, 0)
+    h2, fwd = _split_map(r, [zero, zero])
+    assert [c.cid for c in h2.source.components] == ["C.0"] and fwd.pieces == ((0, 0, 1, 0, 0),)
 
 
 def test_analyze_identity():
@@ -227,6 +265,8 @@ def test_orbit_searches_equal_evaluation(kind, seed, depth):
     h = orbit_instance(random.Random(seed), kind)
     found = find_boundary_connections(h, depth)
     assert found == connections_by_evaluation(h, depth)
+    # surgery cuts whole orbits: none holds the left end of an interval
+    assert all(p.x != 0 or h.source[p.comp].kind == CIRCLE for bc in found for p in bc.orbit)
     fbs = fake_boundaries(h)
     assert fbs == fake_boundaries_by_evaluation(h)
     inv = set((~h).discontinuities())
@@ -361,6 +401,44 @@ def test_two_stacked_fake_boundaries_glue_in_two_passes():
     assert cert.norm == 0
     kinds = sorted(c.kind for c in cert.h_m.source.components)
     assert kinds == [CIRCLE, CIRCLE]
+
+
+def reduce_one_point_at_a_time(h: Iet, depth: int) -> tuple[Iet, Iet]:
+    """The surgery one cut at a time: the first singular point of each pass,
+    or the points of the shortest connection one after another, each carried
+    into the domain the previous cuts made."""
+    cur = h
+    conj = Iet.identity(h.source)
+    while True:
+        sing = singular_points(cur)
+        bcs = () if sing else find_boundary_connections(cur, depth)
+        if sing:
+            cur, fwd = _split_map(cur, [sing[0]])
+        elif bcs:
+            orbit = min(bcs, key=lambda b: (b.k, b.x.key())).orbit
+            cur, fwd = split_one_at_a_time(cur, list(orbit))
+        else:
+            fbs = fake_boundaries(cur)
+            if not fbs:
+                return cur, conj
+            cur, fwd = glue_fake_boundary(cur, fbs[0])
+        conj = fwd * conj
+
+
+def test_reduce_matches_cutting_one_point_at_a_time():
+    rnd = random.Random(11)
+    maps = [random_q_rational_iet(rnd, rnd.randint(4, 12)) for _ in range(12)]
+    for _ in range(12):
+        phi = cut_and_place(random_domain(rnd))
+        maps.append(phi * random_q_rational_iet(rnd, rnd.randint(4, 12)) * ~phi)
+    maps += [connected_map(rnd, k) for k in (1, 2) for _ in range(4)]
+    assert sum(len(singular_points(h)) > 1 for h in maps) >= 8
+    assert all(find_boundary_connections(h, 2) for h in maps[-8:])
+    for h in maps:
+        h_m, conj = suspension._reduce(h, 64)
+        h_o, conj_o = reduce_one_point_at_a_time(h, 64)
+        assert shape(h_m) == shape(h_o) and shape(conj) == shape(conj_o)
+        assert conj * h * ~conj == h_m
 
 
 def test_minimal_model_identity():
@@ -551,11 +629,31 @@ def test_long_connection_model_is_linear_to_2048_only(monkeypatch):
         start = time.monotonic()
         assert verify_linear_growth(cert.h_m, n) is linear
         assert time.monotonic() - start < 10
-    # the deeper retries would not finish in minutes: stop after depth 64
+    # without the deeper retries the depth-64 model is the last one tried
     monkeypatch.setattr(suspension, "_RETRIES", 0)
     with pytest.raises(MinimalModelError, match=r"d\(h_m\^2500\) < 2500 \* d\(h_m\)") as err:
         minimal_model(h, depth=64, n_check=2500)
     assert err.value.failing_n == 2500 and err.value.depth == 64
+
+
+def test_long_connection_is_certified_at_rate_0(monkeypatch):
+    # the depth-4096 retry cuts the whole 2,470-point orbit in one move
+    monkeypatch.setattr(core, "CHECKED", True)
+    start = time.monotonic()
+    cert = minimal_model(long_connection_map(), depth=64, n_check=2500)
+    assert time.monotonic() - start < 60
+    assert (cert.norm, cert.verified_up_to, cert.search_depth) == (0, 2500, 4096)
+    comps = cert.h_m.source.components
+    assert len(comps) == 2471
+    # each walk from an interval left end stops at the next left end it meets
+    monkeypatch.setattr(core, "CHECKED", False)
+    steps = []
+    image = suspension._IntOrbits.image
+    monkeypatch.setattr(
+        suspension._IntOrbits, "image", lambda self, y: steps.append(y) or image(self, y)
+    )
+    assert verify_linear_growth(cert.h_m, 2500)
+    assert len(steps) == sum(c.kind == INTERVAL for c in comps)
 
 
 def test_norm_bounds_claims_no_lower_bound():
