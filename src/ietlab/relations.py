@@ -23,8 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
+from ietlab import core
 from ietlab.core import (
     CIRCLE,
     INTERVAL,
@@ -32,13 +33,14 @@ from ietlab.core import (
     Iet,
     IetError,
     Point,
+    SelfCheckError,
     Subdomain,
     from_lengths,
     lengths_of,
     permutation_of,
     perm_validate,
 )
-from ietlab.field import QuadNum
+from ietlab.field import QuadNum, _join_fields, _sign
 from ietlab.rotations import circle_angles, multi_rotation_power
 
 
@@ -212,45 +214,85 @@ def _first_hits(beta: QuadNum, w: QuadNum):
     return fwd[2], minus, period
 
 
-def _window_returns(beta: QuadNum, delta: QuadNum) -> Iterator[int]:
-    """Every n >= 1 with ||n beta|| <= delta, in increasing order, for
-    0 < beta < 1 and 0 < 2*delta < 1.
+def _common_return(circles: list[tuple[QuadNum, QuadNum]], cap: int) -> Optional[int]:
+    """Least n in 1..cap with ||n beta|| <= delta for every (beta, delta) in
+    circles, with 0 < beta < 1 and 0 < 2*delta < 1; None when it exceeds cap.
 
-    The point y = {n beta + delta} returns to the window W = [0, 2 delta].
-    By the three-gap theorem (Slater 1967) the next return from y is the
-    shorter of A+ and A- whose shift keeps y in W, else A+ + A- (see
-    :func:`_first_hits`); when beta is rational and a hit is missing, the
-    period, which fixes y, takes the place of the missing steps.
+    The circle with the smallest delta drives: y = {n beta + delta} returns
+    to the window W = [0, 2 delta], and by the three-gap theorem (Slater
+    1967) the next return from y is the shorter of A+ and A- whose shift
+    keeps y in W, else A+ + A- (see :func:`_first_hits`); when beta is
+    rational and a hit is missing, the period, which fixes y, takes the
+    place of the missing steps.  Every value the walk adds or compares is
+    put over one common denominator D as an integer pair (P, Q) for
+    (P + Q sqrt(d)) / D: the steps, delta, and for each other circle its
+    delta, its 1 - delta and its shift {g beta} for each gap g.  A return
+    picks its step by sign tests (:func:`ietlab.field._sign`) and adds one
+    pair to y; each other circle adds the step's pair to x = {n beta},
+    subtracts D once if x reached 1, and meets the bound when x <= delta or
+    x >= 1 - delta.
     """
+    driver = min(circles, key=lambda c: c[1])
+    others = [c for c in circles if c is not driver]
+    beta, delta = driver
     w = 2 * delta
     plus, minus, period = _first_hits(beta, w)
     zero = QuadNum(0)
-    # (gap, shift, lo, hi): the step is possible from y in [lo, hi]; the
-    # last, longest step is possible from all of W
+    # (gap, shift, side, bound): the step is possible from y when
+    # side * (y - bound) >= 0; side 0 marks the longest step, possible from
+    # all of W
     steps = []
     if plus:
-        steps.append((plus[0], plus[1], zero, w - plus[1]))
+        steps.append((plus[0], plus[1], -1, w - plus[1]))
     if minus:
-        steps.append((minus[0], minus[1], -minus[1], w))
+        steps.append((minus[0], minus[1], 1, -minus[1]))
     if plus and minus:
-        steps.append((plus[0] + minus[0], plus[1] + minus[1], zero, w))
+        steps.append((plus[0] + minus[0], plus[1] + minus[1], 0, zero))
     else:
-        steps.append((period, zero, zero, w))
+        steps.append((period, zero, 0, zero))
     steps.sort(key=lambda s: s[0])
-    n, y = 0, delta
+    moves = [[(g * b).mod(QuadNum(1)) for g, *_ in steps] for b, _ in others]
+    values = [delta] + [v for _, shift, _, bound in steps for v in (shift, bound)]
+    values += [v for (_, dj), mv in zip(others, moves) for v in (dj, *mv)]
+    d = 0
+    for v in values:
+        if v.q:
+            d = _join_fields(d, v.d)
+    den = math.lcm(*[v.den for v in values])
+
+    def pair(x: QuadNum) -> tuple[int, int]:
+        s = den // x.den
+        return x.p * s, x.q * s
+
+    walk = [(g, *pair(shift), side, *pair(bound)) for g, shift, side, bound in steps]
+    # per other circle: x = {n beta}, its shift per step, delta and 1 - delta
+    xp = [0] * len(others)
+    xq = [0] * len(others)
+    rest = [
+        ([pair(m) for m in mv], *pair(dj), *pair(1 - dj)) for (_, dj), mv in zip(others, moves)
+    ]
+    sign = _sign
+    n, (yp, yq) = 0, pair(delta)
     while True:
-        for gap, shift, lo, hi in steps:
-            if lo <= y <= hi:
+        for i, (gap, sp, sq, side, bp, bq) in enumerate(walk):
+            if not side or side * sign(yp - bp, yq - bq, d) >= 0:
                 break
         n += gap
-        y += shift
-        yield n
-
-
-def _near_zero(x: QuadNum, delta: QuadNum) -> bool:
-    """||x|| <= delta, the distance from x to the nearest integer."""
-    frac = x - x.floor()
-    return frac <= delta or 1 - frac <= delta
+        if n > cap:
+            return None
+        yp += sp
+        yq += sq
+        near = True
+        for j, (mv, lp, lq, hp, hq) in enumerate(rest):
+            mp, mq = mv[i]
+            p, q = xp[j] + mp, xq[j] + mq
+            if sign(p - den, q, d) >= 0:
+                p -= den
+            xp[j], xq[j] = p, q
+            if near and sign(lp - p, lq - q, d) < 0 and sign(p - hp, q - hq, d) < 0:
+                near = False
+        if near:
+            return n
 
 
 def small_rotation_power(r: Iet, eps, cap: int = 500_000) -> int:
@@ -260,11 +302,17 @@ def small_rotation_power(r: Iet, eps, cap: int = 500_000) -> int:
     ||n a/L|| * L, so the condition is ||n beta|| <= delta with beta = a/L
     and delta = (eps/2)/L on every circle; circles with 2 delta >= 1 always
     meet it.  The circle with the smallest delta drives the search: its
-    returns to the window are walked exactly by the three-gap theorem
-    (:func:`_window_returns`), and every other circle is tested exactly at
-    each return, so the answer is the true minimum.  No floating point is
-    used.  Raises :class:`CapExceededError` when the least n exceeds cap,
-    and :class:`IetError` (from :func:`circle_angles`) when r is not a
+    returns to the window are walked exactly by the three-gap theorem, and
+    every other circle is tested at each return on integers, by one
+    addition per circle (:func:`_common_return`), so the answer is the true
+    minimum.  Only the choice of the driver and its Farey descent
+    (:func:`_first_hits`) run in ``QuadNum``; the walk runs on integer
+    pairs over one common denominator, and no floating point is used.  In
+    checked mode the n found is re-checked in ``QuadNum`` against the
+    definition, ||n beta|| <= delta on every circle and n <= cap, and a
+    mismatch raises :class:`SelfCheckError`.  Raises
+    :class:`CapExceededError` when the least n exceeds cap, and
+    :class:`IetError` (from :func:`circle_angles`) when r is not a
     multi-rotation.
     """
     eps = QuadNum.of(eps)
@@ -279,18 +327,15 @@ def small_rotation_power(r: Iet, eps, cap: int = 500_000) -> int:
         circles.append((ang / length, thresh / length))
     if not circles:
         return 1
-    circles = [(beta, delta) for beta, delta in circles if 2 * delta < 1]
-    returns: Iterable[int] = [1]
-    if circles:
-        beta, delta = min(circles, key=lambda c: c[1])
-        circles.remove((beta, delta))
-        returns = _window_returns(beta, delta)
-    for n in returns:
-        if n > cap:
-            break
-        if all(_near_zero(beta * n, delta) for beta, delta in circles):
-            return n
-    raise CapExceededError(f"no power within cap {cap} moves points by <= eps/2")
+    moving = [(beta, delta) for beta, delta in circles if 2 * delta < 1]
+    n = _common_return(moving, cap) if moving else (1 if cap >= 1 else None)
+    if n is None:
+        raise CapExceededError(f"no power within cap {cap} moves points by <= eps/2")
+    if core.CHECKED:
+        fracs = [(beta * n).mod(QuadNum(1)) for beta, _ in circles]
+        if n > cap or any(min(f, 1 - f) > delta for f, (_, delta) in zip(fracs, circles)):
+            raise SelfCheckError(f"power {n} of the rotation is not within eps/2 or the cap")
+    return n
 
 
 _SHRINK_N_CAP = 200_000  # cap of the near-identity power search
@@ -501,12 +546,12 @@ def relation_certificate(
             epsilon=eps,
             k=k,
             u=u_iet,
-            supp_u=u_iet.support(),
+            supp_u=supp_u,
         )
 
+    supp_u = u_iet.support()
     if u_iet.is_identity():
         return issue(u_word, 0)
-    supp_u = u_iet.support()
     tk = Iet.identity(t.source)
     for k in range(1, k_cap + 1):
         tk = t * tk

@@ -409,6 +409,8 @@ def _fake_boundary_walk(o: _Orbits, x: Point) -> Optional[FakeBoundary]:
     minus = o.end[x.comp] if plus == o.zero[x.comp] else plus
     right_track = []
     left_track = []
+    right_seen = set()  # the components of each track
+    left_seen = set()
     for _ in range(len(o.circle) + len(o.jumps) + 1):
         plus = o.image(plus)
         minus = o.left_limit(minus)
@@ -425,10 +427,12 @@ def _fake_boundary_walk(o: _Orbits, x: Point) -> Optional[FakeBoundary]:
         pc = plus[0]
         if o.circle[pc] or plus != o.zero[pc] or genuine is not None:
             return None
-        if any(y[0] == mc for y in left_track) or any(y[0] == pc for y in right_track):
+        if mc in left_seen or pc in right_seen:
             return None  # tracks must not revisit a component end
         right_track.append(plus)
         left_track.append(minus)
+        right_seen.add(pc)
+        left_seen.add(mc)
     return None
 
 

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ietlab import core, relations
 from ietlab.core import (
     CIRCLE,
     Component,
     Domain,
     Iet,
     IetError,
+    SelfCheckError,
     Subdomain,
     circle_rotation,
     from_lengths,
@@ -22,6 +24,7 @@ from ietlab.core import (
 from ietlab.field import QuadNum
 from ietlab.relations import (
     CapExceededError,
+    _first_hits,
     ShrinkConfig,
     Word,
     commutator,
@@ -290,6 +293,137 @@ def test_small_rotation_power_matches_scan(circles, eps, cap):
         assert small_rotation_power(r, eps, cap) == expected
 
 
+def window_returns(beta: QuadNum, delta: QuadNum):
+    """Oracle: the three-gap walk in ``QuadNum``.  Every n >= 1 with
+    ||n beta|| <= delta, in increasing order, for 0 < beta < 1 and
+    0 < 2*delta < 1: y = {n beta + delta} returns to W = [0, 2 delta] by
+    the shortest step of :func:`_first_hits` that keeps it in W."""
+    w = 2 * delta
+    plus, minus, period = _first_hits(beta, w)
+    zero = QuadNum(0)
+    steps = []  # (gap, shift, lo, hi): possible from y in [lo, hi]
+    if plus:
+        steps.append((plus[0], plus[1], zero, w - plus[1]))
+    if minus:
+        steps.append((minus[0], minus[1], -minus[1], w))
+    if plus and minus:
+        steps.append((plus[0] + minus[0], plus[1] + minus[1], zero, w))
+    else:
+        steps.append((period, zero, zero, w))
+    steps.sort(key=lambda s: s[0])
+    n, y = 0, delta
+    while True:
+        for gap, shift, lo, hi in steps:
+            if lo <= y <= hi:
+                break
+        n += gap
+        y += shift
+        yield n
+
+
+def near_zero(x: QuadNum, delta: QuadNum) -> bool:
+    frac = x - x.floor()
+    return frac <= delta or 1 - frac <= delta
+
+
+def three_gap_power(circles, eps, cap) -> Optional[int]:
+    """Oracle: the least n <= cap with ||n ang/length|| <= (eps/2)/length on
+    every circle, walking the circle with the smallest bound by
+    :func:`window_returns` and testing the others in ``QuadNum`` at each
+    return; None past the cap."""
+    half = QuadNum.of(eps) / 2
+    moving = [(ang / length, half / length) for length, ang in circles if ang != 0]
+    moving = [(beta, delta) for beta, delta in moving if 2 * delta < 1]
+    if not moving:
+        return 1 if cap >= 1 else None
+    beta, delta = min(moving, key=lambda c: c[1])
+    moving.remove((beta, delta))
+    for n in window_returns(beta, delta):
+        if n > cap:
+            return None
+        if all(near_zero(b * n, d) for b, d in moving):
+            return n
+
+
+def random_circles(rng: random.Random) -> list:
+    """1-3 circles of lengths 1, 1/2 and 3, turned by a rational or a
+    Q(sqrt 2) fraction of a turn."""
+    out = []
+    for _ in range(rng.randint(1, 3)):
+        length = QuadNum(rng.choice([Fraction(1), Fraction(1, 2), Fraction(3)]))
+        if rng.random() < 0.4:
+            q = rng.randint(1, 20_000)
+            turn = QuadNum(Fraction(rng.randrange(q), q))
+        else:
+            a, b = rng.randint(-300, 300), rng.choice([1, -1]) * rng.randint(1, 300)
+            turn = QuadNum(Fraction(a, rng.randint(1, 97)), Fraction(b, rng.randint(1, 89)), 2)
+            turn = turn.mod(QuadNum(1))
+        out.append((length, turn * length))
+    return out
+
+
+def test_integer_walk_matches_the_quadnum_three_gap_walk():
+    rng = random.Random("three-gap oracle")
+    found = []
+    for _ in range(150):
+        circles = random_circles(rng)
+        eps = rng.choice([Fraction(1, 10), Fraction(1, 50), Fraction(1, 100), Fraction(1, 400)])
+        expected = three_gap_power(circles, eps, 200_000)
+        r = multi_rotation(circles)
+        if expected is None:
+            with pytest.raises(CapExceededError):
+                small_rotation_power(r, eps, 200_000)
+        else:
+            assert small_rotation_power(r, eps, 200_000) == expected
+            found.append(expected)
+    # the walk reaches far past the brute-force scan's cap of 3,000
+    assert sum(n > 3000 for n in found) >= 20 and max(found) > 50_000
+
+
+def test_small_rotation_power_on_window_edges():
+    # rational turns p/q with bounds j/q: returns land exactly on the edges
+    # of the driver's window and of the other circles' bounds
+    for q in range(2, 13):
+        for p in range(1, q):
+            for j in range(1, (q + 1) // 2):
+                eps = Fraction(2 * j, q)
+                turn = QuadNum(Fraction(p, q))
+                for circles in (
+                    [(QuadNum(1), turn)],
+                    [(QuadNum(1), ALPHA), (QuadNum(1), turn)],
+                    [(QuadNum(1), QuadNum(Fraction(1, q))), (QuadNum(1), turn)],
+                ):
+                    expected = scan_small_power(circles, eps, 3000)
+                    assert small_rotation_power(multi_rotation(circles), eps, 3000) == expected
+
+
+def test_small_rotation_power_cap_edges():
+    cases = [
+        ([(QuadNum(1), ALPHA)], Fraction(1, 400)),
+        ([(QuadNum(1), ALPHA), (QuadNum(3), 3 * (R2 - 1) / 5)], Fraction(1, 100)),
+        ([(QuadNum(Fraction(1, 2)), QuadNum(Fraction(123, 794)))], Fraction(1, 400)),  # period 397
+    ]
+    for circles, eps in cases:
+        r = multi_rotation(circles)
+        n = small_rotation_power(r, eps)
+        assert n > 100
+        assert small_rotation_power(r, eps, cap=n) == n
+        with pytest.raises(CapExceededError):
+            small_rotation_power(r, eps, cap=n - 1)
+
+
+def test_checked_mode_rejects_a_wrong_power(monkeypatch):
+    r = circle_rotation(1, Fraction(1, 5))
+    eps = Fraction(1, 1000)  # n = 5, 10, 15, ... move by zero
+    monkeypatch.setattr(core, "CHECKED", True)
+    for wrong, cap in ((6, 100), (10, 7)):  # off the bound; within it, past the cap
+        monkeypatch.setattr(relations, "_common_return", lambda circles, cap, n=wrong: n)
+        with pytest.raises(SelfCheckError):
+            small_rotation_power(r, eps, cap)
+    monkeypatch.setattr(core, "CHECKED", False)
+    assert small_rotation_power(r, eps, 7) == 10  # only checked mode looks
+
+
 def test_shrink_config_rejects_float_epsilon():
     with pytest.raises(TypeError):
         ShrinkConfig(0.01)
@@ -464,6 +598,7 @@ def test_relation_certificate_with_genuine_conjugate_search():
     assert cert is not None
     assert cert.k >= 1
     assert not cert.u.is_identity()
+    assert cert.supp_u == cert.u.support()
     tk = t ** cert.k
     assert (tk * cert.u * ~tk).support().intersection(cert.supp_u).is_empty()
     assert cert.word.evaluate([s, t]).is_identity()
