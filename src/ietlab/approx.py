@@ -49,13 +49,12 @@ from ietlab.core import (
 )
 from ietlab.field import (
     ConstraintSystem,
+    Frame,
     LinConstraint,
     LpInternalError,
     QuadNum,
     Rel,
     _dot,
-    _join_fields,
-    _quad,
     _sign,
     lp_rational_point,
 )
@@ -117,9 +116,9 @@ class TraceRecorder:
     affine constraints over the unknown lengths, the decisions that steered
     a composition.
 
-    The realized lengths are held once, as integers: length i is
-    ``(P_i + Q_i*sqrt(d)) / D`` over one common denominator ``D`` in one
-    field ``d``.  A form ``v . x + c`` then has the sign of the integer pair
+    The realized lengths are held once, as the integer pairs of their
+    :class:`~ietlab.field.Frame`: length i is ``(P_i + Q_i*sqrt(d)) / D``.
+    A form ``v . x + c`` then has the sign of the integer pair
     ``(v . P + c*D, v . Q)``.  The value of a tracked number is its form at
     the realized point, so a comparison's outcome depends on its difference
     form alone: each form, scaled to coprime integers with a positive
@@ -134,27 +133,25 @@ class TraceRecorder:
 
     def __init__(self, realized: Sequence):
         point = tuple(QuadNum.of(x) for x in realized)
-        field = 0
-        for x in point:
-            field = _join_fields(field, x.d)
-        scale = math.lcm(*(x.den for x in point))
+        frame = Frame(point)
+        pairs = [frame.pair(x) for x in point]
         self.dim = len(point)
         self.point = point
-        self.field = field
-        self.scale = scale
-        self.rational = [x.p * (scale // x.den) for x in point]
-        self.irrational = [x.q * (scale // x.den) for x in point]
+        self.frame = frame
+        # D last, where a form keeps its constant
+        self.rational = [p for p, _ in pairs] + [frame.den]
+        self.irrational = [q for _, q in pairs]
         self.muted = False
         self._signs: dict[tuple[int, ...], int] = {}
         self._constants: dict[int, tuple[int, ...]] = {}
         self.constraints: list[LinConstraint] = []
 
-    def constant(self, num: int, den: int = 1) -> "TrackedNum":
-        """The tracked constant num / den (reduced, den > 0)."""
+    def constant(self, num: int) -> "TrackedNum":
+        """The tracked integer constant num."""
         vec = self._constants.get(num)
         if vec is None:
             vec = self._constants[num] = (0,) * self.dim + (num,)
-        return TrackedNum(vec, den, self)
+        return TrackedNum(vec, self)
 
     def decide(self, vec: tuple[int, ...]) -> int:
         """Sign of the form ``vec[:-1] . x + vec[-1]`` at the realized point;
@@ -171,8 +168,7 @@ class TraceRecorder:
             form = tuple([v // g for v in vec])
             s = self._signs.get(form)
             if s is None:
-                p = _dot(form, self.rational) + form[-1] * self.scale
-                s = _sign(p, _dot(form, self.irrational), self.field)
+                s = _sign(_dot(form, self.rational), _dot(form, self.irrational), self.frame.d)
                 if not self.muted:
                     self._signs[form] = s
                     if s == 0:
@@ -194,65 +190,52 @@ class TraceRecorder:
     def record(self, vec: tuple[int, ...], rel: Rel) -> None:
         """Record ``vec[:-1] . x + vec[-1]`` (= 0 | > 0), a form in coprime
         integers."""
-        self.constraints.append(LinConstraint.make(vec[:-1], vec[-1], rel))
-
-
-def _combine(a: "TrackedNum", b: "TrackedNum", op) -> tuple[tuple[int, ...], int]:
-    """The form of ``op(a, b)`` (add or sub) as an integer vector and denominator."""
-    if a.den == b.den:
-        return tuple(map(op, a.vec, b.vec)), a.den
-    da, db = a.den, b.den
-    vec = [op(x * db, y * da) for x, y in zip(a.vec, b.vec)]
-    den = da * db
-    g = math.gcd(den, *vec)
-    return tuple(v // g for v in vec), den // g
+        self.constraints.append(LinConstraint(vec[:-1], vec[-1], rel))
 
 
 class TrackedNum:
     """An affine form over the unknown length coordinates, standing for its
     value at the recorder's realized point.
 
-    The form is ``(vec[:-1] . x + vec[-1]) / den``: one integer tuple, the
-    coefficients and then the constant, over a positive integer ``den``
-    (1 unless a fractional constant takes part).  Arithmetic combines the
-    forms on the integers; comparisons are decided, and recorded, by the
-    recorder.  ``value`` evaluates the form at the realized point.
+    The form ``vec[:-1] . x + vec[-1]`` is one integer tuple, the
+    coefficients and then the constant.  Arithmetic adds the tuples and
+    takes integer constants only, an ``int`` or a ``QuadNum`` equal to one,
+    as a trace meets no other (any other operand is ``NotImplemented``, and
+    a comparison with it raises ``TypeError``).  Comparisons are decided,
+    and recorded, by the recorder.  ``value`` evaluates the form at the
+    realized point.
     """
 
-    __slots__ = ("vec", "den", "rec")
+    __slots__ = ("vec", "rec")
 
-    def __init__(self, vec: tuple[int, ...], den: int, rec: TraceRecorder):
+    def __init__(self, vec: tuple[int, ...], rec: TraceRecorder):
         self.vec = vec
-        self.den = den
         self.rec = rec
 
     @staticmethod
     def unknown(index: int, rec: TraceRecorder) -> "TrackedNum":
         vec = tuple(1 if i == index else 0 for i in range(rec.dim + 1))
-        return TrackedNum(vec, 1, rec)
+        return TrackedNum(vec, rec)
 
     @property
     def value(self) -> QuadNum:
         rec, vec = self.rec, self.vec
-        p = _dot(vec, rec.rational) + vec[-1] * rec.scale
-        return _quad(p, _dot(vec, rec.irrational), self.den * rec.scale, rec.field)
+        return rec.frame.value(_dot(vec, rec.rational), _dot(vec, rec.irrational))
 
     def _coerce(self, other) -> Optional["TrackedNum"]:
         if type(other) is TrackedNum:
             return other
         if isinstance(other, int):
             return self.rec.constant(other)
-        if isinstance(other, Fraction):
-            return self.rec.constant(other.numerator, other.denominator)
-        if isinstance(other, QuadNum) and other.is_rational():
-            return self.rec.constant(other.p, other.den)
+        if isinstance(other, QuadNum) and other.q == 0 and other.den == 1:
+            return self.rec.constant(other.p)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return TrackedNum(*_combine(self, o, operator.add), self.rec)
+        return TrackedNum(tuple(map(operator.add, self.vec, o.vec)), self.rec)
 
     __radd__ = __add__
 
@@ -260,7 +243,7 @@ class TrackedNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return TrackedNum(*_combine(self, o, operator.sub), self.rec)
+        return TrackedNum(tuple(map(operator.sub, self.vec, o.vec)), self.rec)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -269,17 +252,13 @@ class TrackedNum:
         return o - self
 
     def __neg__(self):
-        return TrackedNum(tuple(map(operator.neg, self.vec)), self.den, self.rec)
+        return TrackedNum(tuple(map(operator.neg, self.vec)), self.rec)
 
     def _cmp_record(self, other) -> int:
         o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare TrackedNum with {type(other)}")
-        # the sign of self - o, scaled by the positive den * o.den
-        da, db = self.den, o.den
-        if da == db:
-            return self.rec.decide(tuple(map(operator.sub, self.vec, o.vec)))
-        return self.rec.decide(tuple([x * db - y * da for x, y in zip(self.vec, o.vec)]))
+        return self.rec.decide(tuple(map(operator.sub, self.vec, o.vec)))
 
     def __lt__(self, other):
         return self._cmp_record(other) < 0
@@ -553,7 +532,10 @@ def permutation_group_order(perms: Sequence[tuple[int, ...]]) -> int:
 
 
 def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:  # apply b first
-    return tuple(map(a.__getitem__, b))
+    # from a list: tuple(iterator) resizes a 10-slot tuple to len(b), so each
+    # product moves one tuple onto the size-len(b) free list, which only a
+    # full collection clears
+    return tuple([a[i] for i in b])
 
 
 def _giant_order(gens: list[tuple[int, ...]], n: int) -> Optional[int]:

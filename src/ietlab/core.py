@@ -537,33 +537,6 @@ class Iet:
                     pieces.append((j, lo - s, hi - lo, k, off))
         return Iet(subdom, subdom, pieces)
 
-    def translation_vector(self) -> tuple:
-        """Translation amount of each piece of a one-interval map, in source
-        order, computed from the lengths alone and checked against the pieces."""
-        if len(self.source.components) != 1 or self.source.components[0].kind != INTERVAL:
-            raise IetError("translation vector needs a single-interval domain")
-        if self.source != self.target:
-            raise DomainMismatchError("translation vector needs an automorphism")
-        ps = self.pieces
-        n = len(ps)
-        dst_sorted = sorted(range(n), key=lambda i: ps[i].b)
-        sigma = [0] * n
-        for rank, i in enumerate(dst_sorted):
-            sigma[i] = rank + 1
-        sigma_inv = perm_inverse(sigma)
-        lengths = [p.length for p in ps]
-        out = []
-        for i in range(n):
-            t = 0
-            for j in range(i):
-                t = t - lengths[j]
-            for j in range(1, sigma[i]):
-                t = t + lengths[sigma_inv[j - 1] - 1]
-            if t != ps[i].b - ps[i].a:
-                raise IetError("translation formula disagrees with pieces")  # pragma: no cover
-            out.append(t)
-        return tuple(out)
-
     def is_q_rational(self, q: int) -> bool:
         """Whether every discontinuity of this one-interval map sits on the
         grid (1/q)N."""

@@ -335,6 +335,36 @@ def _coerce(x) -> Optional[QuadNum]:
     return None
 
 
+class Frame:
+    """Exact values as integer pairs over one denominator in one field.
+
+    A value x of the frame is ``(P + Q*sqrt(d)) / den`` with ``pair(x) =
+    (P, Q)``: ``den`` is the lcm of the values' denominators and ``d`` their
+    field (0 when all are rational), so their integer combinations add and
+    compare (``_sign(P, Q, d)``) as pairs, and ``value(P, Q)`` is the
+    ``QuadNum`` back.  Two fields raise :class:`FieldMismatchError`.
+    """
+
+    __slots__ = ("d", "den")
+
+    def __init__(self, values: Sequence[QuadNum]):
+        d = 0
+        for v in values:
+            if v.d and v.d != d:
+                d = _join_fields(d, v.d)
+        self.d = d
+        # a list, not a generator: lcm(*generator) leaves odd-sized tuples
+        # on CPython's free lists, which only a full collection clears
+        self.den = math.lcm(*[v.den for v in values])
+
+    def pair(self, x: QuadNum) -> tuple[int, int]:
+        s = self.den // x.den
+        return x.p * s, x.q * s
+
+    def value(self, p: int, q: int) -> QuadNum:
+        return _quad(p, q, self.den, self.d)
+
+
 def quad_sign(x: QuadNum | RationalLike) -> int:
     """Sign (-1, 0, +1) of an exact quadratic number."""
     return QuadNum.of(x).sign()
@@ -398,15 +428,13 @@ class Rel(Enum):
 
 @dataclass(frozen=True)
 class LinConstraint:
-    """Affine condition  coeffs . x + const  (= 0 | > 0)  over rational unknowns."""
+    """Affine condition  coeffs . x + const  (= 0 | > 0)  over rational
+    unknowns, with ``int`` or ``Fraction`` coefficients and constant.  The
+    trace records coprime integers."""
 
-    coeffs: tuple[Fraction, ...]
-    const: Fraction
+    coeffs: tuple[RationalLike, ...]
+    const: RationalLike
     relation: Rel
-
-    @staticmethod
-    def make(coeffs: Iterable[RationalLike], const: RationalLike, relation: Rel) -> "LinConstraint":
-        return LinConstraint(tuple(Fraction(c) for c in coeffs), Fraction(const), relation)
 
     def evaluate(self, x: Sequence[QuadNum | RationalLike]) -> QuadNum | Fraction:
         """Exact value at a rational or quadratic point."""

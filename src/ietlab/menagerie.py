@@ -246,22 +246,18 @@ def free_semigroup_check(g: ExampleGroup, depth: int) -> bool:
     r = g.r
     r_prime = g.s * r * g.s
     p = make_point(g.domain, g.CIRCLE_INDEX, 0)
-    seen: dict[Iet, tuple[int, ...]] = {}
-    frontier: list[tuple[tuple[int, ...], Iet]] = [((), Iet.identity(g.domain))]
+    seen: set[Iet] = set()
+    # each word as (whether it is a power of r' alone, its map)
+    frontier: list[tuple[bool, Iet]] = [(True, Iet.identity(g.domain))]
     for _ in range(depth):
         nxt = []
-        for word, cur in frontier:
-            for letter, gen in ((0, r), (1, r_prime)):
-                w2 = word + (letter,)
+        for only_rprime, cur in frontier:
+            for is_rprime, gen in ((False, r), (True, r_prime)):
                 iet2 = cur * gen
-                if iet2 in seen:
+                only2 = only_rprime and is_rprime
+                if iet2 in seen or (iet2(p) == p) != only2:
                     return False
-                seen[iet2] = w2
-                nxt.append((w2, iet2))
+                seen.add(iet2)
+                nxt.append((only2, iet2))
         frontier = nxt
-    for iet2, word in seen.items():
-        fixes = iet2(p) == p
-        only_rprime = all(letter == 1 for letter in word)
-        if fixes != only_rprime:
-            return False
     return True

@@ -40,7 +40,7 @@ from ietlab.core import (
     permutation_of,
     perm_validate,
 )
-from ietlab.field import QuadNum, _join_fields, _sign
+from ietlab.field import Frame, QuadNum, _sign
 from ietlab.rotations import circle_angles, multi_rotation_power
 
 
@@ -224,12 +224,12 @@ def _common_return(circles: list[tuple[QuadNum, QuadNum]], cap: int) -> Optional
     keeps y in W, else A+ + A- (see :func:`_first_hits`); when beta is
     rational and a hit is missing, the period, which fixes y, takes the
     place of the missing steps.  Every value the walk adds or compares is
-    put over one common denominator D as an integer pair (P, Q) for
-    (P + Q sqrt(d)) / D: the steps, delta, and for each other circle its
-    delta, its 1 - delta and its shift {g beta} for each gap g.  A return
-    picks its step by sign tests (:func:`ietlab.field._sign`) and adds one
-    pair to y; each other circle adds the step's pair to x = {n beta},
-    subtracts D once if x reached 1, and meets the bound when x <= delta or
+    an integer pair of one :class:`~ietlab.field.Frame`: the steps, delta,
+    and for each other circle its delta, its 1 - delta and its shift
+    {g beta} for each gap g.  A return picks its step by sign tests
+    (:func:`ietlab.field._sign`) and adds one pair to y; each other circle
+    adds the step's pair to x = {n beta}, subtracts the frame's denominator
+    D once if x reached 1, and meets the bound when x <= delta or
     x >= 1 - delta.
     """
     driver = min(circles, key=lambda c: c[1])
@@ -254,16 +254,8 @@ def _common_return(circles: list[tuple[QuadNum, QuadNum]], cap: int) -> Optional
     moves = [[(g * b).mod(QuadNum(1)) for g, *_ in steps] for b, _ in others]
     values = [delta] + [v for _, shift, _, bound in steps for v in (shift, bound)]
     values += [v for (_, dj), mv in zip(others, moves) for v in (dj, *mv)]
-    d = 0
-    for v in values:
-        if v.q:
-            d = _join_fields(d, v.d)
-    den = math.lcm(*[v.den for v in values])
-
-    def pair(x: QuadNum) -> tuple[int, int]:
-        s = den // x.den
-        return x.p * s, x.q * s
-
+    frame = Frame(values)
+    pair, den, d = frame.pair, frame.den, frame.d
     walk = [(g, *pair(shift), side, *pair(bound)) for g, shift, side, bound in steps]
     # per other circle: x = {n beta}, its shift per step, delta and 1 - delta
     xp = [0] * len(others)
@@ -455,8 +447,8 @@ def vanishing_coordinate_certificate(sigma: Sequence[int]) -> tuple[int, bool]:
 
 
 def drifted(t0: Iet, theta, dd: DriftData) -> Iet:
-    """Same permutation, lengths moved by theta * dl; the translation vector
-    moves by exactly theta * dr (checked)."""
+    """Same permutation, lengths moved by theta * dl; the piece translations
+    move by exactly theta * dr (checked)."""
     theta = QuadNum.of(theta)
     sigma = permutation_of(t0)
     if sigma != dd.sigma:
@@ -466,10 +458,8 @@ def drifted(t0: Iet, theta, dd: DriftData) -> Iet:
         if not x > 0:
             raise IetError("theta too large: a length became non-positive")
     t_theta = from_lengths(sigma, lengths)
-    before = t0.translation_vector()
-    after = t_theta.translation_vector()
-    for x, y, c in zip(before, after, dd.dr):
-        if y - x != theta * c:
+    for p, q, c in zip(t0.pieces, t_theta.pieces, dd.dr):
+        if (q.b - q.a) - (p.b - p.a) != theta * c:
             raise IetError("translation response disagrees with drift data")  # pragma: no cover
     return t_theta
 

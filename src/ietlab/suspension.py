@@ -33,22 +33,22 @@ n = 2,048 but not at n = 2,500, and its growth rate is 0.  With N = 2,500
 one move and certifies norm 0, with 2,471 components.
 
 The connection and fake-boundary searches and the growth check walk orbits
-on integers.  Every coordinate of h is (P + Q sqrt(d)) / D over one common
-denominator D, and each step adds to a point's (P, Q) the integer
-translation of the piece that holds it, so every orbit point is again over
-D and the walk is exact: it visits the very values ``Iet.__call__`` and
-``Iet.left_limit`` give, with no ``QuadNum`` built.  The kernel and the
-jump sets of h and h^-1 are built once per map and shared by the searches
-of a surgery pass and by the growth check of its last map.  With
-``IETLAB_CHECK=1`` every walk is run again through ``Iet.__call__`` and
-``Iet.left_limit`` and must agree, and the growth check must agree with the
-power h_m^N, or :class:`SelfCheckError` is raised.
+on integers.  Every coordinate of h is an integer pair (P, Q) of one
+:class:`~ietlab.field.Frame`, and a step adds to a point's pair the pair of
+the translation of the piece that holds it, so every orbit point is again a
+pair of that frame and the walk is exact: it visits the very values
+``Iet.__call__`` and ``Iet.left_limit`` give, with no ``QuadNum`` built.
+The kernel and the jump sets of h and h^-1 are built once per map and
+shared by the searches of a surgery pass and by the growth check of its
+last map.  With ``IETLAB_CHECK=1`` every walk is run again through
+``Iet.__call__`` and ``Iet.left_limit`` and must agree, and the growth
+check must agree with the power h_m^N, or :class:`SelfCheckError` is
+raised.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -64,7 +64,7 @@ from ietlab.core import (
     Point,
     SelfCheckError,
 )
-from ietlab.field import FieldMismatchError, QuadNum, _quad
+from ietlab.field import Frame, QuadNum
 
 
 class MinimalModelError(IetError):
@@ -285,46 +285,40 @@ class _Orbits:
 
 class _IntOrbits(_Orbits):
     """The same orbits on integers (see the module docstring): a point is
-    (comp, P, Q) for (P + Q sqrt(d)) / D and a piece is the move (dst, dP,
-    dQ) from its start to its image start.  A step is a binary search over
-    the component's starts, by the sign test of :func:`ietlab.field._sign`,
-    and one integer pair addition."""
+    (comp, P, Q), with (P, Q) its pair in ``frame``, and a piece is the move
+    (dst, dP, dQ) from its start to its image start.  A step is a binary
+    search over the component's starts, by the sign test of
+    :func:`ietlab.field._sign`, and one integer pair addition."""
 
     def __init__(self, h: Iet):
         values = [c.length for c in h.source.components]
         for p in h.pieces:
             values += (p.a, p.b)
-        fields = {v.d for v in values if v.q}
-        if len(fields) > 1:
-            raise FieldMismatchError(f"a map over more than one field: sqrt of {sorted(fields)}")
-        self.d = fields.pop() if fields else 0
-        # a list, not a generator: lcm(*generator) leaves odd-sized tuples
-        # on CPython's free lists, which only a full collection clears
-        self.den = math.lcm(*[v.den for v in values])
+        self.frame = frame = Frame(values)
         # per component: the starts' P and Q, and each piece's move
         self.table = {}
         for p in h.pieces:
             sp, sq, moves = self.table.setdefault(p.src, ([], [], []))
-            _, pa, qa = self.key(p.src, p.a)
-            _, pb, qb = self.key(p.dst, p.b)
+            pa, qa = frame.pair(p.a)
+            pb, qb = frame.pair(p.b)
             sp.append(pa)
             sq.append(qa)
             moves.append((p.dst, pb - pa, qb - qa))
         super().__init__(h)
 
     def key(self, comp: int, x):
-        s = self.den // x.den
-        return comp, x.p * s, x.q * s
+        p, q = self.frame.pair(x)
+        return comp, p, q
 
     def value(self, y):
-        return _quad(y[1], y[2], self.den, self.d)
+        return self.frame.value(y[1], y[2])
 
     def _piece(self, comp: int, P: int, Q: int, least: int):
         """The move of the last piece of comp whose start s has x - s >= 0
         (least = 0: the piece holding x) or x - s > 0 (least = 1: the piece
         just below x), for x = (P + Q sqrt(d)) / D."""
         sp, sq, moves = self.table[comp]
-        d = self.d
+        d = self.frame.d
         lo, hi = 1, len(sp)  # the first start is 0, below every x searched
         while lo < hi:
             mid = (lo + hi) >> 1

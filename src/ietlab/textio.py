@@ -38,7 +38,7 @@ from ietlab.core import (
     Subdomain,
     subdomain_as_domain,
 )
-from ietlab.field import LiteralError, QuadNum, format_number, is_square, parse_number
+from ietlab.field import Frame, LiteralError, QuadNum, format_number, is_square, parse_number
 from ietlab.rotations import IrrationalCircleCert
 
 
@@ -212,29 +212,21 @@ def parse_iet(text: str) -> Iet:
     return parse_document(text)[0]
 
 
-def _field_of(h: Iet) -> int:
-    ds = set()
-    for c in h.source.components + h.target.components:
-        if isinstance(c.length, QuadNum) and c.length.d:
-            ds.add(c.length.d)
+def _field_of(h: Iet, certs: tuple) -> int:
+    values = [c.length for c in h.source.components + h.target.components]
     for p in h.pieces:
-        for v in (p.a, p.length, p.b):
-            if isinstance(v, QuadNum) and v.d:
-                ds.add(v.d)
-    if len(ds) > 1:
-        raise IetError(f"mixed fields {ds} in one map")  # pragma: no cover
-    return ds.pop() if ds else 2
+        values += (p.a, p.length, p.b)
+    for cert in certs:
+        values += (cert.angle, cert.conjugator.target.components[0].length)
+    return Frame([QuadNum.of(v) for v in values]).d or 2
 
 
 def serialize_iet(h: Iet, certs: tuple = (), field: Optional[int] = None) -> str:
     """Canonical text form; parse o serialize is the identity on canonical
-    documents."""
+    documents.  Raises :class:`~ietlab.field.FieldMismatchError` when the
+    map and its certificates lie in two fields."""
     if field is None:
-        field = _field_of(h)
-        for cert in certs:
-            for v in (cert.angle, cert.conjugator.target.components[0].length):
-                if isinstance(v, QuadNum) and v.d:
-                    field = v.d
+        field = _field_of(h, certs)
     out = [f"field sqrt({field})", "domain"]
     for c in h.source.components:
         out.append(f"{c.kind} {c.cid} {format_number(c.length)}")

@@ -25,7 +25,8 @@ def _gauss_solve_equalities(
     Returns (particular solution x0, basis of the homogeneous space) or None
     when inconsistent.
     """
-    rows = [list(c.coeffs) + [-c.const] for c in eqs]
+    # as Fractions: the trace records int coefficients, and int / int is a float
+    rows = [[Fraction(v) for v in c.coeffs] + [-Fraction(c.const)] for c in eqs]
     pivots: list[int] = []
     r = 0
     for col in range(n):

@@ -18,7 +18,7 @@ from ietlab.core import (
     from_lengths,
     interval_rotation,
 )
-from ietlab.field import LpInternalError, QuadNum
+from ietlab.field import FieldMismatchError, LpInternalError, QuadNum
 from ietlab.menagerie import example_2_3
 from ietlab.relations import CapExceededError, drift_direction, drifted
 from ietlab.rotations import decompose_multi_rotation, roll_up_two_interval
@@ -134,6 +134,14 @@ def test_certificate_blocks_round_trip():
     assert len(certs2) == 1
     assert certs2[0] == cert
     assert serialize_iet(h2, certs=tuple(certs2)) == text
+
+
+def test_certificates_join_the_field_of_the_map():
+    cert = roll_up_two_interval(example_2_3(Fraction(3, 4), R2 / 4), Fraction(3, 4))
+    rational = example_2_3(Fraction(3, 4), Fraction(1, 4))
+    assert serialize_iet(rational, certs=(cert,)).startswith("field sqrt(2)\n")
+    with pytest.raises(FieldMismatchError):  # the document could not be read back
+        serialize_iet(example_2_3(Fraction(3, 4), QuadNum.sqrt(3) / 8), certs=(cert,))
 
 
 @settings(max_examples=40, deadline=None)

@@ -29,6 +29,7 @@ from ietlab.core import (
     subdomain_as_domain,
 )
 from ietlab.field import QuadNum
+from ietlab.relations import translation_response
 from ietlab.textio import serialize_iet
 
 from randgen import (
@@ -60,10 +61,16 @@ def test_from_lengths_irrational_rotation():
     assert lengths_of(h) == (1 - ALPHA, ALPHA)
 
 
+def translations(h: Iet) -> tuple:
+    return tuple(p.b - p.a for p in h.pieces)
+
+
 def test_from_lengths_reversal_translation_vector():
     # independent oracle (direct image-start evaluation): (3/4, 1/4, -1/2)
-    h = from_lengths((3, 2, 1), [Fraction(1, 4), Fraction(1, 4), H])
-    assert h.translation_vector() == (QuadNum(Fraction(3, 4)), QuadNum(Fraction(1, 4)), QuadNum(-H))
+    lengths = [Fraction(1, 4), Fraction(1, 4), H]
+    h = from_lengths((3, 2, 1), lengths)
+    assert translations(h) == (QuadNum(Fraction(3, 4)), QuadNum(Fraction(1, 4)), QuadNum(-H))
+    assert translation_response((3, 2, 1), lengths) == translations(h)
     assert h(make_point(h.source, 0, 0)).x == Fraction(3, 4)
 
 
@@ -79,8 +86,10 @@ def test_from_lengths_rejects_bad_input():
 
 
 def test_translation_vector_trivial_and_rotation():
-    assert Iet.identity(Domain.interval(1)).translation_vector() == (QuadNum(0),)
-    assert interval_rotation(H).translation_vector() == (QuadNum(H), QuadNum(-H))
+    assert translations(Iet.identity(Domain.interval(1))) == (QuadNum(0),)
+    assert translation_response((1,), [1]) == (0,)
+    assert translations(interval_rotation(H)) == (QuadNum(H), QuadNum(-H))
+    assert translation_response((2, 1), [H, H]) == (H, -H)
 
 
 def test_compose_basics():

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from ietlab.field import (
     ConstraintSystem,
     FieldMismatchError,
+    Frame,
     LinConstraint,
     LiteralError,
     QuadNum,
     Rel,
+    _sign,
     format_number,
     lp_rational_point,
     parse_number,
@@ -177,11 +179,11 @@ def test_literal_forms():
 
 
 def gt(coeffs, const):
-    return LinConstraint.make(coeffs, const, Rel.POSITIVE)
+    return LinConstraint(tuple(coeffs), const, Rel.POSITIVE)
 
 
 def eq(coeffs, const):
-    return LinConstraint.make(coeffs, const, Rel.ZERO)
+    return LinConstraint(tuple(coeffs), const, Rel.ZERO)
 
 
 def test_lp_forced_equality():
@@ -440,7 +442,7 @@ def test_rationals_hash_and_compare_like_fractions(f, d):
 # bit for bit.
 
 LP_COEFS = st.one_of(
-    st.integers(-4, 4).map(Fraction), st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=6)
 )
 
 
@@ -458,7 +460,7 @@ def lp_systems(draw):
         else:
             slack = draw(LP_COEFS.filter(lambda v: v > 0)) if rel is Rel.POSITIVE else 0
             const = slack - sum((c * w for c, w in zip(coeffs, witness)), Fraction(0))
-        rows.append(LinConstraint.make(coeffs, const, rel))
+        rows.append(LinConstraint(tuple(coeffs), const, rel))
     return witness, ConstraintSystem(n, tuple(rows))
 
 
@@ -472,3 +474,32 @@ def test_lp_matches_fraction_oracle(drawn):
         assert pt is not None
     if pt is not None:
         assert system.satisfied_by(pt)
+
+
+# -- the integer frame ------------------------------------------------------------------
+
+FRAME_VALUES = st.lists(FRACS.map(QuadNum), min_size=1, max_size=6) | st.lists(
+    st.builds(QuadNum, FRACS, FRACS, st.just(2)), min_size=1, max_size=6
+)
+
+
+@PROPS
+@given(FRAME_VALUES)
+def test_frame_pairs_are_exact(values):
+    frame = Frame(values)
+    assert frame.d == (2 if any(v.q for v in values) else 0)
+    for x in values:
+        px = frame.pair(x)
+        assert frame.value(*px) == x
+        assert _sign(*px, frame.d) == x.sign()
+        for y in values:
+            py = frame.pair(y)
+            assert frame.pair(x + y) == (px[0] + py[0], px[1] + py[1])
+            assert frame.pair(x - y) == (px[0] - py[0], px[1] - py[1])
+
+
+def test_frame_fields():
+    assert Frame([QuadNum(Fraction(1, 3)), QuadNum(2)]).d == 0
+    assert Frame([QuadNum(1), QuadNum(Fraction(1, 2), 1, 5)]).d == 5
+    with pytest.raises(FieldMismatchError):
+        Frame([QuadNum.sqrt(2), QuadNum(1), QuadNum.sqrt(3)])

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from ietlab import menagerie
-from ietlab.core import Iet, IetError, Subdomain, make_point
+from ietlab.core import CIRCLE, Component, Domain, Iet, IetError, Subdomain, make_point
 from ietlab.field import QuadNum
 from ietlab.menagerie import (
     ConstructionError,
+    ExampleGroup,
     build_example_group,
     default_lambda,
     example_2_3,
@@ -166,6 +167,26 @@ def test_free_semigroup_word_cap(monkeypatch):
     monkeypatch.setattr(menagerie, "WORD_CAP", 13)
     with pytest.raises(CapExceededError):
         free_semigroup_check(g, 3)
+
+
+def test_free_semigroup_check_finds_a_repeat_and_a_broken_criterion():
+    g = build_example_group(default_lambda(1))
+    dom, half = g.domain, QuadNum(Fraction(1, 2))
+    # a rational r of order 4: the word r^4 is the identity, which fixes the base point
+    r = Iet(dom, dom, [(0, 0, 2 - half, 0, half), (0, 2 - half, half, 0, 0), (1, 0, 1, 1, 0)])
+    rational = ExampleGroup(dom, r, g.s, half)
+    assert free_semigroup_check(rational, 3) and not free_semigroup_check(rational, 4)
+    # s swaps two circles, so r' = s r s commutes with r: the map r r' repeats as r' r
+    two = Domain.of(Component(CIRCLE, "C", QuadNum(2)), Component(CIRCLE, "D", QuadNum(2)))
+    r2 = Iet(two, two, [(0, 0, 2 - half, 0, half), (0, 2 - half, half, 0, 0), (1, 0, 2, 1, 0)])
+    swap = Iet(two, two, [(0, 0, 2, 1, 0), (1, 0, 2, 0, 0)])
+    commuting = ExampleGroup(two, r2, swap, half)
+    assert free_semigroup_check(commuting, 1) and not free_semigroup_check(commuting, 2)
+    # s swaps the interval with the second half of the circle, so r' moves the
+    # base point: distinct maps, but the fixed-point criterion fails
+    s = Iet(dom, dom, [(0, 0, 1, 0, 0), (0, 1, 1, 1, 0), (1, 0, 1, 0, 1)])
+    assert s * s == Iet.identity(dom) and s * g.r * s != g.r
+    assert not free_semigroup_check(ExampleGroup(dom, g.r, s, g.lam), 1)
 
 
 def test_free_semigroup_fixed_point_criterion():

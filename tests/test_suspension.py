@@ -352,7 +352,7 @@ def test_kernel_values_equal_the_fraction_construction():
             keys += [(c, p, q) for p, q in zip(sp, sq)]
         for y in keys:
             v = o.value(y)
-            old = QuadNum(Fraction(y[1], o.den), Fraction(y[2], o.den), o.d)
+            old = QuadNum(Fraction(y[1], o.frame.den), Fraction(y[2], o.frame.den), o.frame.d)
             assert (v.p, v.q, v.den, v.d) == (old.p, old.q, old.den, old.d)
             assert v == old and hash(v) == hash(old)
             kinds.add(v.q == 0)
