@@ -277,10 +277,6 @@ class TrackedNum:
             return self._cmp_record(other) == 0
         return NotImplemented
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
     def __hash__(self):
         return hash(self.value)
 

@@ -339,10 +339,6 @@ class Iet:
             and self.pieces == other.pieces
         )
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
     def __hash__(self):
         if self._hash is None:
             self._hash = hash((self.source, self.target, self.pieces))

@@ -38,6 +38,7 @@ from ietlab.core import (
     from_lengths,
     lengths_of,
     permutation_of,
+    perm_inverse,
     perm_validate,
 )
 from ietlab.field import Frame, QuadNum, _sign
@@ -367,25 +368,27 @@ def shrink_support(r: Iet, s: Iet, cfg: ShrinkConfig) -> tuple[int, Iet]:
 # -- drift -----------------------------------------------------------------------
 
 
-def is_admissible(sigma: Sequence[int]) -> bool:
-    """No m with sigma(m) = m and {1..m-1} invariant."""
-    sigma = perm_validate(sigma)
+def _fixed_coordinate(sigma: tuple[int, ...]) -> Optional[int]:
+    """The least m (1-based) with sigma(m) = m and {1..m-1} invariant, or
+    None when there is none."""
     for m in range(1, len(sigma) + 1):
         if sigma[m - 1] == m and set(sigma[: m - 1]) == set(range(1, m)):
-            return False
-    return True
+            return m
+    return None
+
+
+def is_admissible(sigma: Sequence[int]) -> bool:
+    """No m with sigma(m) = m and {1..m-1} invariant."""
+    return _fixed_coordinate(perm_validate(sigma)) is None
 
 
 def translation_response(sigma: Sequence[int], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Change of the piece translations induced by a change v of the piece
     lengths (a linear map with integer coefficients)."""
     sigma = perm_validate(sigma)
-    n = len(sigma)
-    inv = [0] * n
-    for i, s in enumerate(sigma):
-        inv[s - 1] = i + 1
+    inv = perm_inverse(sigma)
     out = []
-    for i in range(1, n + 1):
+    for i in range(1, len(sigma) + 1):
         t = -sum(v[j] for j in range(i - 1)) + sum(v[inv[j - 1] - 1] for j in range(1, sigma[i - 1]))
         out.append(Fraction(t))
     return tuple(out)
@@ -428,14 +431,7 @@ def vanishing_coordinate_certificate(sigma: Sequence[int]) -> tuple[int, bool]:
     a basis of the zero-sum hyperplane."""
     sigma = perm_validate(sigma)
     n = len(sigma)
-    m = next(
-        (
-            m
-            for m in range(1, n + 1)
-            if sigma[m - 1] == m and set(sigma[: m - 1]) == set(range(1, m))
-        ),
-        None,
-    )
+    m = _fixed_coordinate(sigma)
     if m is None:
         raise IetError("permutation is admissible; no vanishing coordinate")
     for i in range(n - 1):

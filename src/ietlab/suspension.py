@@ -6,7 +6,9 @@ conjugates h to a model h_m whose count is meant to be exactly linear,
 d(h_m^n) = n d(h_m) for every n, which would pin |h| = d(h_m) as an integer
 (Novak, "Discontinuity growth of interval exchange maps", J. Mod. Dyn. 2009).
 
-Two moves build the model, each one domain map and one conjugation:
+Two moves build the model.  Each is one domain map, built by ``_regroup``
+from the parts of the old domain that make each new component, and one
+conjugation:
 
 * cutting the domain at every point where both h and its inverse jump
   (each cut lowers that count by one); when there is none, cutting along
@@ -80,44 +82,52 @@ class MinimalModelError(IetError):
 # -- domain surgery -----------------------------------------------------------------
 
 
-def _fresh_id(base: str, used: set[str]) -> str:
-    cand = base
-    while cand in used:
-        cand += "'"
-    used.add(cand)
-    return cand
+def _regroup(domain: Domain, groups: Sequence[tuple]) -> Iet:
+    """The map from domain onto new components made of its parts.
 
-
-def _split_domain(domain: Domain, cuts: Sequence[Point]) -> tuple[Domain, Iet]:
-    """Cut the domain at every listed point at once; returns (new domain,
-    map old -> new).  An interval is cut at its sorted points; a circle
-    opens at the first of its points in the order given and is cut at the
-    others.  The parts of component c are intervals c.0, c.1, ... in order."""
-    at: dict[int, list] = {}
-    for pt in cuts:
-        at.setdefault(pt.comp, []).append(pt.x)
+    groups lists the new components in order as (kind, id, parts); a part
+    is (component, start, length) of the old domain, and the parts of a
+    group are laid end to end.  An id already taken gets primes."""
     comps: list[Component] = []
     pieces = []
     used: set[str] = set()
+    for k, (kind, cid, parts) in enumerate(groups):
+        while cid in used:
+            cid += "'"
+        used.add(cid)
+        off = 0
+        for c, start, length in parts:
+            pieces.append((c, start, length, k, off))
+            off = off + length
+        comps.append(Component(kind, cid, off))
+    return Iet(domain, Domain(tuple(comps)), pieces)
+
+
+def _split_domain(domain: Domain, cuts: Sequence[Point]) -> Iet:
+    """The map old -> new that cuts the domain at every listed point at
+    once.  An interval is cut at its sorted points; a circle opens at the
+    first of its points in the order given, is cut at the others and keeps
+    its wrap-around part.  The parts of component c are intervals c.0, c.1,
+    ... in order."""
+    at: dict[int, list] = {}
+    for pt in cuts:
+        at.setdefault(pt.comp, []).append(pt.x)
+    groups = []
     for i, cc in enumerate(domain.components):
         if i not in at:
-            pieces.append((i, 0, cc.length, len(comps), 0))
-            comps.append(Component(cc.kind, _fresh_id(cc.cid, used), cc.length))
+            groups.append((cc.kind, cc.cid, [(i, 0, cc.length)]))
             continue
-        L = cc.length
-        base = at[i][0] if cc.kind == CIRCLE else QuadNum(0)
-        # the cuts as offsets from the base, where a circle opens
-        offs = sorted({x - base if x >= base else x - base + L for x in at[i]} | {QuadNum(0)})
-        for j, (lo, hi) in enumerate(zip(offs, offs[1:] + [L])):
-            k = len(comps)
-            comps.append(Component(INTERVAL, _fresh_id(f"{cc.cid}.{j}", used), hi - lo))
-            start = base + lo if lo < L - base else base + lo - L
-            head = min(hi - lo, L - start)
-            pieces.append((i, start, head, k, 0))
-            if head < hi - lo:  # the part runs across the circle's coordinate 0
-                pieces.append((i, 0, hi - lo - head, k, head))
-    newdom = Domain(tuple(comps))
-    return newdom, Iet(domain, newdom, pieces)
+        first = at[i][0] if cc.kind == CIRCLE else QuadNum(0)
+        xs = sorted({first, *at[i]})
+        k = xs.index(first)
+        xs = xs[k:] + xs[:k]  # from the point where the component opens
+        for j, (lo, hi) in enumerate(zip(xs, xs[1:] + xs[:1])):
+            if lo < hi:
+                parts = [(i, lo, hi - lo)]
+            else:  # the last part, across a circle's coordinate 0 when hi > 0
+                parts = [(i, lo, cc.length - lo)] + ([(i, 0, hi)] if hi > 0 else [])
+            groups.append((INTERVAL, f"{cc.cid}.{j}", parts))
+    return _regroup(domain, groups)
 
 
 def _split_map(h: Iet, cuts: Sequence[Point]) -> tuple[Iet, Iet]:
@@ -128,75 +138,42 @@ def _split_map(h: Iet, cuts: Sequence[Point]) -> tuple[Iet, Iet]:
     """
     if any(h.source[pt.comp].kind == INTERVAL and pt.x == 0 for pt in cuts):
         raise IetError("cannot split at a non-interior point")
-    _, fwd = _split_domain(h.source, cuts)
+    fwd = _split_domain(h.source, cuts)
     return fwd * h * ~fwd, fwd
 
 
-def _glue_domain(domain: Domain, joins: list[tuple[int, int]]) -> tuple[Domain, Iet]:
-    """Glue the missing right endpoint of interval e onto the left endpoint of
-    interval s, for each (e, s); a chain closing on itself becomes a circle.
-
-    Returns (new domain, map old -> new).
-    """
-    nxt = dict()
+def _glue_domain(domain: Domain, joins: list[tuple[int, int]]) -> Iet:
+    """The map old -> new that glues the missing right endpoint of interval
+    e onto the left endpoint of interval s, for each (e, s).  Open chains
+    start at their heads; cycles start at their least member and become
+    circles."""
+    comps = domain.components
+    nxt: dict[int, int] = {}
     has_pred = set()
     for e, s in joins:
-        for i in (e, s):
-            if domain.components[i].kind != INTERVAL:
-                raise IetError("only interval components can be glued")
+        if comps[e].kind != INTERVAL or comps[s].kind != INTERVAL:
+            raise IetError("only interval components can be glued")
         if e in nxt or s in has_pred:
             raise IetError("conflicting gluing instructions")
         nxt[e] = s
         has_pred.add(s)
-    involved = set(nxt) | has_pred
-    chains: list[tuple[list[int], bool]] = []
-    visited: set[int] = set()
-    for i in sorted(involved):
-        if i in has_pred or i in visited:
-            continue
-        chain = [i]
-        visited.add(i)
-        while chain[-1] in nxt:
-            chain.append(nxt[chain[-1]])
-            visited.add(chain[-1])
-        chains.append((chain, False))
-    for i in sorted(involved - visited):
-        if i in visited:
-            continue
-        chain = [i]
-        visited.add(i)
-        j = nxt[i]
-        while j != i:
-            chain.append(j)
-            visited.add(j)
-            j = nxt[j]
-        chains.append((chain, True))
-    head = {chain[0]: (chain, cyc) for chain, cyc in chains}
-
-    comps: list[Component] = []
-    pieces = []
-    used: set[str] = set()
-    for i, cc in enumerate(domain.components):
-        if i in involved and i not in head:
-            continue
-        if i not in involved:
-            pieces.append((i, 0, cc.length, len(comps), 0))
-            comps.append(Component(cc.kind, _fresh_id(cc.cid, used), cc.length))
-            continue
-        chain, cyc = head[i]
-        total = QuadNum(0)
-        for j in chain:
-            total = total + domain.components[j].length
-        kind = CIRCLE if cyc else INTERVAL
-        cid = _fresh_id("+".join(domain.components[j].cid for j in chain), used)
-        k = len(comps)
-        comps.append(Component(kind, cid, total))
-        off = QuadNum(0)
-        for j in chain:
-            pieces.append((j, 0, domain.components[j].length, k, off))
-            off = off + domain.components[j].length
-    newdom = Domain(tuple(comps))
-    return newdom, Iet(domain, newdom, pieces)
+    chains: dict[int, list[int]] = {}  # by first member
+    seen: set[int] = set()
+    # chains from their heads (a lone component is its own chain), then
+    # what is left, the cycles, from their least member
+    for i in [i for i in range(len(comps)) if i not in has_pred] + sorted(has_pred):
+        if i not in seen:
+            chain = [i]
+            while chain[-1] in nxt and nxt[chain[-1]] != i:
+                chain.append(nxt[chain[-1]])
+            seen.update(chain)
+            chains[i] = chain
+    groups = []
+    for i, chain in sorted(chains.items()):
+        kind = CIRCLE if chain[-1] in nxt else comps[i].kind
+        parts = [(j, 0, comps[j].length) for j in chain]
+        groups.append((kind, "+".join(comps[j].cid for j in chain), parts))
+    return _regroup(domain, groups)
 
 
 # -- suspension combinatorics -------------------------------------------------------
@@ -458,7 +435,7 @@ def glue_fake_boundary(h: Iet, fb: FakeBoundary) -> tuple[Iet, Iet]:
     if check != fb:
         raise IetError("fake boundary record is not valid for this map")
     joins = [(mc, p.comp) for (mc, _), p in zip(fb.left_track, fb.right_track)]
-    _, fwd = _glue_domain(h.source, joins)
+    fwd = _glue_domain(h.source, joins)
     return fwd * h * ~fwd, fwd
 
 

@@ -221,13 +221,11 @@ def _field_of(h: Iet, certs: tuple) -> int:
     return Frame([QuadNum.of(v) for v in values]).d or 2
 
 
-def serialize_iet(h: Iet, certs: tuple = (), field: Optional[int] = None) -> str:
+def serialize_iet(h: Iet, certs: tuple = ()) -> str:
     """Canonical text form; parse o serialize is the identity on canonical
     documents.  Raises :class:`~ietlab.field.FieldMismatchError` when the
     map and its certificates lie in two fields."""
-    if field is None:
-        field = _field_of(h, certs)
-    out = [f"field sqrt({field})", "domain"]
+    out = [f"field sqrt({_field_of(h, certs)})", "domain"]
     for c in h.source.components:
         out.append(f"{c.kind} {c.cid} {format_number(c.length)}")
     if h.target != h.source:

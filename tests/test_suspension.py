@@ -123,6 +123,11 @@ def test_split_at_several_points_equals_one_at_a_time():
     zero = make_point(r.source, 0, 0)
     h2, fwd = _split_map(r, [zero, zero])
     assert [c.cid for c in h2.source.components] == ["C.0"] and fwd.pieces == ((0, 0, 1, 0, 0),)
+    # a circle opened at 1/2 and then cut at its coordinate 0
+    h2, fwd = _split_map(r, [make_point(r.source, 0, H), zero])
+    assert [(c.cid, c.length) for c in h2.source.components] == [("C.0", H), ("C.1", H)]
+    assert fwd.pieces == ((0, 0, H, 1, 0), (0, H, H, 0, 0))
+    assert fwd * r * ~fwd == h2 and ~fwd * h2 * fwd == r
 
 
 def test_analyze_identity():
@@ -380,6 +385,43 @@ def test_glue_rejects_invalid_record():
         suspension.fake_boundary_walk(h, Point(0, QuadNum(0)))
     with pytest.raises(IetError):
         glue_fake_boundary(Iet.identity(Domain.interval(1)), fb)
+
+
+def test_glue_domain_names_kinds_and_orders_the_new_components():
+    eighth = Fraction(1, 8)
+    lengths = {"a": 2 * eighth, "b": eighth, "c": 2 * eighth, "d": eighth, "e": eighth}
+    lengths.update({"b+a'": eighth, "b+a": eighth})
+    dom = Domain(
+        tuple(Component(CIRCLE if c == "c" else INTERVAL, c, QuadNum(x)) for c, x in lengths.items())
+    )
+    # an open chain b -> a headed by b, a cycle d -> e -> d, an untouched
+    # circle c, and two untouched intervals b+a' and b+a: the chain takes
+    # the id b+a first, so the last interval needs two primes
+    j = suspension._glue_domain(dom, [(1, 0), (4, 3), (3, 4)])
+    parts = [(c.kind, c.cid, c.length) for c in j.target.components]
+    assert parts == [
+        (INTERVAL, "b+a", QuadNum(3 * eighth)),
+        (CIRCLE, "c", QuadNum(2 * eighth)),
+        (CIRCLE, "d+e", QuadNum(2 * eighth)),
+        (INTERVAL, "b+a'", QuadNum(eighth)),
+        (INTERVAL, "b+a''", QuadNum(eighth)),
+    ]
+    assert j.source == dom
+    assert j.pieces == (
+        (0, 0, 2 * eighth, 0, eighth),
+        (1, 0, eighth, 0, 0),
+        (2, 0, 2 * eighth, 1, 0),
+        (3, 0, eighth, 2, 0),
+        (4, 0, eighth, 2, eighth),
+        (5, 0, eighth, 3, 0),
+        (6, 0, eighth, 4, 0),
+    )
+    with pytest.raises(IetError, match="only interval"):
+        suspension._glue_domain(dom, [(2, 0)])
+    with pytest.raises(IetError, match="conflicting"):
+        suspension._glue_domain(dom, [(0, 1), (0, 3)])
+    with pytest.raises(IetError, match="conflicting"):
+        suspension._glue_domain(dom, [(0, 1), (3, 1)])
 
 
 def test_two_stacked_fake_boundaries_glue_in_two_passes():
