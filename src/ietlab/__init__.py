@@ -27,7 +27,6 @@ from ietlab.field import (
     format_number,
     lp_rational_point,
     parse_number,
-    quad_sign,
 )
 from ietlab.relations import Word, free_reduce, relation_certificate
 from ietlab.suspension import NormCertificate, minimal_model, norm_bounds
@@ -64,7 +63,6 @@ __all__ = [
     "parse_iet",
     "parse_number",
     "permutation_of",
-    "quad_sign",
     "relation_certificate",
     "serialize_iet",
 ]

@@ -2,7 +2,9 @@
 
 Every coordinate in this package is a :class:`QuadNum`, an exact value
 ``(p + q*sqrt(d)) / den`` held as four integers with a fixed positive
-non-square ``d``.  Arithmetic, signs, comparisons and floors work on these
+non-square ``d``.  Arithmetic, signs, comparisons, floors and the text
+literals (:func:`parse_number` reads a literal's integers straight into
+that form, :func:`format_number` prints it back from them) work on these
 integers alone: no ``Fraction`` is built on any of those paths and no
 floating point is ever consulted.
 
@@ -365,16 +367,12 @@ class Frame:
         return _quad(p, q, self.den, self.d)
 
 
-def quad_sign(x: QuadNum | RationalLike) -> int:
-    """Sign (-1, 0, +1) of an exact quadratic number."""
-    return QuadNum.of(x).sign()
-
-
 # -- literals ------------------------------------------------------------------
 #
 # Grammar (whitespace-free): RAT | RAT SIGN RAT*sqrt(D) | [SIGN]RAT*sqrt(D)
-# with RAT = [+-]?digits[/digits].  Serialization always emits the full
-# "p/q" and "p/q+r/s*sqrt(d)" forms, so files are bit-exact round-trippers.
+# with RAT = [+-]?digits[/digits] and a nonzero denominator.  Serialization
+# always emits the full "p/q" and "p/q+r/s*sqrt(d)" forms, so files are
+# bit-exact round-trippers.  Both directions work on the literal's integers.
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
 _LIT_RE = re.compile(
@@ -383,39 +381,47 @@ _LIT_RE = re.compile(
 )
 
 
+def _ratio(rat: str) -> tuple[int, int]:
+    num, _, den = rat.partition("/")
+    return int(num), int(den or 1)
+
+
 def parse_number(text: str, d: Optional[int] = None) -> QuadNum:
-    """Parse a number literal; ``d`` (if given) pins the allowed field."""
+    """Parse a number literal; ``d`` (if given) pins the allowed field.
+
+    The literal's integers go straight into the normal form: both parts
+    over the lcm of their denominators, reduced by one gcd in :func:`_quad`.
+    """
     m = _LIT_RE.match(text)
     if m is None:
         raise LiteralError(f"bad number literal: {text!r}")
-    if m.group("root2") is not None:
-        a = Fraction(0)
-        b = Fraction(m.group("root2"))
-        lit_d = int(m.group("d2"))
-    else:
-        a = Fraction(m.group("rat"))
-        if m.group("root") is not None:
-            b = Fraction(m.group("root"))
-            lit_d = int(m.group("d1"))
-        else:
-            b = Fraction(0)
-            lit_d = 0
-    if b != 0:
+    rat, root, lit_d = m.group("rat", "root", "d1")
+    if rat is None:
+        rat, root, lit_d = "0", m.group("root2"), m.group("d2")
+    an, ad = _ratio(rat)
+    bn, bd = _ratio(root) if root else (0, 1)
+    if ad == 0 or bd == 0:
+        raise LiteralError(f"zero denominator in number literal: {text!r}")
+    den = math.lcm(ad, bd)
+    q = bn * (den // bd)
+    if q:
+        lit_d = int(lit_d)
         if lit_d <= 0 or is_square(lit_d):
             raise LiteralError(f"sqrt argument must be a positive non-square: {text!r}")
         if d is not None and lit_d != d:
             raise LiteralError(f"literal {text!r} is not in the sqrt({d}) field")
-    return QuadNum(a, b, lit_d if b != 0 else 0)
+    return _quad(an * (den // ad), q, den, lit_d if q else 0)
 
 
 def format_number(x: QuadNum | RationalLike) -> str:
+    """The literal ``p/q`` or ``p/q+r/s*sqrt(d)`` in lowest terms."""
     x = QuadNum.of(x)
-    rat = f"{x.a.numerator}/{x.a.denominator}"
-    if x.b == 0:
+    g = math.gcd(x.p, x.den)
+    rat = f"{x.p // g}/{x.den // g}"
+    if not x.q:
         return rat
-    sgn = "+" if x.b > 0 else "-"
-    babs = abs(x.b)
-    return f"{rat}{sgn}{babs.numerator}/{babs.denominator}*sqrt({x.d})"
+    g = math.gcd(x.q, x.den)
+    return f"{rat}{'+' if x.q > 0 else '-'}{abs(x.q) // g}/{x.den // g}*sqrt({x.d})"
 
 
 # -- linear constraints ---------------------------------------------------------

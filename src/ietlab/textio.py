@@ -22,6 +22,11 @@ irrational circles are appended as ``circle-cert`` blocks::
 
 ``#`` starts a comment; blank lines are ignored; parsing rejects pieces that
 fail to partition the domains exactly.
+
+Each kind of line has one usage string, such as ``piece <src> <start>
+<len> -> <dst> <start>``: :func:`_read` checks a line against it and reads
+its slots, and :func:`_write` fills its slots back in.  Every error of a
+line names that line, and a bad token its column.
 """
 
 from __future__ import annotations
@@ -38,8 +43,16 @@ from ietlab.core import (
     Subdomain,
     subdomain_as_domain,
 )
-from ietlab.field import Frame, LiteralError, QuadNum, format_number, is_square, parse_number
+from ietlab.field import Frame, QuadNum, format_number, is_square, parse_number
 from ietlab.rotations import IrrationalCircleCert
+
+_PIECE = "piece <src> <start> <len> -> <dst> <start>"
+_CERT = "circle-cert angle <lit> circle <id> <len>"
+_PART = "part <comp> <start> <end>"
+_MAP = "map <part> <start> <len> -> <pos>"
+
+# a non-blank line: its number, its tokens and each token's 1-based column
+Line = tuple[int, list[str], list[int]]
 
 
 class TextFormatError(ValueError):
@@ -52,40 +65,87 @@ class TextFormatError(ValueError):
         super().__init__(f"{where}{message}")
 
 
-def _tokenize(text: str) -> list[tuple[int, str, list[str]]]:
+def _tokenize(text: str) -> list[Line]:
     out = []
     for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((i, raw, line.split()))
+        code = raw.split("#", 1)[0]
+        toks = code.split()
+        if toks:
+            cols, at = [], 0
+            for tok in toks:
+                at = code.index(tok, at)  # whitespace precedes it, so this is its start
+                cols.append(at + 1)
+                at += len(tok)
+            out.append((i, toks, cols))
     return out
 
 
-def _col_of(raw: str, token: str) -> Optional[int]:
-    pos = raw.find(token)
-    return pos + 1 if pos >= 0 else None
+def _read(line: Line, usage: str, field: int, source=None, target=None) -> list:
+    """The values of the line's slots, in order.
+
+    A plain word of ``usage`` is a keyword the line repeats in its place.
+    A ``<slot>`` reads its token: ``<id>`` as it stands, ``<part>`` as an
+    int, ``<src>`` and ``<comp>`` as a component of ``source``, ``<dst>``
+    as one of ``target``, any other slot as a literal of the field.
+    """
+    ln, toks, cols = line
+    words = usage.split()
+    if len(toks) != len(words) or any(w != t for w, t in zip(words, toks) if w[0] != "<"):
+        raise TextFormatError(f"expected '{usage}'", ln)
+    values = []
+    for word, tok, col in zip(words, toks, cols):
+        if word[0] != "<":
+            continue
+        try:
+            if word == "<id>":
+                values.append(tok)
+            elif word == "<part>":
+                values.append(int(tok))
+            elif word in ("<src>", "<comp>"):
+                values.append(source.index_of(tok))
+            elif word == "<dst>":
+                values.append(target.index_of(tok))
+            else:
+                values.append(parse_number(tok, field))
+        except ValueError as e:  # so are LiteralError and IetError
+            raise TextFormatError(str(e), ln, col) from e
+    return values
 
 
-def _number_at(token: str, field: int, ln: int, raw: str) -> QuadNum:
-    try:
-        return parse_number(token, field)
-    except LiteralError as e:
-        raise TextFormatError(str(e), ln, _col_of(raw, token)) from e
+def _write(usage: str, *values) -> str:
+    """The line of ``usage`` with its slots filled: strings as they stand,
+    numbers as literals."""
+    it = iter(values)
+    toks = [w if w[0] != "<" else next(it) for w in usage.split()]
+    return " ".join(t if isinstance(t, str) else format_number(t) for t in toks)
 
 
-def _parse_components(lines, pos, field) -> tuple[list[Component], int]:
-    comps = []
-    while pos < len(lines):
-        ln, raw, toks = lines[pos]
-        if toks[0] not in (CIRCLE, INTERVAL):
-            break
-        if len(toks) != 3:
-            raise TextFormatError(f"expected '{toks[0]} <id> <length>'", ln)
-        comps.append(Component(toks[0], toks[1], _number_at(toks[2], field, ln, raw)))
+def _run(lines: list[Line], pos: int, *keywords: str) -> int:
+    """End of the run of lines from pos that start with one of the keywords."""
+    while pos < len(lines) and lines[pos][1][0] in keywords:
         pos += 1
-    if not comps:
-        raise TextFormatError("empty component list", lines[pos - 1][0] if pos else None)
-    return comps, pos
+    return pos
+
+
+def _component(line: Line, kind: str, cid: str, length: QuadNum) -> Component:
+    try:
+        return Component(kind, cid, length)
+    except IetError as e:  # the length, the line's last token, is not positive
+        raise TextFormatError(str(e), line[0], line[2][-1]) from e
+
+
+def _domain(lines: list[Line], pos: int, field: int) -> tuple[Domain, int]:
+    end = _run(lines, pos, CIRCLE, INTERVAL)
+    if end == pos:
+        raise TextFormatError("empty component list", lines[pos - 1][0])
+    comps = []
+    for line in lines[pos:end]:
+        kind = line[1][0]
+        comps.append(_component(line, kind, *_read(line, f"{kind} <id> <length>", field)))
+    try:
+        return Domain(tuple(comps)), end
+    except IetError as e:
+        raise TextFormatError(str(e)) from e
 
 
 def parse_document(text: str) -> tuple[Iet, list[IrrationalCircleCert]]:
@@ -93,8 +153,7 @@ def parse_document(text: str) -> tuple[Iet, list[IrrationalCircleCert]]:
     lines = _tokenize(text)
     if not lines:
         raise TextFormatError("empty document")
-    pos = 0
-    ln, raw, toks = lines[pos]
+    ln, toks, cols = lines[0]
     if len(toks) != 2 or toks[0] != "field" or not (
         toks[1].startswith("sqrt(") and toks[1].endswith(")")
     ):
@@ -102,56 +161,32 @@ def parse_document(text: str) -> tuple[Iet, list[IrrationalCircleCert]]:
     try:
         field = int(toks[1][5:-1])
     except ValueError:
-        raise TextFormatError("bad field index", ln, _col_of(raw, toks[1])) from None
+        raise TextFormatError("bad field index", ln, cols[1]) from None
     if field <= 0 or is_square(field):
         # sqrt(D) would be rational, and the header would not survive a
         # round trip
         raise TextFormatError(
-            f"field index must be a positive non-square, got {field}", ln, _col_of(raw, toks[1])
+            f"field index must be a positive non-square, got {field}", ln, cols[1]
         )
-    pos += 1
 
-    if pos >= len(lines) or lines[pos][2] != ["domain"]:
-        raise TextFormatError("expected 'domain'", lines[min(pos, len(lines) - 1)][0])
-    pos += 1
-    comps, pos = _parse_components(lines, pos, field)
-    try:
-        source = Domain(tuple(comps))
-    except IetError as e:
-        raise TextFormatError(str(e)) from e
-
+    if len(lines) < 2 or lines[1][1] != ["domain"]:
+        raise TextFormatError("expected 'domain'", lines[min(1, len(lines) - 1)][0])
+    source, pos = _domain(lines, 2, field)
     target = source
-    if pos < len(lines) and lines[pos][2] == ["target"]:
-        pos += 1
-        comps, pos = _parse_components(lines, pos, field)
-        try:
-            target = Domain(tuple(comps))
-        except IetError as e:
-            raise TextFormatError(str(e)) from e
+    if pos < len(lines) and lines[pos][1] == ["target"]:
+        target, pos = _domain(lines, pos + 1, field)
 
-    pieces = []
-    while pos < len(lines) and lines[pos][2][0] == "piece":
-        ln, raw, toks = lines[pos]
-        if len(toks) != 7 or toks[4] != "->":
-            raise TextFormatError("expected 'piece <src> <start> <len> -> <dst> <start>'", ln)
-        try:
-            src = source.index_of(toks[1])
-            dst = target.index_of(toks[5])
-        except IetError as e:
-            raise TextFormatError(str(e), ln) from e
-        a = _number_at(toks[2], field, ln, raw)
-        length = _number_at(toks[3], field, ln, raw)
-        b = _number_at(toks[6], field, ln, raw)
-        pieces.append((src, a, length, dst, b))
-        pos += 1
+    end = _run(lines, pos, "piece")
+    pieces = [_read(line, _PIECE, field, source, target) for line in lines[pos:end]]
     try:
         iet = Iet(source, target, pieces)
     except IetError as e:
         raise TextFormatError(f"invalid map: {e}") from e
 
     certs = []
+    pos = end
     while pos < len(lines):
-        ln, raw, toks = lines[pos]
+        ln, toks, _ = lines[pos]
         if toks[0] != "circle-cert":
             raise TextFormatError(f"unexpected directive {toks[0]!r}", ln)
         cert, pos = _parse_cert(lines, pos, field, iet)
@@ -160,51 +195,24 @@ def parse_document(text: str) -> tuple[Iet, list[IrrationalCircleCert]]:
 
 
 def _parse_cert(lines, pos, field, iet) -> tuple[IrrationalCircleCert, int]:
-    ln, raw, toks = lines[pos]
-    if len(toks) != 6 or toks[1] != "angle" or toks[3] != "circle":
-        raise TextFormatError("expected 'circle-cert angle <lit> circle <id> <len>'", ln)
-    angle = _number_at(toks[2], field, ln, raw)
-    circ_len = _number_at(toks[5], field, ln, raw)
-    circle = Domain((Component(CIRCLE, toks[4], circ_len),))
-    pos += 1
-    parts = []
-    while pos < len(lines) and lines[pos][2][0] == "part":
-        ln, raw, toks = lines[pos]
-        if len(toks) != 4:
-            raise TextFormatError("expected 'part <comp> <start> <end>'", ln)
-        try:
-            ci = iet.source.index_of(toks[1])
-        except IetError as err:
-            raise TextFormatError(str(err), ln, _col_of(raw, toks[1])) from err
-        parts.append((ci, _number_at(toks[2], field, ln, raw), _number_at(toks[3], field, ln, raw)))
-        pos += 1
+    angle, cid, length = _read(lines[pos], _CERT, field)
+    circle = Domain((_component(lines[pos], CIRCLE, cid, length),))
+    pos, end = pos + 1, _run(lines, pos + 1, "part")
+    parts = [_read(line, _PART, field, iet.source) for line in lines[pos:end]]
     try:
         sub = Subdomain.make(iet.source, parts)
         subdom = subdomain_as_domain(sub)
     except IetError as e:
         raise TextFormatError(f"bad certificate subdomain: {e}") from e
-    conj_pieces = []
-    while pos < len(lines) and lines[pos][2][0] == "map":
-        ln, raw, toks = lines[pos]
-        if len(toks) != 6 or toks[4] != "->":
-            raise TextFormatError("expected 'map <part> <start> <len> -> <pos>'", ln)
-        try:
-            j = int(toks[1])
-        except ValueError as e:
-            raise TextFormatError(str(e), ln, _col_of(raw, toks[1])) from e
-        a = _number_at(toks[2], field, ln, raw)
-        length = _number_at(toks[3], field, ln, raw)
-        b = _number_at(toks[5], field, ln, raw)
-        conj_pieces.append((j, a, length, 0, b))
-        pos += 1
-    if pos >= len(lines) or lines[pos][2] != ["end"]:
-        raise TextFormatError("expected 'end' after certificate", lines[pos - 1][0])
-    pos += 1
+    pos, end = end, _run(lines, end, "map")
+    maps = [_read(line, _MAP, field) for line in lines[pos:end]]
+    if end >= len(lines) or lines[end][1] != ["end"]:
+        raise TextFormatError("expected 'end' after certificate", lines[end - 1][0])
     try:
-        conj = Iet(subdom, circle, conj_pieces)
+        conj = Iet(subdom, circle, [(j, a, n, 0, b) for j, a, n, b in maps])
     except IetError as e:
         raise TextFormatError(f"bad certificate conjugator: {e}") from e
-    return IrrationalCircleCert(sub, conj, angle), pos
+    return IrrationalCircleCert(sub, conj, angle), end + 1
 
 
 def parse_iet(text: str) -> Iet:
@@ -225,36 +233,18 @@ def serialize_iet(h: Iet, certs: tuple = ()) -> str:
     """Canonical text form; parse o serialize is the identity on canonical
     documents.  Raises :class:`~ietlab.field.FieldMismatchError` when the
     map and its certificates lie in two fields."""
+    src, dst = h.source.components, h.target.components
     out = [f"field sqrt({_field_of(h, certs)})", "domain"]
-    for c in h.source.components:
-        out.append(f"{c.kind} {c.cid} {format_number(c.length)}")
+    out += [_write(f"{c.kind} <id> <length>", c.cid, c.length) for c in src]
     if h.target != h.source:
         out.append("target")
-        for c in h.target.components:
-            out.append(f"{c.kind} {c.cid} {format_number(c.length)}")
-    for p in h.pieces:
-        out.append(
-            "piece {} {} {} -> {} {}".format(
-                h.source.components[p.src].cid,
-                format_number(p.a),
-                format_number(p.length),
-                h.target.components[p.dst].cid,
-                format_number(p.b),
-            )
-        )
+        out += [_write(f"{c.kind} <id> <length>", c.cid, c.length) for c in dst]
+    out += [_write(_PIECE, src[p.src].cid, p.a, p.length, dst[p.dst].cid, p.b) for p in h.pieces]
     for cert in certs:
         circle = cert.conjugator.target.components[0]
-        out.append(
-            f"circle-cert angle {format_number(cert.angle)} circle {circle.cid} "
-            f"{format_number(circle.length)}"
-        )
-        for ci, s, e in cert.circle_subdomain.parts:
-            cid = cert.circle_subdomain.domain.components[ci].cid
-            out.append(f"part {cid} {format_number(s)} {format_number(e)}")
-        for p in cert.conjugator.pieces:
-            out.append(
-                f"map {p.src} {format_number(p.a)} {format_number(p.length)} -> "
-                f"{format_number(p.b)}"
-            )
+        sub = cert.circle_subdomain
+        out.append(_write(_CERT, cert.angle, circle.cid, circle.length))
+        out += [_write(_PART, sub.domain.components[ci].cid, s, e) for ci, s, e in sub.parts]
+        out += [_write(_MAP, str(p.src), p.a, p.length, p.b) for p in cert.conjugator.pieces]
         out.append("end")
     return "\n".join(out) + "\n"

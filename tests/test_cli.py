@@ -125,6 +125,62 @@ def test_parse_rejects_unknown_component_reference():
     assert err.value.line == 4
 
 
+CERT_DOC = """field sqrt(2)
+domain
+interval I 1/1
+piece I 0/1 3/4-1/4*sqrt(2) -> I 0/1+1/4*sqrt(2)
+piece I 3/4-1/4*sqrt(2) 0/1+1/4*sqrt(2) -> I 0/1
+piece I 3/4 1/4 -> I 3/4
+circle-cert angle 0/1+1/4*sqrt(2) circle C 3/4
+part I 0/1 3/4
+map 0 0/1 3/4 -> 0/1
+end
+"""
+
+
+def test_each_error_names_the_column_of_its_own_token():
+    parse_document(CERT_DOC)
+    # the id 'a' also occurs inside the keyword 'part'
+    with pytest.raises(TextFormatError) as err:
+        parse_document(CERT_DOC.replace("part I 0/1 3/4", "part a 0/1 3/4"))
+    assert (err.value.line, err.value.col) == (8, 6)
+    assert str(err.value) == "line 8, col 6: no component 'a'"
+    # the bad literal '3/' also occurs inside the good '3/4' before it
+    with pytest.raises(TextFormatError) as err:
+        parse_document(CERT_DOC.replace("map 0 0/1 3/4 -> 0/1", "map 0 0/1 3/4 -> 3/"))
+    assert (err.value.line, err.value.col) == (9, 18)
+
+
+def test_a_component_of_length_zero_names_its_line_and_column(tmp_path, capsys):
+    text = "field sqrt(2)\ndomain\ninterval I 0/1\npiece I 0/1 1/1 -> I 0/1\n"
+    with pytest.raises(TextFormatError) as err:
+        parse_document(text)
+    assert (err.value.line, err.value.col) == (3, 12)
+    assert "positive length" in str(err.value)
+    with pytest.raises(TextFormatError) as err:
+        parse_document(CERT_DOC.replace("circle C 3/4", "circle C  -3/4"))
+    assert (err.value.line, err.value.col) == (7, 45)
+    f = tmp_path / "zero.iet"
+    f.write_text(text)
+    assert main(["show", str(f)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {f}: line 3, col 12: ")
+
+
+def test_zero_denominators_are_bad_input(tmp_path, capsys):
+    f = tmp_path / "zero.iet"
+    f.write_text("field sqrt(2)\ndomain\ninterval I 1/0\npiece I 0/1 1/1 -> I 0/1\n")
+    assert main(["show", str(f)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {f}: line 3, col 12: zero denominator")
+    r = write_map(tmp_path, "r.iet", interval_rotation(Fraction(1, 3)))
+    for argv in (
+        ["orbit-ball", r, "--x", "1/0", "--radius", "1"],
+        ["orbit-ball", r, "--x", "I:0/0+1/1*sqrt(2)", "--radius", "1"],
+        ["example", "circle-2-3", "--l", "1/1+1/0*sqrt(2)", "--tau", "1/4"],
+    ):
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: zero denominator")
+
+
 def test_certificate_blocks_round_trip():
     h = example_2_3(Fraction(3, 4), R2 / 4)
     cert = roll_up_two_interval(h, Fraction(3, 4))

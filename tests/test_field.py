@@ -19,9 +19,9 @@ from ietlab.field import (
     format_number,
     lp_rational_point,
     parse_number,
-    quad_sign,
 )
 
+import literal_oracle
 import lp_oracle
 
 
@@ -44,9 +44,9 @@ def interval_sign(a: Fraction, b: Fraction, d: int, bits: int = 128) -> int:
 
 
 def test_quad_sign_examples():
-    assert quad_sign(QuadNum(0, 0)) == 0
-    assert quad_sign(QuadNum(-1, 1, 2)) == 1  # sqrt(2) > 1
-    assert quad_sign(QuadNum(3, -2, 2)) == 1  # 9 > 8
+    assert QuadNum(0, 0).sign() == 0
+    assert QuadNum(-1, 1, 2).sign() == 1  # sqrt(2) > 1
+    assert QuadNum(3, -2, 2).sign() == 1  # 9 > 8
 
 
 def test_quad_sign_against_interval_oracle():
@@ -62,7 +62,7 @@ def test_quad_sign_against_interval_oracle():
             d,
         )
         diff = x - y
-        assert quad_sign(diff) == interval_sign(diff.a, diff.b, d)
+        assert diff.sign() == interval_sign(diff.a, diff.b, d)
 
 
 def test_arithmetic_and_order():
@@ -503,3 +503,62 @@ def test_frame_fields():
     assert Frame([QuadNum(1), QuadNum(Fraction(1, 2), 1, 5)]).d == 5
     with pytest.raises(FieldMismatchError):
         Frame([QuadNum.sqrt(2), QuadNum(1), QuadNum.sqrt(3)])
+
+
+# -- the literal codec against its Fraction oracle ------------------------------
+
+
+def padded(numbers, zeros: int):
+    """Decimal strings of the numbers, with up to ``zeros`` leading zeros."""
+    return st.builds(lambda z, n: "0" * z + str(n), st.integers(0, zeros), numbers)
+
+
+SIGNS = st.sampled_from(["", "+", "-"])
+DIGITS = padded(st.integers(0, 3) | st.integers(0, 10**15), 2)  # zero, small and large
+DENOMINATORS = st.just("") | DIGITS.map("/".__add__)
+RATS = st.builds(lambda s, n, den: s + n + den, SIGNS, DIGITS, DENOMINATORS)
+# zero, one, squares and non-squares
+RADICANDS = padded(
+    st.sampled_from([2, 3, 5, 7])
+    | st.integers(0, 12)
+    | st.sampled_from([16, 49, 10**6, 10**6 + 1]),
+    1,
+)
+ROOTS = st.builds(lambda r, rad: f"{r}*sqrt({rad})", RATS, RADICANDS)
+LITERALS = st.one_of(
+    RATS,
+    ROOTS,
+    st.builds(lambda a, s, r: a + s + r, RATS, SIGNS, ROOTS),  # a missing sign is a near-literal
+    st.text(alphabet="0123456789+-/*sqrt() ", max_size=24),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(LITERALS, st.none() | st.sampled_from([2, 3, 5, 7]))
+def test_parse_number_matches_the_fraction_oracle(text, d):
+    try:
+        expected = literal_oracle.parse_literal(text, d)
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    try:
+        x = parse_number(text, d)
+    except LiteralError:
+        assert expected is None
+        return
+    assert (x.p, x.q, x.den, x.d) == expected
+
+
+@pytest.mark.parametrize("text", ["1/0", "0/0+1/1*sqrt(2)", "1/1+1/0*sqrt(2)", "-3/00*sqrt(5)"])
+def test_zero_denominators_are_literal_errors(text):
+    with pytest.raises(LiteralError, match="zero denominator"):
+        parse_number(text)
+
+
+@PROPS
+@given(NUMERATORS, NUMERATORS, st.integers(1, 10**6), FIELDS)
+def test_format_number_matches_the_fraction_oracle(p, q, den, d):
+    x = QuadNum(Fraction(p, den), Fraction(q, den), d)
+    text = format_number(x)
+    assert text == literal_oracle.format_literal(x.p, x.q, x.den, x.d)
+    assert parse_number(text) == x
+    assert format_number(Fraction(p, den)) == literal_oracle.format_literal(p, 0, den, 0)
