@@ -5,8 +5,9 @@ many interval exchanges grows polynomially; :func:`orbit_ball` enumerates it
 exactly.  More is true: with the permutations frozen, every comparison that
 steers the composition of words is affine in the unknown piece lengths with
 rational coefficients.  :func:`pl_trace` replays every freely reduced word
-of bounded length over coordinates that carry their own affine form and
-records every comparison as a linear constraint, so any rational solution
+of bounded length on the frame of a :class:`TraceRecorder`, whose
+coordinates are affine forms, through the same map kernel as exact maps,
+and records every comparison as a linear constraint, so any rational solution
 of the recorded system reproduces the exact trivial/nontrivial pattern of
 the traced words.  That is the pattern of the whole marked ball: a word
 that is not freely reduced names the same map as its free reduction, for
@@ -31,13 +32,11 @@ import operator
 import random
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from ietlab import core
 from ietlab.core import (
     INTERVAL,
-    Component,
     Domain,
     Iet,
     IetError,
@@ -108,33 +107,38 @@ def translation_amplitude_count(generators: Sequence[Iet]) -> int:
     return len(amps)
 
 
-# -- tracked affine coordinates ----------------------------------------------------
+# -- the trace's frame ----------------------------------------------------------------
 
 
 class TraceRecorder:
-    """Decides tracked comparisons at the realized point and collects, as
-    affine constraints over the unknown lengths, the decisions that steered
-    a composition.
+    """The frame of a trace: its coordinates are affine forms over the
+    unknown lengths, decided at the realized point, and it collects, as
+    affine constraints, the decisions that steered a composition.
 
-    The realized lengths are held once, as the integer pairs of their
-    :class:`~ietlab.field.Frame`: length i is ``(P_i + Q_i*sqrt(d)) / D``.
-    A form ``v . x + c`` then has the sign of the integer pair
-    ``(v . P + c*D, v . Q)``.  The value of a tracked number is its form at
-    the realized point, so a comparison's outcome depends on its difference
-    form alone: each form, scaled to coprime integers with a positive
-    leading coefficient, is decided once and recorded once, in the order it
-    was first met.  A dict keeps the sign of every form met, scaled or not,
-    so a repeated comparison is one lookup.  In checked mode
-    (``IETLAB_CHECK=1``) every sign, those read from the dict included, is
-    re-derived as the ``QuadNum`` sign of the form evaluated at the realized
-    point, and a mismatch raises :class:`SelfCheckError`.  While ``muted``
-    is set, comparisons are decided but neither recorded nor remembered.
+    A form ``v . x + c`` is one integer tuple, the coefficients and then
+    the constant.  Forms add and subtract as tuples, and the only constants
+    are integers (``coord``), as a trace meets no other.  The realized
+    lengths are held once, as the integer pairs of their
+    :class:`~ietlab.field.Frame`: length i is ``(P_i + Q_i*sqrt(d)) / D``,
+    and ``value`` evaluates a form there.  A form then has the sign of the
+    integer pair ``(v . P + c*D, v . Q)``, so a comparison's outcome depends
+    on its difference form alone: each form, scaled to coprime integers
+    with a positive leading coefficient, is decided once and recorded once,
+    in the order it was first met.  A dict keeps the sign of every form
+    met, scaled or not, so a repeated comparison is one lookup.  In checked
+    mode (``IETLAB_CHECK=1``) every sign, those read from the dict included,
+    is re-derived as the ``QuadNum`` sign of the form evaluated at the
+    realized point, and a mismatch raises :class:`SelfCheckError`.  While
+    ``muted`` is set, comparisons are decided but neither recorded nor
+    remembered.  ``decide`` is this frame's sign, so
+    :class:`~ietlab.core.Iet` runs traced maps through the same kernel as
+    exact ones.
     """
 
     def __init__(self, realized: Sequence):
         point = tuple(QuadNum.of(x) for x in realized)
         frame = Frame(point)
-        pairs = [frame.pair(x) for x in point]
+        pairs = [frame.coord(x) for x in point]
         self.dim = len(point)
         self.point = point
         self.frame = frame
@@ -146,22 +150,51 @@ class TraceRecorder:
         self._constants: dict[int, tuple[int, ...]] = {}
         self.constraints: list[LinConstraint] = []
 
-    def constant(self, num: int) -> "TrackedNum":
-        """The tracked integer constant num."""
-        vec = self._constants.get(num)
+    def unknown(self, index: int) -> tuple[int, ...]:
+        """The form of unknown length ``index``."""
+        return tuple([1 if i == index else 0 for i in range(self.dim + 1)])
+
+    def coord(self, x) -> tuple[int, ...]:
+        """The constant form of an integer; any other constant raises
+        ``TypeError``."""
+        x = QuadNum.of(x)
+        if x.q or x.den != 1:
+            raise TypeError(f"a trace takes integer constants only, not {x}")
+        vec = self._constants.get(x.p)
         if vec is None:
-            vec = self._constants[num] = (0,) * self.dim + (num,)
-        return TrackedNum(vec, self)
+            vec = self._constants[x.p] = (0,) * self.dim + (x.p,)
+        return vec
+
+    def value(self, vec: tuple[int, ...]) -> QuadNum:
+        """The form at the realized point."""
+        return self.frame.value((_dot(vec, self.rational), _dot(vec, self.irrational)))
+
+    @staticmethod
+    def add(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(operator.add, x, y))
+
+    @staticmethod
+    def sub(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(operator.sub, x, y))
+
+    def cmp(self, x: tuple[int, ...], y: tuple[int, ...]) -> int:
+        """The decided sign of x - y."""
+        return self.decide(tuple(map(operator.sub, x, y)))
+
+    def join(self, other) -> "TraceRecorder":
+        if other is not self:
+            raise TypeError("a traced map meets only maps of its own trace")
+        return self
 
     def decide(self, vec: tuple[int, ...]) -> int:
         """Sign of the form ``vec[:-1] . x + vec[-1]`` at the realized point;
         a form met for the first time is recorded, a constant pins nothing
         down."""
-        if not any(vec[:-1]):
-            c = vec[-1]
-            return (c > 0) - (c < 0)
         s = self._signs.get(vec)
         if s is None:
+            if not any(vec[:-1]):
+                c = vec[-1]
+                return (c > 0) - (c < 0)
             g = math.gcd(*vec)
             if next(v for v in vec if v) < 0:
                 g = -g
@@ -187,101 +220,12 @@ class TraceRecorder:
                 raise SelfCheckError(f"traced sign {s} of {vec} disagrees with its value {value}")
         return s
 
+    sign = decide  # the frame protocol's name for it
+
     def record(self, vec: tuple[int, ...], rel: Rel) -> None:
         """Record ``vec[:-1] . x + vec[-1]`` (= 0 | > 0), a form in coprime
         integers."""
         self.constraints.append(LinConstraint(vec[:-1], vec[-1], rel))
-
-
-class TrackedNum:
-    """An affine form over the unknown length coordinates, standing for its
-    value at the recorder's realized point.
-
-    The form ``vec[:-1] . x + vec[-1]`` is one integer tuple, the
-    coefficients and then the constant.  Arithmetic adds the tuples and
-    takes integer constants only, an ``int`` or a ``QuadNum`` equal to one,
-    as a trace meets no other (any other operand is ``NotImplemented``, and
-    a comparison with it raises ``TypeError``).  Comparisons are decided,
-    and recorded, by the recorder.  ``value`` evaluates the form at the
-    realized point.
-    """
-
-    __slots__ = ("vec", "rec")
-
-    def __init__(self, vec: tuple[int, ...], rec: TraceRecorder):
-        self.vec = vec
-        self.rec = rec
-
-    @staticmethod
-    def unknown(index: int, rec: TraceRecorder) -> "TrackedNum":
-        vec = tuple(1 if i == index else 0 for i in range(rec.dim + 1))
-        return TrackedNum(vec, rec)
-
-    @property
-    def value(self) -> QuadNum:
-        rec, vec = self.rec, self.vec
-        return rec.frame.value(_dot(vec, rec.rational), _dot(vec, rec.irrational))
-
-    def _coerce(self, other) -> Optional["TrackedNum"]:
-        if type(other) is TrackedNum:
-            return other
-        if isinstance(other, int):
-            return self.rec.constant(other)
-        if isinstance(other, QuadNum) and other.q == 0 and other.den == 1:
-            return self.rec.constant(other.p)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return TrackedNum(tuple(map(operator.add, self.vec, o.vec)), self.rec)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return TrackedNum(tuple(map(operator.sub, self.vec, o.vec)), self.rec)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return TrackedNum(tuple(map(operator.neg, self.vec)), self.rec)
-
-    def _cmp_record(self, other) -> int:
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot compare TrackedNum with {type(other)}")
-        return self.rec.decide(tuple(map(operator.sub, self.vec, o.vec)))
-
-    def __lt__(self, other):
-        return self._cmp_record(other) < 0
-
-    def __le__(self, other):
-        return self._cmp_record(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp_record(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp_record(other) >= 0
-
-    def __eq__(self, other):
-        if isinstance(other, (TrackedNum, int, Fraction, QuadNum)):
-            return self._cmp_record(other) == 0
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"TrackedNum({self.value})"
 
 
 # -- the trace ------------------------------------------------------------------
@@ -302,25 +246,37 @@ class PlTrace:
 
 
 def _tracked_generators(generators: Sequence[Iet], rec: TraceRecorder) -> list[Iet]:
-    dom = Domain((Component(INTERVAL, "I", rec.constant(1)),))
+    """The generators on the recorder: their lengths are the unknowns.
+
+    Each generator's unknowns are first decided to be positive and to sum
+    to 1, the constraints of its lengths, then its map is built and
+    validated on the recorder."""
+    dom = Domain.interval(1)
     tracked = []
     offset = 0
     for g in generators:
         sigma = permutation_of(g)
         n = len(g.pieces)
-        tls = [TrackedNum.unknown(offset + j, rec) for j in range(n)]
+        tls = [rec.unknown(offset + j) for j in range(n)]
         offset += n
-        tracked.append(from_lengths(sigma, tls, domain=dom))
+        total = rec.coord(0)
+        for x in tls:
+            rec.decide(x)
+        for x in tls:
+            total = rec.add(x, total)
+        rec.cmp(total, rec.coord(1))
+        tracked.append(core._from_lengths(rec, sigma, tls, dom))
     return tracked
 
 
 def _decided(rec: TraceRecorder, make, *args) -> Iet:
     """The traced map ``make(*args)`` with only its own decisions recorded.
 
-    Checked mode rebuilds every product and inverse through ``Iet(...)``,
-    whose comparisons re-check decisions already taken; recorded, they would
-    make the system depend on the mode.  So the map is made unchecked, then
-    re-validated the same way with the recorder muted."""
+    Checked mode rebuilds every product and inverse through the validation
+    of ``Iet(...)``, whose comparisons re-check decisions already taken;
+    recorded, they would make the system depend on the mode.  So the map is
+    made unchecked, then re-validated the same way with the recorder
+    muted."""
     if not core.CHECKED:
         return make(*args)
     core.CHECKED = False
@@ -330,7 +286,7 @@ def _decided(rec: TraceRecorder, make, *args) -> Iet:
         core.CHECKED = True
     rec.muted = True
     try:
-        Iet._trusted(h.source, h.target, list(h.pieces))
+        Iet._trusted(h.frame, h.source, h.target, list(h._pieces))
     finally:
         rec.muted = False
     return h
@@ -347,11 +303,11 @@ def _on_unit_interval(g: Iet) -> bool:
 def _classify(w_iet: Iet) -> Optional[int]:
     """None when the map is the identity; else a witness piece index whose
     translation is nonzero (the comparison lands in the recorder)."""
-    pieces = w_iet.pieces
-    if len(pieces) == 1 and pieces[0].b == pieces[0].a:
+    pieces, cmp = w_iet._pieces, w_iet.frame.cmp
+    if len(pieces) == 1 and cmp(pieces[0][4], pieces[0][1]) == 0:
         return None
     for idx, p in enumerate(pieces):
-        if p.b != p.a:
+        if cmp(p[4], p[1]) != 0:
             return idx
     raise IetError("several pieces yet no translation: canonical form broken")  # pragma: no cover
 

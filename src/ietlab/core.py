@@ -11,27 +11,46 @@ piece list cannot merge away is continuity across a target circle's
 coordinate cut; discontinuity detection therefore compares exact one-sided
 limits, with wrap-around on circles.
 
-``Iet(...)`` is the one validating constructor: it sorts the pieces and
-checks that they partition both domains.  Products and inverses of maps in
-canonical form are partitions by construction and skip those checks; with
-``IETLAB_CHECK=1`` in the environment when this module is imported, they
-are rebuilt through ``Iet(...)`` as well and must come out the same, or
-:class:`SelfCheckError` is raised.
+Maps live on a frame.  A frame holds coordinates and supplies their
+addition, subtraction and sign, and an ``Iet`` keeps each piece as a tuple
+(src, a, length, dst, b) of its frame's coordinates.  Composition,
+inversion, merging and the jump search use nothing else, in one code path
+for the two frames:
 
-Coordinates are QuadNum values (or any exactly ordered number type with the
-same arithmetic protocol, which the piecewise-linear tracing in
-:mod:`ietlab.approx` exploits).
+* :class:`ietlab.field.Frame`: a coordinate is an integer pair (P, Q), the
+  value (P + Q*sqrt(d)) / den, and its sign is ``field._sign``;
+* :class:`ietlab.approx.TraceRecorder`: a coordinate is an affine form over
+  the unknown lengths, and its sign is ``decide``, which records the
+  comparison as a constraint.
+
+A product of maps on two exact frames rescales once, to the frame over the
+lcm of their denominators; two fields raise
+:class:`~ietlab.field.FieldMismatchError`.  ``QuadNum`` values appear only
+at the edge: ``pieces`` builds :class:`Piece` values of ``QuadNum`` once, on
+first use, for evaluation (``__call__``, ``left_limit``), for
+:class:`Point`, :class:`Subdomain` and the text format.
+
+``Iet(...)`` is the one validating constructor: it puts its numbers on a
+``Frame``, then sorts the pieces and checks that they partition both
+domains, the same check that builds the traced generators on the recorder.
+Products and inverses of maps in canonical form are partitions by
+construction and skip those checks; with ``IETLAB_CHECK=1`` in the
+environment when this module is imported, they are rebuilt through the
+validation as well and must come out the same, or :class:`SelfCheckError`
+is raised.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
+import operator
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from ietlab.field import QuadNum
+from ietlab.field import FieldMismatchError, Frame, QuadNum
 
 CHECKED = os.environ.get("IETLAB_CHECK") == "1"
 
@@ -58,11 +77,7 @@ class PointError(IetError):
     pass
 
 
-def _num(x):
-    """Coerce plain rationals to QuadNum; pass exotic number types through."""
-    if isinstance(x, (int, Fraction)):
-        return QuadNum(x)
-    return x
+_ZERO = QuadNum(0)
 
 
 # -- domains ---------------------------------------------------------------------
@@ -99,11 +114,11 @@ class Domain:
 
     @staticmethod
     def interval(length=1, cid: str = "I") -> "Domain":
-        return Domain((Component(INTERVAL, cid, _num(length)),))
+        return Domain((Component(INTERVAL, cid, QuadNum.of(length)),))
 
     @staticmethod
     def circle(length=1, cid: str = "C") -> "Domain":
-        return Domain((Component(CIRCLE, cid, _num(length)),))
+        return Domain((Component(CIRCLE, cid, QuadNum.of(length)),))
 
     def __len__(self):
         return len(self.components)
@@ -132,7 +147,7 @@ class Point:
 def make_point(domain: Domain, comp: int, x) -> Point:
     """Build a point, reducing circle coordinates into [0, length)."""
     c = domain.components[comp]
-    x = _num(x)
+    x = QuadNum.of(x)
     if c.kind == CIRCLE:
         if x < 0 or x >= c.length:
             x = x.mod(c.length)
@@ -184,7 +199,7 @@ class Subdomain:
     def make(domain: Domain, parts: Iterable[tuple[int, object, object]]) -> "Subdomain":
         by_comp: dict[int, list] = {}
         for ci, s, e in parts:
-            s, e = _num(s), _num(e)
+            s, e = QuadNum.of(s), QuadNum.of(e)
             length = domain.components[ci].length
             if s < 0 or e > length or not s < e:
                 raise IetError(f"bad subdomain part ({ci}, {s}, {e})")
@@ -231,7 +246,7 @@ class Subdomain:
     def complement(self) -> "Subdomain":
         out = []
         for ci, comp in enumerate(self.domain.components):
-            cursor = _num(0)
+            cursor = _ZERO
             for cj, s, e in self.parts:
                 if cj != ci:
                     continue
@@ -262,64 +277,165 @@ class Piece(NamedTuple):
     b: object
 
 
-class Iet:
-    """Interval exchange map between two domains, in canonical form."""
+def _order(cmp, at: int, *coords: int):
+    """Sort key of pieces: by the integer slot ``at``, then by the
+    coordinate slots in turn, each by the frame's sign of a difference."""
 
-    __slots__ = ("source", "target", "pieces", "_starts", "_by_comp", "_hash")
+    def order(x, y) -> int:
+        c = (x[at] > y[at]) - (x[at] < y[at])
+        for k in coords:
+            if c:
+                break
+            c = cmp(x[k], y[k])
+        return c
+
+    return functools.cmp_to_key(order)
+
+
+def _check_partition(frame, lengths: list, triples, which: str) -> None:
+    """triples: sorted (comp, start, length) on frame; must tile every
+    component of the given lengths."""
+    cmp, add, value = frame.cmp, frame.add, frame.value
+    seen: dict[int, object] = {}
+    for ci, a, ln in triples:
+        cursor = seen.get(ci)
+        if cursor is None:
+            if frame.sign(a) != 0:
+                raise PartitionError(f"{which} component {ci} not covered from 0")
+        elif cmp(a, cursor) != 0:
+            raise PartitionError(
+                f"{which} component {ci}: gap or overlap at {value(a)} (expected {value(cursor)})"
+            )
+        seen[ci] = add(a, ln)
+    for ci, length in enumerate(lengths):
+        end = seen.get(ci)
+        if end is None or cmp(end, length) != 0:
+            raise PartitionError(f"{which} component {ci} not exactly covered")
+
+
+def _validate(frame, source: Domain, target: Domain, raw: list) -> None:
+    """Check that pieces (src, a, length, dst, b) on frame partition both
+    domains, and sort them by (src, a) in place."""
+    sign, cmp, add = frame.sign, frame.cmp, frame.add
+    src_len = [frame.coord(QuadNum.of(c.length)) for c in source.components]
+    dst_len = [frame.coord(QuadNum.of(c.length)) for c in target.components]
+    for p in raw:
+        src, a, ln, dst, b = p
+        if sign(ln) <= 0:
+            raise PartitionError(f"piece with non-positive length: {_edge_piece(frame, p)}")
+        if not 0 <= src < len(src_len):
+            raise IetError(f"bad source component index {src}")
+        if not 0 <= dst < len(dst_len):
+            raise IetError(f"bad target component index {dst}")
+        if sign(a) < 0 or cmp(add(a, ln), src_len[src]) > 0:
+            raise PartitionError(f"piece leaves its source component: {_edge_piece(frame, p)}")
+        if sign(b) < 0 or cmp(add(b, ln), dst_len[dst]) > 0:
+            where = _edge_piece(frame, p)
+            raise PartitionError(f"piece image leaves its target component: {where}")
+    raw.sort(key=_order(cmp, 0, 1))
+    _check_partition(frame, src_len, [(p[0], p[1], p[2]) for p in raw], "source")
+    by_image = sorted(raw, key=_order(cmp, 3, 4, 2))
+    _check_partition(frame, dst_len, [(p[3], p[4], p[2]) for p in by_image], "target")
+
+
+def _edge_piece(frame, p: tuple) -> Piece:
+    """A piece on frame as a Piece of QuadNum values."""
+    value = frame.value
+    return Piece(p[0], value(p[1]), value(p[2]), p[3], value(p[4]))
+
+
+class Iet:
+    """Interval exchange map between two domains, in canonical form.
+
+    The map lives on a frame (see the module docstring): ``frame`` holds
+    its coordinates, and its pieces are tuples (src, a, length, dst, b) of
+    that frame's coordinates, sorted by (src, a).  ``pieces`` reads them as
+    :class:`Piece` values of ``QuadNum``, built once on first use.
+    """
+
+    __slots__ = ("source", "target", "frame", "_pieces", "_comps", "_edge", "_hash")
 
     def __init__(self, source: Domain, target: Domain, pieces: Iterable[tuple]):
-        raw = [Piece(int(p[0]), _num(p[1]), _num(p[2]), int(p[3]), _num(p[4])) for p in pieces]
+        raw = [
+            (int(p[0]), QuadNum.of(p[1]), QuadNum.of(p[2]), int(p[3]), QuadNum.of(p[4]))
+            for p in pieces
+        ]
+        values = [QuadNum.of(c.length) for c in source.components + target.components]
         for p in raw:
-            if not p.length > 0:
-                raise PartitionError(f"piece with non-positive length: {p}")
-            if not (0 <= p.src < len(source.components)):
-                raise IetError(f"bad source component index {p.src}")
-            if not (0 <= p.dst < len(target.components)):
-                raise IetError(f"bad target component index {p.dst}")
-            if p.a < 0 or p.a + p.length > source.components[p.src].length:
-                raise PartitionError(f"piece leaves its source component: {p}")
-            if p.b < 0 or p.b + p.length > target.components[p.dst].length:
-                raise PartitionError(f"piece image leaves its target component: {p}")
-        raw.sort(key=lambda p: (p.src, p.a))
-        _check_partition(source, [(p.src, p.a, p.length) for p in raw], "source")
-        _check_partition(target, sorted((p.dst, p.b, p.length) for p in raw), "target")
-        self._fill(source, target, raw)
+            values += (p[1], p[2], p[4])
+        frame = Frame(values)
+        coord = frame.coord
+        raw = [(s, coord(a), coord(n), d, coord(b)) for s, a, n, d, b in raw]
+        _validate(frame, source, target, raw)
+        self._fill(frame, source, target, raw)
 
-    def _fill(self, source: Domain, target: Domain, pieces: list[Piece]) -> None:
-        """Merge pieces sorted by (src, a) into canonical form and index them."""
-        merged: list[Piece] = []
+    @staticmethod
+    def _make(frame, source: Domain, target: Domain, pieces: list) -> "Iet":
+        """The map of pieces on frame, validated as ``Iet(...)`` validates:
+        the construction of the traced generators and of checked mode."""
+        _validate(frame, source, target, pieces)
+        h = object.__new__(Iet)
+        h._fill(frame, source, target, pieces)
+        return h
+
+    def _fill(self, frame, source: Domain, target: Domain, pieces: list) -> None:
+        """Merge pieces sorted by (src, a) into canonical form and hold them."""
+        cmp, add = frame.cmp, frame.add
+        merged: list[tuple] = []
         for p in pieces:
             if merged:
                 q = merged[-1]
                 # pieces of one source component are adjacent: they partition it
-                if q.src == p.src and q.dst == p.dst and q.b + q.length == p.b:
-                    merged[-1] = Piece(q.src, q.a, q.length + p.length, q.dst, q.b)
+                if q[0] == p[0] and q[3] == p[3] and cmp(add(q[4], q[2]), p[4]) == 0:
+                    merged[-1] = (q[0], q[1], add(q[2], p[2]), q[3], q[4])
                     continue
             merged.append(p)
+        self._hold(frame, source, target, merged)
+
+    def _hold(self, frame, source: Domain, target: Domain, pieces: list) -> None:
+        """Hold canonical pieces on frame; every cache starts empty."""
         self.source = source
         self.target = target
-        self.pieces = tuple(merged)
-        by_comp: dict[int, list[Piece]] = {}
-        for p in self.pieces:
-            by_comp.setdefault(p.src, []).append(p)
-        self._by_comp = by_comp
-        self._starts = {ci: [p.a for p in ps] for ci, ps in by_comp.items()}
+        self.frame = frame
+        self._pieces = tuple(pieces)
+        self._comps = None
+        self._edge = None
         self._hash = None
 
+    def _per_component(self) -> tuple[dict, dict]:
+        """The pieces of each source component and their starts, built
+        once, on first use: a product read only as the inner factor of the
+        next one never needs them."""
+        if self._comps is None:
+            by_comp = {
+                ci: list(ps) for ci, ps in itertools.groupby(self._pieces, operator.itemgetter(0))
+            }
+            self._comps = by_comp, {ci: [p[1] for p in ps] for ci, ps in by_comp.items()}
+        return self._comps
+
     @staticmethod
-    def _trusted(source: Domain, target: Domain, pieces: list[Piece]) -> "Iet":
-        """Map from pieces that are sorted by (src, a) and partition both
-        domains by construction: merges only, skipping the checks of
+    def _trusted(frame, source: Domain, target: Domain, pieces: list) -> "Iet":
+        """Map from pieces on frame that are sorted by (src, a) and partition
+        both domains by construction: merges only, skipping the checks of
         ``Iet(...)``, which stays the entry point for every other caller."""
         h = object.__new__(Iet)
-        h._fill(source, target, pieces)
+        h._fill(frame, source, target, pieces)
         if CHECKED:
             try:
-                checked = Iet(source, target, pieces)
+                checked = Iet._make(frame, source, target, list(pieces))
             except PartitionError as e:
                 raise SelfCheckError(f"trusted construction is not a partition: {e}") from e
-            if h.pieces != checked.pieces:
+            if h._pieces != checked._pieces:
                 raise SelfCheckError("trusted construction disagrees with validation")
+        return h
+
+    def _on(self, frame) -> "Iet":
+        """This map with its coordinates on frame, which joins its own."""
+        own = self.frame
+        if frame is own or frame.den == own.den:
+            return self
+        h = object.__new__(Iet)
+        h._hold(frame, self.source, self.target, frame.lift(self._pieces, own))
         return h
 
     # -- constructors ------------------------------------------------------------
@@ -330,40 +446,63 @@ class Iet:
 
     # -- basics ------------------------------------------------------------------
 
+    @property
+    def pieces(self) -> tuple[Piece, ...]:
+        return self._at_edge()[0]
+
+    def _at_edge(self) -> tuple:
+        """The pieces as Pieces of QuadNum, all and per source component,
+        and each component's piece starts: built once, on first use."""
+        if self._edge is None:
+            frame = self.frame
+            by_comp = {
+                ci: [_edge_piece(frame, p) for p in ps]
+                for ci, ps in self._per_component()[0].items()
+            }
+            pieces = tuple([p for ps in by_comp.values() for p in ps])
+            self._edge = pieces, by_comp, {ci: [p.a for p in ps] for ci, ps in by_comp.items()}
+        return self._edge
+
     def __eq__(self, other):
         if not isinstance(other, Iet):
             return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.pieces == other.pieces
-        )
+        if (
+            self.source != other.source
+            or self.target != other.target
+            or len(self._pieces) != len(other._pieces)
+        ):
+            return False
+        try:
+            frame = self.frame.join(other.frame)
+        except FieldMismatchError:  # two fields: rational values may still agree
+            return self.pieces == other.pieces
+        return self._on(frame)._pieces == other._on(frame)._pieces
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.source, self.target, self.pieces))
+            ps = self._pieces
+            keys = self.frame.keys([p[1] for p in ps] + [p[4] for p in ps])
+            ends = tuple([(p[0], p[3]) for p in ps])
+            self._hash = hash((self.source, self.target, ends, tuple(keys)))
         return self._hash
 
     def __repr__(self):
-        return f"<Iet {len(self.pieces)} pieces on {len(self.source.components)} components>"
+        return f"<Iet {len(self._pieces)} pieces on {len(self.source.components)} components>"
 
     def is_identity(self) -> bool:
+        cmp = self.frame.cmp
         return self.source == self.target and all(
-            p.src == p.dst and p.a == p.b for p in self.pieces
+            p[0] == p[3] and cmp(p[1], p[4]) == 0 for p in self._pieces
         )
 
     # -- evaluation ----------------------------------------------------------------
-
-    def _piece_at(self, comp: int, x) -> Piece:
-        starts = self._starts[comp]
-        i = bisect.bisect_right(starts, x) - 1
-        return self._by_comp[comp][i]
 
     def __call__(self, pt: Point) -> Point:
         c = self.source.components[pt.comp] if pt.comp < len(self.source.components) else None
         if c is None or pt.x < 0 or pt.x >= c.length:
             raise PointError(f"point {pt} outside the source domain")
-        p = self._piece_at(pt.comp, pt.x)
+        _, by_comp, starts = self._at_edge()
+        p = by_comp[pt.comp][bisect.bisect_right(starts[pt.comp], pt.x) - 1]
         return Point(p.dst, p.b + (pt.x - p.a))
 
     def left_limit(self, comp: int, x) -> tuple[int, object]:
@@ -377,9 +516,8 @@ class Iet:
         comp_len = self.source.components[comp].length
         if not (0 < x <= comp_len):
             raise PointError(f"left limit needs a coordinate in (0, length], got {x}")
-        starts = self._starts[comp]
-        i = bisect.bisect_left(starts, x) - 1
-        p = self._by_comp[comp][i]
+        _, by_comp, starts = self._at_edge()
+        p = by_comp[comp][bisect.bisect_left(starts[comp], x) - 1]
         return (p.dst, p.b + (x - p.a))
 
     # -- group structure -------------------------------------------------------------
@@ -390,39 +528,55 @@ class Iet:
             return NotImplemented
         if other.target != self.source:
             raise DomainMismatchError("composition needs matching middle domain")
+        frame = self.frame
+        if other.frame is not frame:
+            frame = frame.join(other.frame)
+        pieces_of, starts_of = self._on(frame)._per_component()
+        inner = other._pieces
+        if other.frame is not frame and other.frame.den != frame.den:
+            inner = frame.lift(inner, other.frame)
+        add, sub, cmp = frame.add, frame.sub, frame.cmp
         out = []
-        for p in other.pieces:
-            lo = p.b
-            hi = lo + p.length
-            starts = self._starts[p.dst]
-            gps = self._by_comp[p.dst]
+        for src, a, ln, dst, lo in inner:
+            hi = add(lo, ln)
+            starts = starts_of[dst]
+            gps = pieces_of[dst]
             last = len(gps) - 1
-            i = bisect.bisect_right(starts, lo) - 1
+            # the last start <= lo, found as bisect.bisect_right finds it
+            i, j = 0, last + 1
+            while i < j:
+                mid = (i + j) >> 1
+                if cmp(lo, starts[mid]) < 0:
+                    j = mid
+                else:
+                    i = mid + 1
+            i -= 1
             g = gps[i]
-            b = g.b + (lo - g.a)
+            b = add(g[4], sub(lo, g[1]))
             # self's pieces partition their component: piece i ends where
             # piece i + 1 starts, so [lo, hi) is cut at the starts inside it
-            if i == last or hi <= starts[i + 1]:
-                out.append(Piece(p.src, p.a, p.length, g.dst, b))
+            if i == last or cmp(hi, starts[i + 1]) <= 0:
+                out.append((src, a, ln, g[3], b))
                 continue
-            ln = starts[i + 1] - lo
-            out.append(Piece(p.src, p.a, ln, g.dst, b))
-            a = p.a + ln
+            n = sub(starts[i + 1], lo)
+            out.append((src, a, n, g[3], b))
+            a = add(a, n)
             i += 1
-            while i < last and starts[i + 1] < hi:
+            while i < last and cmp(starts[i + 1], hi) < 0:
                 g = gps[i]
-                out.append(Piece(p.src, a, g.length, g.dst, g.b))
-                a = a + g.length
+                out.append((src, a, g[2], g[3], g[4]))
+                a = add(a, g[2])
                 i += 1
             g = gps[i]
-            out.append(Piece(p.src, a, hi - g.a, g.dst, g.b))
+            out.append((src, a, sub(hi, g[1]), g[3], g[4]))
         # other's pieces run in (src, a) order and each is cut left to right
-        return Iet._trusted(other.source, self.target, out)
+        return Iet._trusted(frame, other.source, self.target, out)
 
     def __invert__(self) -> "Iet":
-        flipped = sorted(self.pieces, key=lambda p: (p.dst, p.b))
+        frame = self.frame
+        flipped = sorted(self._pieces, key=_order(frame.cmp, 3, 4))
         return Iet._trusted(
-            self.target, self.source, [Piece(p.dst, p.b, p.length, p.src, p.a) for p in flipped]
+            frame, self.target, self.source, [(p[3], p[4], p[2], p[0], p[1]) for p in flipped]
         )
 
     def __pow__(self, n: int) -> "Iet":
@@ -448,6 +602,33 @@ class Iet:
 
     # -- discontinuities ---------------------------------------------------------
 
+    def _jumps(self) -> list[tuple[int, object]]:
+        """(component, start on the frame) of each jump, sorted."""
+        frame = self.frame
+        cmp, add = frame.cmp, frame.add
+        by_comp = self._per_component()[0]
+        out = []
+        for ci, comp in enumerate(self.source.components):
+            ps = by_comp[ci]
+            # piece k against the piece just to its left, which wraps round
+            # to the last piece at k = 0 on a circle
+            for k in range(0 if comp.kind == CIRCLE else 1, len(ps)):
+                p = ps[k]
+                q = ps[k - 1]
+                if q[3] == p[3]:
+                    lim = add(q[4], q[2])
+                    if cmp(lim, p[4]) == 0:
+                        continue  # merged pieces cannot reach here, but wrap k=0 can
+                    tgt = self.target.components[p[3]]
+                    if (
+                        tgt.kind == CIRCLE
+                        and cmp(lim, frame.coord(QuadNum.of(tgt.length))) == 0
+                        and frame.sign(p[4]) == 0
+                    ):
+                        continue  # continuous across the target circle's cut
+                out.append((ci, p[1]))
+        return out
+
     def discontinuities(self) -> tuple[Point, ...]:
         """Points where the map is discontinuous, sorted.
 
@@ -455,47 +636,33 @@ class Iet:
         right-continuous there by convention); circle coordinates are fully
         interior, including 0.
         """
-        out = []
-        for ci, comp in enumerate(self.source.components):
-            ps = self._by_comp[ci]
-            candidates = list(range(1, len(ps)))
-            if comp.kind == CIRCLE:
-                candidates.append(0)
-            for k in candidates:
-                p = ps[k]
-                q = ps[k - 1]  # piece just to the left, wrapping when k = 0
-                lim_comp, lim_x = q.dst, q.b + q.length
-                tgt = self.target.components[p.dst]
-                if lim_comp == p.dst:
-                    if lim_x == p.b:
-                        continue  # merged pieces cannot reach here, but wrap k=0 can
-                    if tgt.kind == CIRCLE and lim_x == tgt.length and p.b == 0:
-                        continue  # continuous across the target circle's cut
-                out.append(Point(ci, p.a))
-        out.sort(key=Point.key)
-        return tuple(out)
+        value = self.frame.value
+        return tuple([Point(ci, value(x)) for ci, x in self._jumps()])
 
     def d(self) -> int:
-        return len(self.discontinuities())
+        return len(self._jumps())
 
     # -- structure readers ---------------------------------------------------------
 
     def support(self) -> Subdomain:
         if self.source != self.target:
             raise DomainMismatchError("support needs an automorphism")
+        frame = self.frame
+        value, add, cmp = frame.value, frame.add, frame.cmp
         moving = [
-            (p.src, p.a, p.a + p.length)
-            for p in self.pieces
-            if p.src != p.dst or p.a != p.b
+            (p[0], value(p[1]), value(add(p[1], p[2])))
+            for p in self._pieces
+            if p[0] != p[3] or cmp(p[1], p[4]) != 0
         ]
         return Subdomain.make(self.source, moving)
 
     def image_of(self, sub: Subdomain) -> Subdomain:
         if sub.domain != self.source:
             raise DomainMismatchError("subdomain not in the source domain")
+        by_comp = self._at_edge()[1]
         out = []
         for ci, s, e in sub.parts:
-            for p in self._by_comp[ci]:
+            for p in by_comp[ci]:
                 lo = s if s > p.a else p.a
                 hi = e if e < p.a + p.length else p.a + p.length
                 if lo < hi:
@@ -515,6 +682,7 @@ class Iet:
             raise IetError("subdomain is not invariant")
         subdom = subdomain_as_domain(sub)
         parts = sub.parts
+        by_comp = self._at_edge()[1]
 
         def locate(ci, x):
             for j, (cj, s, e) in enumerate(parts):
@@ -524,7 +692,7 @@ class Iet:
 
         pieces = []
         for j, (ci, s, e) in enumerate(parts):
-            for p in self._by_comp[ci]:
+            for p in by_comp[ci]:
                 lo = s if s > p.a else p.a
                 hi = e if e < p.a + p.length else p.a + p.length
                 if lo < hi:
@@ -542,29 +710,11 @@ class Iet:
             raise IetError("q-rationality is about maps of a single interval")
         for pt in self.discontinuities():
             x = pt.x
-            if not isinstance(x, QuadNum) or not x.is_rational():
+            if not x.is_rational():
                 return False
             if (x.a * q).denominator != 1:
                 return False
         return True
-
-
-def _check_partition(domain: Domain, triples, which: str) -> None:
-    """triples: sorted (comp, start, length); must tile every component."""
-    seen: dict[int, object] = {}
-    for ci, a, ln in triples:
-        cursor = seen.get(ci)
-        if cursor is None:
-            if a != 0:
-                raise PartitionError(f"{which} component {ci} not covered from 0")
-        elif a != cursor:
-            raise PartitionError(
-                f"{which} component {ci}: gap or overlap at {a} (expected {cursor})"
-            )
-        seen[ci] = a + ln
-    for ci, comp in enumerate(domain.components):
-        if seen.get(ci) != comp.length:
-            raise PartitionError(f"{which} component {ci} not exactly covered")
 
 
 def subdomain_as_domain(sub: Subdomain) -> Domain:
@@ -587,7 +737,7 @@ def from_lengths(sigma: Sequence[int], lengths: Sequence, domain: Optional[Domai
     sigma = perm_validate(sigma)
     if not perm_is_realizable(sigma):
         raise IetError(f"{sigma} maps adjacent intervals adjacently; pieces would merge")
-    lengths = [_num(x) for x in lengths]
+    lengths = [QuadNum.of(x) for x in lengths]
     if len(lengths) != len(sigma):
         raise IetError("one length per interval required")
     for x in lengths:
@@ -600,18 +750,27 @@ def from_lengths(sigma: Sequence[int], lengths: Sequence, domain: Optional[Domai
         raise IetError("lengths must sum to 1")
     if domain is None:
         domain = Domain.interval(1)
+    frame = Frame(lengths + [QuadNum.of(c.length) for c in domain.components])
+    return _from_lengths(frame, sigma, [frame.coord(x) for x in lengths], domain)
+
+
+def _from_lengths(frame, sigma: tuple[int, ...], lengths: list, domain: Domain) -> Iet:
+    """The map of :func:`from_lengths` from coordinates of frame, an exact
+    frame or the trace's recorder, validated as ``Iet(...)`` validates."""
+    add = frame.add
+    zero = frame.coord(_ZERO)
     sigma_inv = perm_inverse(sigma)
     img_starts = []
-    acc = 0
+    acc = zero
     for k in range(len(sigma)):
         img_starts.append(acc)
-        acc = acc + lengths[sigma_inv[k] - 1]
+        acc = add(acc, lengths[sigma_inv[k] - 1])
     pieces = []
-    a = 0
+    a = zero
     for i, ln in enumerate(lengths):
         pieces.append((0, a, ln, 0, img_starts[sigma[i] - 1]))
-        a = a + ln
-    return Iet(domain, domain, pieces)
+        a = add(a, ln)
+    return Iet._make(frame, domain, domain, pieces)
 
 
 def lengths_of(h: Iet) -> tuple:
@@ -633,7 +792,7 @@ def permutation_of(h: Iet) -> tuple[int, ...]:
 
 def interval_rotation(angle) -> Iet:
     """Rotation by ``angle`` of [0, 1), realized on the interval (2 pieces)."""
-    t = _num(angle).mod(QuadNum(1))
+    t = QuadNum.of(angle).mod(QuadNum(1))
     if t == 0:
         return Iet.identity(Domain.interval(1))
     return from_lengths((2, 1), [1 - t, t])
@@ -641,9 +800,9 @@ def interval_rotation(angle) -> Iet:
 
 def circle_rotation(length, angle, cid: str = "C") -> Iet:
     """Rotation by ``angle`` on a circle R/(length)Z."""
-    length = _num(length)
+    length = QuadNum.of(length)
     dom = Domain.circle(length, cid)
-    t = _num(angle).mod(length)
+    t = QuadNum.of(angle).mod(length)
     if t == 0:
         return Iet.identity(dom)
     return Iet(dom, dom, [(0, 0, length - t, 0, t), (0, length - t, t, 0, 0)])

@@ -1,8 +1,10 @@
 """Exact arithmetic in Q and in a fixed real quadratic field Q(sqrt(d)).
 
-Every coordinate in this package is a :class:`QuadNum`, an exact value
-``(p + q*sqrt(d)) / den`` held as four integers with a fixed positive
-non-square ``d``.  Arithmetic, signs, comparisons, floors and the text
+Every exact value the package takes or returns is a :class:`QuadNum`, an
+exact value ``(p + q*sqrt(d)) / den`` held as four integers with a fixed
+positive non-square ``d``; inside a map, values are the integer pairs of a
+:class:`Frame`, which adds, subtracts and compares them as pairs over one
+denominator.  Arithmetic, signs, comparisons, floors and the text
 literals (:func:`parse_number` reads a literal's integers straight into
 that form, :func:`format_number` prints it back from them) work on these
 integers alone: no ``Fraction`` is built on any of those paths and no
@@ -21,12 +23,14 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 DEFAULT_FIELD = 2
+_HASH_MOD = sys.hash_info.modulus
 
 RationalLike = Union[int, Fraction]
 
@@ -340,11 +344,16 @@ def _coerce(x) -> Optional[QuadNum]:
 class Frame:
     """Exact values as integer pairs over one denominator in one field.
 
-    A value x of the frame is ``(P + Q*sqrt(d)) / den`` with ``pair(x) =
+    A value x of the frame is ``(P + Q*sqrt(d)) / den`` with ``coord(x) =
     (P, Q)``: ``den`` is the lcm of the values' denominators and ``d`` their
     field (0 when all are rational), so their integer combinations add and
-    compare (``_sign(P, Q, d)``) as pairs, and ``value(P, Q)`` is the
-    ``QuadNum`` back.  Two fields raise :class:`FieldMismatchError`.
+    subtract as pairs and compare by the sign ``_sign(P, Q, d)``, and
+    ``value((P, Q))`` is the ``QuadNum`` back.  Two fields raise
+    :class:`FieldMismatchError`.
+
+    ``coord``, ``value``, ``add``, ``sub``, ``sign``, ``cmp`` and ``join``
+    are the frame protocol that :class:`ietlab.core.Iet` computes with;
+    ``ietlab.approx.TraceRecorder`` is the other frame that follows it.
     """
 
     __slots__ = ("d", "den")
@@ -359,25 +368,88 @@ class Frame:
         # on CPython's free lists, which only a full collection clears
         self.den = math.lcm(*[v.den for v in values])
 
-    def pair(self, x: QuadNum) -> tuple[int, int]:
+    def coord(self, x: QuadNum) -> tuple[int, int]:
         s = self.den // x.den
         return x.p * s, x.q * s
 
-    def value(self, p: int, q: int) -> QuadNum:
-        return _quad(p, q, self.den, self.d)
+    def value(self, c: tuple[int, int]) -> QuadNum:
+        return _quad(c[0], c[1], self.den, self.d)
+
+    @staticmethod
+    def add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+        return x[0] + y[0], x[1] + y[1]
+
+    @staticmethod
+    def sub(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+        return x[0] - y[0], x[1] - y[1]
+
+    def sign(self, c: tuple[int, int]) -> int:
+        return _sign(c[0], c[1], self.d)
+
+    def cmp(self, x: tuple[int, int], y: tuple[int, int]) -> int:
+        """The sign of x - y, as ``_sign`` gives it (inlined: the kernel's
+        most frequent call)."""
+        p = x[0] - y[0]
+        q = x[1] - y[1]
+        if q == 0:
+            return (p > 0) - (p < 0)
+        if p == 0 or (p > 0) == (q > 0):
+            return 1 if q > 0 else -1
+        return 1 if (p * p > q * q * self.d) == (p > 0) else -1
+
+    def join(self, other: "Frame") -> "Frame":
+        """The frame of both frames' values: this one when the two agree,
+        else a new one over the lcm of the denominators."""
+        if other is self:
+            return self
+        if other.__class__ is not Frame:
+            raise TypeError("an exact frame cannot meet a traced one")
+        if other.den == self.den and other.d == self.d:
+            return self
+        out = object.__new__(Frame)
+        out.d = _join_fields(self.d, other.d)
+        out.den = math.lcm(self.den, other.den)
+        return out
+
+    def lift(self, pieces: list[tuple], frame: "Frame") -> list[tuple]:
+        """Pieces (src, a, length, dst, b) on ``frame``, a frame this one
+        joins, on this one."""
+        s = self.den // frame.den
+        return [
+            (src, (a[0] * s, a[1] * s), (n[0] * s, n[1] * s), dst, (b[0] * s, b[1] * s))
+            for src, a, n, dst, b in pieces
+        ]
+
+    def keys(self, coords: Sequence[tuple[int, int]]) -> list:
+        """A key of each coordinate's value that no frame changes: P and Q
+        over den taken modulo the hash modulus, so equal values key alike on
+        any two frames.  A value whose own denominator the modulus divides
+        keys as its normal form (never met in practice)."""
+        if self.den % _HASH_MOD:
+            inv = pow(self.den, -1, _HASH_MOD)
+            return [(p * inv % _HASH_MOD, q * inv % _HASH_MOD) for p, q in coords]
+        out = []
+        for x in map(self.value, coords):
+            if x.den % _HASH_MOD:
+                inv = pow(x.den, -1, _HASH_MOD)
+                out.append((x.p * inv % _HASH_MOD, x.q * inv % _HASH_MOD))
+            else:
+                out.append((x.p, x.q, x.den))
+        return out
 
 
 # -- literals ------------------------------------------------------------------
 #
 # Grammar (whitespace-free): RAT | RAT SIGN RAT*sqrt(D) | [SIGN]RAT*sqrt(D)
-# with RAT = [+-]?digits[/digits] and a nonzero denominator.  Serialization
-# always emits the full "p/q" and "p/q+r/s*sqrt(d)" forms, so files are
-# bit-exact round-trippers.  Both directions work on the literal's integers.
+# with RAT = [+-]?digits[/digits] and a nonzero denominator; digits are the
+# ASCII 0-9, and the literal is the whole text (no trailing newline).
+# Serialization always emits the full "p/q" and "p/q+r/s*sqrt(d)" forms, so
+# files are bit-exact round-trippers.  Both directions work on the literal's integers.
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
+_RAT = r"[+-]?[0-9]+(?:/[0-9]+)?"
 _LIT_RE = re.compile(
-    rf"^(?:(?P<rat>{_RAT})(?:(?P<root>[+-]\d+(?:/\d+)?)\*sqrt\((?P<d1>\d+)\))?"
-    rf"|(?P<root2>{_RAT})\*sqrt\((?P<d2>\d+)\))$"
+    rf"(?P<rat>{_RAT})(?:(?P<root>[+-][0-9]+(?:/[0-9]+)?)\*sqrt\((?P<d1>[0-9]+)\))?"
+    rf"|(?P<root2>{_RAT})\*sqrt\((?P<d2>[0-9]+)\)"
 )
 
 
@@ -392,7 +464,7 @@ def parse_number(text: str, d: Optional[int] = None) -> QuadNum:
     The literal's integers go straight into the normal form: both parts
     over the lcm of their denominators, reduced by one gcd in :func:`_quad`.
     """
-    m = _LIT_RE.match(text)
+    m = _LIT_RE.fullmatch(text)
     if m is None:
         raise LiteralError(f"bad number literal: {text!r}")
     rat, root, lit_d = m.group("rat", "root", "d1")

@@ -256,7 +256,7 @@ def _common_return(circles: list[tuple[QuadNum, QuadNum]], cap: int) -> Optional
     values = [delta] + [v for _, shift, _, bound in steps for v in (shift, bound)]
     values += [v for (_, dj), mv in zip(others, moves) for v in (dj, *mv)]
     frame = Frame(values)
-    pair, den, d = frame.pair, frame.den, frame.d
+    pair, den, d = frame.coord, frame.den, frame.d
     walk = [(g, *pair(shift), side, *pair(bound)) for g, shift, side, bound in steps]
     # per other circle: x = {n beta}, its shift per step, delta and 1 - delta
     xp = [0] * len(others)

@@ -35,12 +35,12 @@ n = 2,048 but not at n = 2,500, and its growth rate is 0.  With N = 2,500
 one move and certifies norm 0, with 2,471 components.
 
 The connection and fake-boundary searches and the growth check walk orbits
-on integers.  Every coordinate of h is an integer pair (P, Q) of one
-:class:`~ietlab.field.Frame`, and a step adds to a point's pair the pair of
-the translation of the piece that holds it, so every orbit point is again a
-pair of that frame and the walk is exact: it visits the very values
-``Iet.__call__`` and ``Iet.left_limit`` give, with no ``QuadNum`` built.
-The kernel and the jump sets of h and h^-1 are built once per map and
+on integers.  Every coordinate of h is an integer pair (P, Q) of its own
+:class:`~ietlab.field.Frame`, ``h.frame``, and a step adds to a point's
+pair the translation of the piece that holds it, read off h's own pieces,
+so every orbit point is again a pair of that frame and the walk is exact:
+it visits the very values ``Iet.__call__`` and ``Iet.left_limit`` give,
+with no ``QuadNum`` built.  The kernel and the jump sets of h and h^-1 are built once per map and
 shared by the searches of a surgery pass and by the growth check of its
 last map.  With ``IETLAB_CHECK=1`` every walk is run again through
 ``Iet.__call__`` and ``Iet.left_limit`` and must agree, and the growth
@@ -66,7 +66,8 @@ from ietlab.core import (
     Point,
     SelfCheckError,
 )
-from ietlab.field import Frame, QuadNum
+from ietlab.field import QuadNum
+from ietlab.relations import CapExceededError
 
 
 class MinimalModelError(IetError):
@@ -95,7 +96,7 @@ def _regroup(domain: Domain, groups: Sequence[tuple]) -> Iet:
         while cid in used:
             cid += "'"
         used.add(cid)
-        off = 0
+        off = QuadNum(0)
         for c, start, length in parts:
             pieces.append((c, start, length, k, off))
             off = off + length
@@ -261,45 +262,36 @@ class _Orbits:
 
 
 class _IntOrbits(_Orbits):
-    """The same orbits on integers (see the module docstring): a point is
-    (comp, P, Q), with (P, Q) its pair in ``frame``, and a piece is the move
-    (dst, dP, dQ) from its start to its image start.  A step is a binary
-    search over the component's starts, by the sign test of
-    :func:`ietlab.field._sign`, and one integer pair addition."""
+    """The same orbits on integers (see the module docstring), read off h's
+    own frame and pieces: a point is (comp, P, Q), with (P, Q) its pair in
+    ``frame``, and a step moves it by the piece that holds it, from the
+    piece's start a to its image start b.  A step is a binary search over
+    the component's starts, by the sign test of :func:`ietlab.field._sign`,
+    and one integer pair addition."""
 
     def __init__(self, h: Iet):
-        values = [c.length for c in h.source.components]
-        for p in h.pieces:
-            values += (p.a, p.b)
-        self.frame = frame = Frame(values)
-        # per component: the starts' P and Q, and each piece's move
-        self.table = {}
-        for p in h.pieces:
-            sp, sq, moves = self.table.setdefault(p.src, ([], [], []))
-            pa, qa = frame.pair(p.a)
-            pb, qb = frame.pair(p.b)
-            sp.append(pa)
-            sq.append(qa)
-            moves.append((p.dst, pb - pa, qb - qa))
+        self.frame = h.frame
+        self.pieces, self.starts = h._per_component()
         super().__init__(h)
 
     def key(self, comp: int, x):
-        p, q = self.frame.pair(x)
+        p, q = self.frame.coord(x)
         return comp, p, q
 
     def value(self, y):
-        return self.frame.value(y[1], y[2])
+        return self.frame.value(y[1:])
 
     def _piece(self, comp: int, P: int, Q: int, least: int):
-        """The move of the last piece of comp whose start s has x - s >= 0
-        (least = 0: the piece holding x) or x - s > 0 (least = 1: the piece
-        just below x), for x = (P + Q sqrt(d)) / D."""
-        sp, sq, moves = self.table[comp]
+        """The last piece of comp whose start s has x - s >= 0 (least = 0:
+        the piece holding x) or x - s > 0 (least = 1: the piece just below
+        x), for x = (P + Q sqrt(d)) / D."""
+        starts = self.starts[comp]
         d = self.frame.d
-        lo, hi = 1, len(sp)  # the first start is 0, below every x searched
+        lo, hi = 1, len(starts)  # the first start is 0, below every x searched
         while lo < hi:
             mid = (lo + hi) >> 1
-            p, q = P - sp[mid], Q - sq[mid]
+            sp, sq = starts[mid]
+            p, q = P - sp, Q - sq
             # the sign of p + q sqrt(d), as in field._sign; p >= 1 is p > 0
             if q == 0:
                 above = p >= least
@@ -311,17 +303,17 @@ class _IntOrbits(_Orbits):
                 lo = mid + 1
             else:
                 hi = mid
-        return moves[lo - 1]
+        return self.pieces[comp][lo - 1]
 
     def image(self, y):
         c, P, Q = y
-        dst, dp, dq = self._piece(c, P, Q, 0)
-        return dst, P + dp, Q + dq
+        _, (ap, aq), _, dst, (bp, bq) = self._piece(c, P, Q, 0)
+        return dst, P - ap + bp, Q - aq + bq
 
     def left_limit(self, y):
         c, P, Q = y
-        dst, dp, dq = self._piece(c, P, Q, 1)
-        return dst, P + dp, Q + dq
+        _, (ap, aq), _, dst, (bp, bq) = self._piece(c, P, Q, 1)
+        return dst, P - ap + bp, Q - aq + bq
 
 
 @functools.lru_cache(maxsize=1)
@@ -577,16 +569,23 @@ def minimal_model(h: Iet, depth: int = 64, n_check: int = 20) -> NormCertificate
     raise MinimalModelError(n_check, h_m, cur_depth)
 
 
+NMAX_CAP = 1_000  # a random 8-piece map takes about 8 s at n_max = 1,000
+
+
 def norm_bounds(h: Iet, n_max: int) -> tuple[int, int]:
     """Bracket the growth rate |h| from d(h^n), n <= n_max.
 
     upper = floor(min d(h^n)/n) is always valid (the rate is the infimum
     and an integer).  lower is 0: finitely many terms of a subadditive
     sequence bound its limit only from above, so they prove no positive
-    lower bound.
+    lower bound.  The pieces of h^n, and with them the cost of each
+    product, grow with n, so an n_max above ``NMAX_CAP`` raises
+    :class:`~ietlab.relations.CapExceededError` before any product.
     """
     if n_max < 1:
         raise IetError("n_max must be >= 1")
+    if n_max > NMAX_CAP:
+        raise CapExceededError(f"n_max {n_max} is above the cap {NMAX_CAP}")
     if h.source != h.target:
         raise DomainMismatchError("needs an automorphism")
     upper = h.d()

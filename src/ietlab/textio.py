@@ -26,11 +26,14 @@ fail to partition the domains exactly.
 Each kind of line has one usage string, such as ``piece <src> <start>
 <len> -> <dst> <start>``: :func:`_read` checks a line against it and reads
 its slots, and :func:`_write` fills its slots back in.  Every error of a
-line names that line, and a bad token its column.
+line names that line, and a bad token its column: a repeated component id
+and a non-positive length included.  Numbers, the ``sqrt(D)`` header and
+part indices take ASCII digits only.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from ietlab.core import (
@@ -50,6 +53,8 @@ _PIECE = "piece <src> <start> <len> -> <dst> <start>"
 _CERT = "circle-cert angle <lit> circle <id> <len>"
 _PART = "part <comp> <start> <end>"
 _MAP = "map <part> <start> <len> -> <pos>"
+
+_DIGITS = re.compile("[0-9]+")
 
 # a non-blank line: its number, its tokens and each token's 1-based column
 Line = tuple[int, list[str], list[int]]
@@ -85,8 +90,9 @@ def _read(line: Line, usage: str, field: int, source=None, target=None) -> list:
 
     A plain word of ``usage`` is a keyword the line repeats in its place.
     A ``<slot>`` reads its token: ``<id>`` as it stands, ``<part>`` as an
-    int, ``<src>`` and ``<comp>`` as a component of ``source``, ``<dst>``
-    as one of ``target``, any other slot as a literal of the field.
+    int of ASCII digits, ``<src>`` and ``<comp>`` as a component of
+    ``source``, ``<dst>`` as one of ``target``, any other slot as a literal
+    of the field, which ``<len>`` requires to be positive.
     """
     ln, toks, cols = line
     words = usage.split()
@@ -100,16 +106,25 @@ def _read(line: Line, usage: str, field: int, source=None, target=None) -> list:
             if word == "<id>":
                 values.append(tok)
             elif word == "<part>":
-                values.append(int(tok))
+                values.append(_digits(tok, "part index"))
             elif word in ("<src>", "<comp>"):
                 values.append(source.index_of(tok))
             elif word == "<dst>":
                 values.append(target.index_of(tok))
             else:
                 values.append(parse_number(tok, field))
+                if word == "<len>" and not values[-1] > 0:
+                    raise ValueError(f"non-positive length {tok}")
         except ValueError as e:  # so are LiteralError and IetError
             raise TextFormatError(str(e), ln, col) from e
     return values
+
+
+def _digits(tok: str, what: str) -> int:
+    """A token of ASCII digits as an int."""
+    if not _DIGITS.fullmatch(tok):
+        raise ValueError(f"bad {what} {tok!r}")
+    return int(tok)
 
 
 def _write(usage: str, *values) -> str:
@@ -127,13 +142,6 @@ def _run(lines: list[Line], pos: int, *keywords: str) -> int:
     return pos
 
 
-def _component(line: Line, kind: str, cid: str, length: QuadNum) -> Component:
-    try:
-        return Component(kind, cid, length)
-    except IetError as e:  # the length, the line's last token, is not positive
-        raise TextFormatError(str(e), line[0], line[2][-1]) from e
-
-
 def _domain(lines: list[Line], pos: int, field: int) -> tuple[Domain, int]:
     end = _run(lines, pos, CIRCLE, INTERVAL)
     if end == pos:
@@ -141,11 +149,11 @@ def _domain(lines: list[Line], pos: int, field: int) -> tuple[Domain, int]:
     comps = []
     for line in lines[pos:end]:
         kind = line[1][0]
-        comps.append(_component(line, kind, *_read(line, f"{kind} <id> <length>", field)))
-    try:
-        return Domain(tuple(comps)), end
-    except IetError as e:
-        raise TextFormatError(str(e)) from e
+        cid, length = _read(line, f"{kind} <id> <len>", field)
+        if any(c.cid == cid for c in comps):
+            raise TextFormatError(f"duplicate component id {cid!r}", line[0], line[2][1])
+        comps.append(Component(kind, cid, length))
+    return Domain(tuple(comps)), end
 
 
 def parse_document(text: str) -> tuple[Iet, list[IrrationalCircleCert]]:
@@ -159,9 +167,9 @@ def parse_document(text: str) -> tuple[Iet, list[IrrationalCircleCert]]:
     ):
         raise TextFormatError("expected header 'field sqrt(D)'", ln)
     try:
-        field = int(toks[1][5:-1])
-    except ValueError:
-        raise TextFormatError("bad field index", ln, cols[1]) from None
+        field = _digits(toks[1][5:-1], "field index")
+    except ValueError as e:
+        raise TextFormatError(str(e), ln, cols[1]) from None
     if field <= 0 or is_square(field):
         # sqrt(D) would be rational, and the header would not survive a
         # round trip
@@ -196,7 +204,7 @@ def parse_document(text: str) -> tuple[Iet, list[IrrationalCircleCert]]:
 
 def _parse_cert(lines, pos, field, iet) -> tuple[IrrationalCircleCert, int]:
     angle, cid, length = _read(lines[pos], _CERT, field)
-    circle = Domain((_component(lines[pos], CIRCLE, cid, length),))
+    circle = Domain((Component(CIRCLE, cid, length),))
     pos, end = pos + 1, _run(lines, pos + 1, "part")
     parts = [_read(line, _PART, field, iet.source) for line in lines[pos:end]]
     try:
@@ -235,10 +243,10 @@ def serialize_iet(h: Iet, certs: tuple = ()) -> str:
     map and its certificates lie in two fields."""
     src, dst = h.source.components, h.target.components
     out = [f"field sqrt({_field_of(h, certs)})", "domain"]
-    out += [_write(f"{c.kind} <id> <length>", c.cid, c.length) for c in src]
+    out += [_write(f"{c.kind} <id> <len>", c.cid, c.length) for c in src]
     if h.target != h.source:
         out.append("target")
-        out += [_write(f"{c.kind} <id> <length>", c.cid, c.length) for c in dst]
+        out += [_write(f"{c.kind} <id> <len>", c.cid, c.length) for c in dst]
     out += [_write(_PIECE, src[p.src].cid, p.a, p.length, dst[p.dst].cid, p.b) for p in h.pieces]
     for cert in certs:
         circle = cert.conjugator.target.components[0]

@@ -3,7 +3,8 @@
 This is the ``Fraction`` parser and printer that ``ietlab.field``'s
 ``parse_number`` and ``format_number`` used before they moved to the
 literal's integers.  ``parse_literal`` returns the normal form
-``(p, q, den, d)`` of the value ``(p + q*sqrt(d)) / den``; it rejects a
+``(p, q, den, d)`` of the value ``(p + q*sqrt(d)) / den``; it reads ASCII
+digits only and the whole text (no trailing newline), and it rejects a
 literal with ``ValueError``, or with ``ZeroDivisionError`` from
 ``Fraction`` when a denominator is zero.  ``format_literal`` prints a
 normal form back as ``p/q`` or ``p/q+r/s*sqrt(d)``.
@@ -16,15 +17,15 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
+_RAT = r"[+-]?[0-9]+(?:/[0-9]+)?"
 _LIT_RE = re.compile(
-    rf"^(?:(?P<rat>{_RAT})(?:(?P<root>[+-]\d+(?:/\d+)?)\*sqrt\((?P<d1>\d+)\))?"
-    rf"|(?P<root2>{_RAT})\*sqrt\((?P<d2>\d+)\))$"
+    rf"(?P<rat>{_RAT})(?:(?P<root>[+-][0-9]+(?:/[0-9]+)?)\*sqrt\((?P<d1>[0-9]+)\))?"
+    rf"|(?P<root2>{_RAT})\*sqrt\((?P<d2>[0-9]+)\)"
 )
 
 
 def parse_literal(text: str, d: Optional[int] = None) -> tuple[int, int, int, int]:
-    m = _LIT_RE.match(text)
+    m = _LIT_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"bad number literal: {text!r}")
     if m.group("root2") is not None:

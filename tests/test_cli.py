@@ -22,7 +22,7 @@ from ietlab.field import FieldMismatchError, LpInternalError, QuadNum
 from ietlab.menagerie import example_2_3
 from ietlab.relations import CapExceededError, drift_direction, drifted
 from ietlab.rotations import decompose_multi_rotation, roll_up_two_interval
-from ietlab.suspension import MinimalModelError
+from ietlab.suspension import NMAX_CAP, MinimalModelError
 from ietlab.textio import TextFormatError, parse_document, parse_iet, serialize_iet
 
 from randgen import long_connection_map, random_iet, random_quad_lengths
@@ -164,6 +164,41 @@ def test_a_component_of_length_zero_names_its_line_and_column(tmp_path, capsys):
     f.write_text(text)
     assert main(["show", str(f)]) == EXIT_INPUT
     assert capsys.readouterr().err.startswith(f"error: {f}: line 3, col 12: ")
+
+
+def test_block_errors_name_the_line_that_causes_them(tmp_path, capsys):
+    text = "field sqrt(2)\ndomain\ninterval I 1/2\ninterval I 1/2\npiece I 0/1 1/2 -> I 0/1\n"
+    with pytest.raises(TextFormatError) as err:
+        parse_document(text)
+    assert (err.value.line, err.value.col) == (4, 10)
+    assert str(err.value) == "line 4, col 10: duplicate component id 'I'"
+    text = "field sqrt(2)\ndomain\ninterval I 1/1\npiece I 0/1 1/1 -> I 0/1\n"
+    for bad, col in (("0/1", 13), ("-1/2", 13)):
+        with pytest.raises(TextFormatError) as err:
+            parse_document(text.replace("I 0/1 1/1 ->", f"I 0/1 {bad} ->"))
+        assert (err.value.line, err.value.col) == (4, col)
+        assert "non-positive length" in str(err.value)
+    f = tmp_path / "dup.iet"
+    f.write_text(text.replace("interval I 1/1", "interval I 1/2\ninterval I 1/2"))
+    assert main(["show", str(f)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {f}: line 4, col 10: duplicate")
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ("field sqrt(2)", "field sqrt(1_0)", 1),
+        ("field sqrt(2)", "field sqrt(\u0662)", 1),
+        ("part I 0/1 3/4", "part I \u0660/1 3/4", 8),
+        ("map 0 0/1", "map \u0660 0/1", 9),
+        ("map 0 0/1", "map +0 0/1", 9),
+    ],
+)
+def test_the_text_format_takes_ascii_digits_only(old, new, line):
+    parse_document(CERT_DOC)
+    with pytest.raises(TextFormatError) as err:
+        parse_document(CERT_DOC.replace(old, new))
+    assert err.value.line == line
 
 
 def test_zero_denominators_are_bad_input(tmp_path, capsys):
@@ -412,6 +447,10 @@ def test_cli_exit_codes_on_failed_search_and_internal_error(tmp_path, capsys, mo
     assert main(["example", "free-semigroup", "--depth", "40"]) == EXIT_SOFT
     assert "words" in capsys.readouterr().err
     assert time.monotonic() - start < 5
+    start = time.monotonic()
+    assert main(["norm", g2, "--nmax", str(NMAX_CAP + 1)]) == EXIT_SOFT
+    assert "cap" in capsys.readouterr().err
+    assert time.monotonic() - start < 5
 
     def raiser(error):
         def run(*args, **kwargs):
@@ -436,7 +475,9 @@ def test_cli_failed_self_checks_exit_3(tmp_path, capsys, monkeypatch):
     real = Iet._trusted
     monkeypatch.setattr(core, "CHECKED", True)
     for how in (lambda ps: ps[::-1], lambda ps: ps[:-1]):  # disagreeing, not a partition
-        monkeypatch.setattr(Iet, "_trusted", staticmethod(lambda s, t, ps: real(s, t, how(ps))))
+        monkeypatch.setattr(
+            Iet, "_trusted", staticmethod(lambda f, s, t, ps: real(f, s, t, how(ps)))
+        )
         assert main(["compose", a, a, "-o", out]) == EXIT_INTERNAL
         assert capsys.readouterr().err.startswith("internal error: trusted construction")
     monkeypatch.setattr(Iet, "_trusted", real)

@@ -14,7 +14,6 @@ from ietlab.core import (
     Iet,
     IetError,
     PartitionError,
-    Piece,
     Point,
     PointError,
     SelfCheckError,
@@ -28,7 +27,7 @@ from ietlab.core import (
     permutation_of,
     subdomain_as_domain,
 )
-from ietlab.field import QuadNum
+from ietlab.field import Frame, QuadNum
 from ietlab.relations import translation_response
 from ietlab.textio import serialize_iet
 
@@ -442,31 +441,37 @@ def test_group_laws_on_mixed_domains(seed):
 # -- the trusted kernel: products and inverses ---------------------------------------
 
 
-def fixed_piece(a, length) -> Piece:
-    """A piece of [0, 1) that does not move its points."""
-    return Piece(0, QuadNum(a), QuadNum(length), 0, QuadNum(a))
+def fixed_pieces(*spans):
+    """Pieces of [0, 1), on one frame, that do not move their points."""
+    values = [QuadNum(x) for span in spans for x in span] + [QuadNum(1)]
+    frame = Frame(values)
+    coord = frame.coord
+    pieces = [(0, coord(QuadNum(a)), coord(QuadNum(n)), 0, coord(QuadNum(a))) for a, n in spans]
+    return frame, pieces
 
 
 def test_checked_mode_rejects_overlapping_trusted_pieces(monkeypatch):
     dom = Domain.interval(1)
-    overlap = [fixed_piece(0, H), fixed_piece(Fraction(1, 4), Fraction(3, 4))]
+    frame, overlap = fixed_pieces((0, H), (Fraction(1, 4), Fraction(3, 4)))
     monkeypatch.setattr(core, "CHECKED", False)
-    Iet._trusted(dom, dom, overlap)  # trusted: nothing is checked
+    Iet._trusted(frame, dom, dom, overlap)  # trusted: nothing is checked
     monkeypatch.setattr(core, "CHECKED", True)
     with pytest.raises(SelfCheckError, match="not a partition") as caught:
-        Iet._trusted(dom, dom, overlap)
+        Iet._trusted(frame, dom, dom, overlap)
     assert isinstance(caught.value.__cause__, PartitionError)
     # a valid piece set out of (src, a) order would merge differently
-    unsorted = [fixed_piece(H, H), fixed_piece(0, H)]
+    frame, unsorted = fixed_pieces((H, H), (0, H))
     with pytest.raises(SelfCheckError, match="disagrees"):
-        Iet._trusted(dom, dom, unsorted)
+        Iet._trusted(frame, dom, dom, unsorted)
 
 
 def corrupt_trusted(monkeypatch, how):
     """Turn checked mode on and feed the trusted constructor the pieces of
     every product and inverse after ``how`` has rearranged them."""
     real = Iet._trusted
-    monkeypatch.setattr(Iet, "_trusted", staticmethod(lambda s, t, ps: real(s, t, how(ps))))
+    monkeypatch.setattr(
+        Iet, "_trusted", staticmethod(lambda f, s, t, ps: real(f, s, t, how(ps)))
+    )
     monkeypatch.setattr(core, "CHECKED", True)
 
 

@@ -489,13 +489,30 @@ def test_frame_pairs_are_exact(values):
     frame = Frame(values)
     assert frame.d == (2 if any(v.q for v in values) else 0)
     for x in values:
-        px = frame.pair(x)
-        assert frame.value(*px) == x
+        px = frame.coord(x)
+        assert frame.value(px) == x
         assert _sign(*px, frame.d) == x.sign()
+        assert frame.sign(px) == x.sign()
         for y in values:
-            py = frame.pair(y)
-            assert frame.pair(x + y) == (px[0] + py[0], px[1] + py[1])
-            assert frame.pair(x - y) == (px[0] - py[0], px[1] - py[1])
+            py = frame.coord(y)
+            assert frame.coord(x + y) == (px[0] + py[0], px[1] + py[1]) == frame.add(px, py)
+            assert frame.coord(x - y) == (px[0] - py[0], px[1] - py[1]) == frame.sub(px, py)
+            assert frame.cmp(px, py) == (x > y) - (x < y)
+
+
+@PROPS
+@given(FRAME_VALUES, FRAME_VALUES)
+def test_frames_join_and_lift(xs, ys):
+    f, g = Frame(xs), Frame(ys)
+    joined = f.join(g)
+    assert joined.den == math.lcm(f.den, g.den) and joined.d == max(f.d, g.d)
+    same = Frame(xs)
+    assert f.join(f) is f and same.join(f) is same  # no new frame when the two agree
+    for frame, values in ((f, xs), (g, ys)):
+        pieces = [(0, frame.coord(x), frame.coord(x), 1, frame.coord(x)) for x in values]
+        for (_, a, n, _, b), x in zip(joined.lift(pieces, frame), values):
+            assert a == n == b == joined.coord(x)
+            assert joined.value(a) == x
 
 
 def test_frame_fields():
@@ -529,7 +546,9 @@ LITERALS = st.one_of(
     RATS,
     ROOTS,
     st.builds(lambda a, s, r: a + s + r, RATS, SIGNS, ROOTS),  # a missing sign is a near-literal
-    st.text(alphabet="0123456789+-/*sqrt() ", max_size=24),
+    # near-literals: spaces, underscores, a trailing newline, non-ASCII digits
+    st.text(alphabet="0123456789+-/*sqrt() _\n\u0661\u0662\u0663", max_size=24),
+    st.builds("{}\n".format, RATS),
 )
 
 
@@ -546,6 +565,14 @@ def test_parse_number_matches_the_fraction_oracle(text, d):
         assert expected is None
         return
     assert (x.p, x.q, x.den, x.d) == expected
+
+
+@pytest.mark.parametrize(
+    "text", ["\u0661/\u0662", "1/2\n", "1_0/3", "1/2+1/2*sqrt(1_0)", "\uff11/2", " 1/2"]
+)
+def test_literals_take_ascii_digits_and_the_whole_text(text):
+    with pytest.raises(LiteralError, match="bad number literal"):
+        parse_number(text)
 
 
 @pytest.mark.parametrize("text", ["1/0", "0/0+1/1*sqrt(2)", "1/1+1/0*sqrt(2)", "-3/00*sqrt(5)"])

@@ -23,6 +23,7 @@ from ietlab.core import (
     make_point,
 )
 from ietlab.field import QuadNum
+from ietlab.relations import CapExceededError
 from ietlab.suspension import (
     BoundaryConnection,
     FakeBoundary,
@@ -353,8 +354,8 @@ def test_kernel_values_equal_the_fraction_construction():
     for h in maps:
         o = suspension._IntOrbits(h)
         keys = o.jumps + o.inv_jumps + o.zero + o.end
-        for c, (sp, sq, _) in o.table.items():
-            keys += [(c, p, q) for p, q in zip(sp, sq)]
+        for c, starts in o.starts.items():
+            keys += [(c, p, q) for p, q in starts]
         for y in keys:
             v = o.value(y)
             old = QuadNum(Fraction(y[1], o.frame.den), Fraction(y[2], o.frame.den), o.frame.d)
@@ -713,6 +714,15 @@ def test_norm_bounds():
         lo, up = norm_bounds(h, 14)
         cert = minimal_model(h, depth=64, n_check=10)
         assert lo <= cert.norm <= up
+
+
+def test_norm_bounds_refuses_n_max_above_its_cap_before_composing(monkeypatch):
+    h = interval_rotation(ALPHA)
+    monkeypatch.setattr(Iet, "__mul__", lambda a, b: pytest.fail("composed"))
+    with pytest.raises(CapExceededError, match="cap"):
+        norm_bounds(h, suspension.NMAX_CAP + 1)
+    monkeypatch.undo()
+    assert norm_bounds(h, suspension.NMAX_CAP) == (0, 0)  # at the cap: allowed
 
 
 def centralizer_orbit_check(h_m: Iet, g: Iet) -> tuple[bool, Optional[Point]]:
