@@ -183,8 +183,8 @@ def cmd_minimal_model(args, report) -> int:
     report.parameters["depth"] = args.depth
     report.parameters["check"] = args.check
     cert = minimal_model(h, depth=args.depth, n_check=args.check)
-    report.outcome["norm"] = cert.norm
-    report.outcome["verified_up_to"] = cert.verified_up_to
+    report.outcome["upper"] = cert.norm  # proven: |h| <= upper
+    report.outcome["linear_up_to"] = cert.verified_up_to  # verified, not proven
     report.outcome["search_depth"] = cert.search_depth
     report.outcome["model_components"] = " ".join(
         f"{c.kind}:{format_number(c.length)}" for c in cert.h_m.source.components

@@ -26,18 +26,23 @@ for the two frames:
 A product of maps on two exact frames rescales once, to the frame over the
 lcm of their denominators; two fields raise
 :class:`~ietlab.field.FieldMismatchError`.  ``QuadNum`` values appear only
-at the edge: ``pieces`` builds :class:`Piece` values of ``QuadNum`` once, on
-first use, for evaluation (``__call__``, ``left_limit``), for
-:class:`Point`, :class:`Subdomain` and the text format.
+at the edge.  ``pieces``, built once on first use, is the one ``QuadNum``
+view of a map: :class:`Piece` values for :class:`Subdomain` and the text
+format.  Evaluation (``__call__``, ``left_limit``) reads the frame's own
+piece starts, turning into ``QuadNum`` only the few it compares with the
+point, and the piece it lands in.
 
 ``Iet(...)`` is the one validating constructor: it puts its numbers on a
 ``Frame``, then sorts the pieces and checks that they partition both
 domains, the same check that builds the traced generators on the recorder.
 Products and inverses of maps in canonical form are partitions by
-construction and skip those checks; with ``IETLAB_CHECK=1`` in the
-environment when this module is imported, they are rebuilt through the
-validation as well and must come out the same, or :class:`SelfCheckError`
-is raised.
+construction and skip those checks.  With ``IETLAB_CHECK=1`` in the
+environment when this module is imported, each of them is rebuilt from its
+pieces' ``QuadNum`` values through ``Iet(...)``, and the two maps must be
+equal, or :class:`SelfCheckError` is raised.  A frame's ``value`` reads a
+coordinate and decides nothing, so the rebuild of a traced map records
+nothing on the trace; equality compares an exact map with a traced one by
+their ``pieces``.
 """
 
 from __future__ import annotations
@@ -350,7 +355,8 @@ class Iet:
     The map lives on a frame (see the module docstring): ``frame`` holds
     its coordinates, and its pieces are tuples (src, a, length, dst, b) of
     that frame's coordinates, sorted by (src, a).  ``pieces`` reads them as
-    :class:`Piece` values of ``QuadNum``, built once on first use.
+    :class:`Piece` values of ``QuadNum``, built once on first use; it is
+    the map's only ``QuadNum`` view.
     """
 
     __slots__ = ("source", "target", "frame", "_pieces", "_comps", "_edge", "_hash")
@@ -372,7 +378,8 @@ class Iet:
     @staticmethod
     def _make(frame, source: Domain, target: Domain, pieces: list) -> "Iet":
         """The map of pieces on frame, validated as ``Iet(...)`` validates:
-        the construction of the traced generators and of checked mode."""
+        how :func:`from_lengths` builds a map on an exact frame and the
+        trace builds its generators on the recorder."""
         _validate(frame, source, target, pieces)
         h = object.__new__(Iet)
         h._fill(frame, source, target, pieces)
@@ -422,10 +429,10 @@ class Iet:
         h._fill(frame, source, target, pieces)
         if CHECKED:
             try:
-                checked = Iet._make(frame, source, target, list(pieces))
+                checked = Iet(source, target, [_edge_piece(frame, p) for p in pieces])
             except PartitionError as e:
                 raise SelfCheckError(f"trusted construction is not a partition: {e}") from e
-            if h._pieces != checked._pieces:
+            if checked != h:
                 raise SelfCheckError("trusted construction disagrees with validation")
         return h
 
@@ -448,19 +455,10 @@ class Iet:
 
     @property
     def pieces(self) -> tuple[Piece, ...]:
-        return self._at_edge()[0]
-
-    def _at_edge(self) -> tuple:
-        """The pieces as Pieces of QuadNum, all and per source component,
-        and each component's piece starts: built once, on first use."""
+        """The pieces as Pieces of QuadNum, built once, on first use."""
         if self._edge is None:
             frame = self.frame
-            by_comp = {
-                ci: [_edge_piece(frame, p) for p in ps]
-                for ci, ps in self._per_component()[0].items()
-            }
-            pieces = tuple([p for ps in by_comp.values() for p in ps])
-            self._edge = pieces, by_comp, {ci: [p.a for p in ps] for ci, ps in by_comp.items()}
+            self._edge = tuple([_edge_piece(frame, p) for p in self._pieces])
         return self._edge
 
     def __eq__(self, other):
@@ -474,7 +472,7 @@ class Iet:
             return False
         try:
             frame = self.frame.join(other.frame)
-        except FieldMismatchError:  # two fields: rational values may still agree
+        except (FieldMismatchError, TypeError):  # two fields, or exact and traced
             return self.pieces == other.pieces
         return self._on(frame)._pieces == other._on(frame)._pieces
 
@@ -501,9 +499,11 @@ class Iet:
         c = self.source.components[pt.comp] if pt.comp < len(self.source.components) else None
         if c is None or pt.x < 0 or pt.x >= c.length:
             raise PointError(f"point {pt} outside the source domain")
-        _, by_comp, starts = self._at_edge()
-        p = by_comp[pt.comp][bisect.bisect_right(starts[pt.comp], pt.x) - 1]
-        return Point(p.dst, p.b + (pt.x - p.a))
+        # one QuadNum per start probed: the rest of the map stays on its frame
+        value = self.frame.value
+        pieces_of, starts_of = self._per_component()
+        p = pieces_of[pt.comp][bisect.bisect_right(starts_of[pt.comp], pt.x, key=value) - 1]
+        return Point(p[3], value(p[4]) + (pt.x - value(p[1])))
 
     def left_limit(self, comp: int, x) -> tuple[int, object]:
         """One-sided limit of the map approaching coordinate ``x`` from below.
@@ -516,9 +516,10 @@ class Iet:
         comp_len = self.source.components[comp].length
         if not (0 < x <= comp_len):
             raise PointError(f"left limit needs a coordinate in (0, length], got {x}")
-        _, by_comp, starts = self._at_edge()
-        p = by_comp[comp][bisect.bisect_left(starts[comp], x) - 1]
-        return (p.dst, p.b + (x - p.a))
+        value = self.frame.value
+        pieces_of, starts_of = self._per_component()
+        p = pieces_of[comp][bisect.bisect_left(starts_of[comp], x, key=value) - 1]
+        return (p[3], value(p[4]) + (x - value(p[1])))
 
     # -- group structure -------------------------------------------------------------
 
@@ -659,10 +660,11 @@ class Iet:
     def image_of(self, sub: Subdomain) -> Subdomain:
         if sub.domain != self.source:
             raise DomainMismatchError("subdomain not in the source domain")
-        by_comp = self._at_edge()[1]
         out = []
         for ci, s, e in sub.parts:
-            for p in by_comp[ci]:
+            for p in self.pieces:
+                if p.src != ci:
+                    continue
                 lo = s if s > p.a else p.a
                 hi = e if e < p.a + p.length else p.a + p.length
                 if lo < hi:
@@ -682,7 +684,6 @@ class Iet:
             raise IetError("subdomain is not invariant")
         subdom = subdomain_as_domain(sub)
         parts = sub.parts
-        by_comp = self._at_edge()[1]
 
         def locate(ci, x):
             for j, (cj, s, e) in enumerate(parts):
@@ -692,7 +693,9 @@ class Iet:
 
         pieces = []
         for j, (ci, s, e) in enumerate(parts):
-            for p in by_comp[ci]:
+            for p in self.pieces:
+                if p.src != ci:
+                    continue
                 lo = s if s > p.a else p.a
                 hi = e if e < p.a + p.length else p.a + p.length
                 if lo < hi:

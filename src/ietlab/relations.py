@@ -494,6 +494,11 @@ def _default_epsilon(t: Iet, q: int) -> Optional[Fraction]:
     return Fraction(1, 100 * q) / rho
 
 
+# two random 8-piece maps over Q(sqrt 2) with no certificate take about 7 s
+# at k_cap = 256 and 150 s at 1,024: T^k grows with k
+KCAP_CAP = 256
+
+
 def relation_certificate(
     s: Iet, t: Iet, q: int, k_cap: int = 16
 ) -> Optional[RelationCertificate]:
@@ -505,10 +510,13 @@ def relation_certificate(
     for exact disjointness of supp(U) and supp(T^k U T^-k), giving the word
     [t^k u t^-k, u].  The word is re-evaluated to the identity by exact
     composition, and its free reduction is checked nonempty.  None means the
-    search failed, not that the group is free.
+    search failed, not that the group is free.  A k_cap above ``KCAP_CAP``
+    raises :class:`CapExceededError` before any product.
     """
     if q < 2:
         raise IetError("q must be >= 2")
+    if k_cap > KCAP_CAP:
+        raise CapExceededError(f"k_cap {k_cap} is above the cap {KCAP_CAP}")
     if s.source != t.source or s.source != s.target or t.source != t.target:
         raise IetError("S and T must be automorphisms of one domain")
     e = lcm_up_to(q)

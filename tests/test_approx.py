@@ -40,6 +40,7 @@ from ietlab.relations import CapExceededError, Word, commutator_word, free_reduc
 
 from lp_oracle import lp_nearby_points
 from randgen import random_iet, random_q_rational_iet, random_realizable_perm
+from test_core import corrupt_trusted
 
 R2 = QuadNum.sqrt(2)
 ALPHA = R2 - 1
@@ -204,6 +205,19 @@ def test_pl_trace_records_the_same_system_in_checked_mode(monkeypatch):
         unchecked = pl_trace(gens, 2)
         assert checked.system == unchecked.system
         assert checked.word_pattern == unchecked.word_pattern
+
+
+@pytest.mark.parametrize(
+    "how, match",
+    [(lambda ps: ps[::-1], "disagrees"), (lambda ps: ps[:-1], "not a partition")],
+    ids=["unsorted", "gap"],
+)
+def test_checked_mode_guards_traced_products(monkeypatch, how, match):
+    rng = random.Random(12)
+    gens = [random_iet(rng, 4, 3) for _ in range(2)]
+    corrupt_trusted(monkeypatch, how)
+    with pytest.raises(SelfCheckError, match=match):
+        pl_trace(gens, 2)
 
 
 def test_pl_trace_rejects_generators_over_two_fields():

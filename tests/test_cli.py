@@ -22,7 +22,9 @@ from ietlab.field import FieldMismatchError, LpInternalError, QuadNum
 from ietlab.menagerie import example_2_3
 from ietlab.relations import CapExceededError, drift_direction, drifted
 from ietlab.rotations import decompose_multi_rotation, roll_up_two_interval
-from ietlab.suspension import NMAX_CAP, MinimalModelError
+from ietlab.approx import BALL_RADIUS_CAP
+from ietlab.relations import KCAP_CAP
+from ietlab.suspension import CHECK_CAP, DEPTH_CAP, NMAX_CAP, MinimalModelError
 from ietlab.textio import TextFormatError, parse_document, parse_iet, serialize_iet
 
 from randgen import long_connection_map, random_iet, random_quad_lengths
@@ -296,7 +298,7 @@ def test_cli_minimal_model_and_norm(tmp_path, capsys):
     )
     assert code == EXIT_OK
     out = capsys.readouterr().out
-    assert "norm: 0" in out and "circle" in out
+    assert "upper: 0" in out and "circle" in out
     hm = parse_iet((tmp_path / "m.iet").read_text())
     g = parse_iet((tmp_path / "g.iet").read_text())
     h = interval_rotation(ALPHA)
@@ -320,7 +322,20 @@ def test_cli_certifies_the_long_connection_at_rate_0(tmp_path, capsys, monkeypat
     f = write_map(tmp_path, "h.iet", long_connection_map())
     assert main(["--json", "minimal-model", f, "--check", "2500"]) == EXIT_OK
     outcome = json.loads(capsys.readouterr().out)["outcome"]
-    assert (outcome["norm"], outcome["verified_up_to"], outcome["search_depth"]) == (0, 2500, 4096)
+    assert (outcome["upper"], outcome["linear_up_to"], outcome["search_depth"]) == (0, 2500, 4096)
+
+
+def test_cli_minimal_model_says_what_it_proves(tmp_path, capsys):
+    # the rate of this map is 0: at --check 20 only |h| <= 3 is proven
+    f = write_map(tmp_path, "h.iet", long_connection_map())
+    assert main(["minimal-model", f, "--check", "20"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "upper: 3" in lines and "linear_up_to: 20" in lines
+    assert not [line for line in lines if line.startswith("norm")]
+    assert main(["--json", "minimal-model", f, "--check", "20"]) == EXIT_OK
+    outcome = json.loads(capsys.readouterr().out)["outcome"]
+    assert (outcome["upper"], outcome["linear_up_to"]) == (3, 20)
+    assert "norm" not in outcome
 
 
 def test_cli_relation_hunt(tmp_path, capsys):
@@ -425,6 +440,33 @@ def test_cli_maps_over_two_fields_are_bad_input(tmp_path, capsys):
     ):
         assert main(argv) == EXIT_INPUT
         assert "cannot mix sqrt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["minimal-model", "{h}", "--depth", str(DEPTH_CAP + 1)],
+        ["minimal-model", "{h}", "--check", str(CHECK_CAP + 1)],
+        ["relation-hunt", "{h}", "{h}", "--q", "2", "--kcap", str(KCAP_CAP + 1)],
+        ["orbit-ball", "{h}", "--x", "1/3", "--radius", str(BALL_RADIUS_CAP + 1)],
+    ],
+    ids=["depth", "check", "kcap", "radius"],
+)
+def test_cli_knob_caps_exit_1_before_any_work(tmp_path, capsys, argv):
+    h = write_map(tmp_path, "h.iet", long_connection_map())
+    start = time.monotonic()
+    assert main([arg.format(h=h) for arg in argv]) == EXIT_SOFT
+    assert "above" in capsys.readouterr().err
+    assert time.monotonic() - start < 5
+
+
+def test_cli_orbit_ball_stops_at_the_point_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(approx, "BALL_CAP", 50)
+    g = write_map(tmp_path, "g.iet", interval_rotation(ALPHA))
+    assert main(["orbit-ball", g, "--x", "1/3", "--radius", "24"]) == EXIT_OK  # 49 points
+    capsys.readouterr()
+    assert main(["orbit-ball", g, "--x", "1/3", "--radius", "25"]) == EXIT_SOFT
+    assert "more than 50 points" in capsys.readouterr().err
 
 
 def test_cli_exit_codes_on_failed_search_and_internal_error(tmp_path, capsys, monkeypatch):

@@ -170,3 +170,54 @@ def test_two_fields_do_not_compose(tmp_path, capsys):
     fb.write_text(serialize_iet(b))
     assert main(["compose", str(fa), str(fb), "-o", str(tmp_path / "c.iet")]) == EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: cannot mix sqrt(2) and sqrt(3)")
+
+
+# -- evaluation at points off the map's frame --------------------------------------
+
+
+def by_piece_scan(h: Iet, comp: int, x, left: bool = False) -> tuple:
+    """The definition: the piece of comp holding x, in [a, a + length) for
+    the value and in (a, a + length] for the left limit."""
+    for p in h.pieces:
+        end = p.a + p.length
+        if p.src == comp and (p.a < x <= end if left else p.a <= x < end):
+            return p.dst, p.b + (x - p.a)
+    raise AssertionError(f"no piece of component {comp} holds {x}")
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_evaluation_off_the_frame_is_the_piece_scan(seed):
+    rnd = random.Random(seed)
+    _, maps = maps_on_many_frames(rnd)
+    assert {m.frame.d for m in maps} == {0, 2}  # rational maps meet irrational points
+    for h in maps:
+        for ci, comp in enumerate(h.source.components):
+            starts = [p.a for p in h.pieces if p.src == ci]
+            # a prime grid no frame denominator is a multiple of
+            off = [comp.length * Fraction(rnd.randrange(10007), 10007) for _ in range(3)]
+            assert all(h.frame.den % x.den for x in off if x != 0)
+            irrational = [comp.length * (R2 - 1) / k for k in (1, 3, 7)]
+            for x in starts + off + irrational:
+                assert h(Point(ci, x)) == Point(*by_piece_scan(h, ci, x))
+            for x in [x for x in starts + off + irrational if x != 0] + [comp.length]:
+                assert h.left_limit(ci, x) == by_piece_scan(h, ci, x, left=True)
+
+
+def test_a_point_of_another_field_is_refused():
+    h = interval_rotation(R2 - 1)
+    x = QuadNum.sqrt(3) - 1
+    with pytest.raises(FieldMismatchError):
+        h(Point(0, x))
+    with pytest.raises(FieldMismatchError):
+        h.left_limit(0, x)
+
+
+def test_evaluating_a_product_builds_no_quadnum_pieces():
+    rnd = random.Random(3)
+    g = random_iet(rnd, 8, 6) * random_iet(rnd, 8, 6)
+    x = QuadNum(Fraction(1, 3))
+    value, limit = g(Point(0, x)), g.left_limit(0, x)
+    assert g._edge is None  # the map's other pieces stay on its frame
+    assert value == Point(*by_piece_scan(g, 0, x))
+    assert limit == by_piece_scan(g, 0, x, left=True)
