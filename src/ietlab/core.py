@@ -28,9 +28,10 @@ lcm of their denominators; two fields raise
 :class:`~ietlab.field.FieldMismatchError`.  ``QuadNum`` values appear only
 at the edge.  ``pieces``, built once on first use, is the one ``QuadNum``
 view of a map: :class:`Piece` values for :class:`Subdomain` and the text
-format.  Evaluation (``__call__``, ``left_limit``) reads the frame's own
-piece starts, turning into ``QuadNum`` only the few it compares with the
-point, and the piece it lands in.
+format.  Evaluation (``__call__``, ``left_limit``) of an exact map puts
+the point and the piece starts on one denominator and finds the piece by
+one bisect over the starts' integer keys (:func:`ietlab.field.order_key`),
+built once per map; the only ``QuadNum`` it builds is the image.
 
 ``Iet(...)`` is the one validating constructor: it puts its numbers on a
 ``Frame``, then sorts the pieces and checks that they partition both
@@ -55,7 +56,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from ietlab.field import FieldMismatchError, Frame, QuadNum
+from ietlab.field import FieldMismatchError, Frame, QuadNum, order_key
 
 CHECKED = os.environ.get("IETLAB_CHECK") == "1"
 
@@ -151,6 +152,8 @@ class Point:
 
 def make_point(domain: Domain, comp: int, x) -> Point:
     """Build a point, reducing circle coordinates into [0, length)."""
+    if not 0 <= comp < len(domain.components):
+        raise PointError(f"no component {comp} in the domain")
     c = domain.components[comp]
     x = QuadNum.of(x)
     if c.kind == CIRCLE:
@@ -359,7 +362,7 @@ class Iet:
     the map's only ``QuadNum`` view.
     """
 
-    __slots__ = ("source", "target", "frame", "_pieces", "_comps", "_edge", "_hash")
+    __slots__ = ("source", "target", "frame", "_pieces", "_comps", "_edge", "_keys", "_hash")
 
     def __init__(self, source: Domain, target: Domain, pieces: Iterable[tuple]):
         raw = [
@@ -407,6 +410,7 @@ class Iet:
         self._pieces = tuple(pieces)
         self._comps = None
         self._edge = None
+        self._keys = None
         self._hash = None
 
     def _per_component(self) -> tuple[dict, dict]:
@@ -496,14 +500,10 @@ class Iet:
     # -- evaluation ----------------------------------------------------------------
 
     def __call__(self, pt: Point) -> Point:
-        c = self.source.components[pt.comp] if pt.comp < len(self.source.components) else None
-        if c is None or pt.x < 0 or pt.x >= c.length:
+        at = self._locate(pt.comp, pt.x, False)
+        if at is None:
             raise PointError(f"point {pt} outside the source domain")
-        # one QuadNum per start probed: the rest of the map stays on its frame
-        value = self.frame.value
-        pieces_of, starts_of = self._per_component()
-        p = pieces_of[pt.comp][bisect.bisect_right(starts_of[pt.comp], pt.x, key=value) - 1]
-        return Point(p[3], value(p[4]) + (pt.x - value(p[1])))
+        return Point(*at)
 
     def left_limit(self, comp: int, x) -> tuple[int, object]:
         """One-sided limit of the map approaching coordinate ``x`` from below.
@@ -513,13 +513,71 @@ class Iet:
         of the metric completion.  On a source circle, x = length stands for
         approaching 0 from below.
         """
-        comp_len = self.source.components[comp].length
-        if not (0 < x <= comp_len):
+        at = self._locate(comp, x, True)
+        if at is None:
             raise PointError(f"left limit needs a coordinate in (0, length], got {x}")
-        value = self.frame.value
+        return at
+
+    def _locate(self, comp: int, x, left: bool) -> Optional[tuple[int, QuadNum]]:
+        """The image (component, coordinate) of coordinate x of source
+        component comp, or with ``left`` of the left limit at x; None when
+        comp is no component or x lies outside [0, length), or (0, length]
+        with ``left``.
+
+        x and the map's coordinates meet over the lcm of their
+        denominators, where the coordinates are m times the frame's.  Their
+        keys by :func:`~ietlab.field.order_key` order them exactly, so one
+        bisect of k / m, with k the key of x, over the keys of the starts
+        finds the piece (rounded down for the value, whose start may equal
+        x, and up for the left limit, whose start lies below x)."""
+        if not 0 <= comp < len(self.source.components):
+            return None
+        if x.__class__ is not QuadNum:
+            x = QuadNum.of(x)
+        frame, m, (P, Q) = self.frame.meet(x)
+        K, r, keyed = self._order(frame.d, P, Q, m)
         pieces_of, starts_of = self._per_component()
-        p = pieces_of[comp][bisect.bisect_left(starts_of[comp], x, key=value) - 1]
-        return (p[3], value(p[4]) + (x - value(p[1])))
+        at = keyed.get(comp)
+        if at is None:
+            length = self.frame.coord(QuadNum.of(self.source.components[comp].length))
+            keys = [p * K + q * r for p, q in starts_of[comp]]
+            at = keyed[comp] = keys, length[0] * K + length[1] * r
+        keys, end = at
+        k = P * K + Q * r
+        if left:
+            if k <= 0 or k > m * end:
+                return None
+            i = bisect.bisect_left(keys, -(-k // m))
+        else:
+            if k < 0 or k >= m * end:
+                return None
+            i = bisect.bisect_right(keys, k // m)
+        _, a, _, dst, b = pieces_of[comp][i - 1]
+        return dst, frame.value((P + m * (b[0] - a[0]), Q + m * (b[1] - a[1])))
+
+    def _order(self, d: int, P: int, Q: int, m: int) -> tuple[int, int, dict]:
+        """K and r of ``order_key(d, bits)`` for a box that holds the pair
+        (P, Q) and the map's source coordinates times m, with the keys
+        built so far of each component's starts and length: built on first
+        use, and again for a larger box or another field."""
+        own, kd, bits, K, r, keyed = self._keys or (self._own_bits(), None, 0, 1, 0, None)
+        if d:
+            need = max(abs(P).bit_length(), abs(Q).bit_length(), own + m.bit_length())
+        else:
+            need = 0  # every Q is 0, and the key is P
+        if kd != d or bits < need:
+            bits = need + 32 if d else 0  # room for the next points of an orbit
+            K, r = order_key(d, bits)
+            keyed = {}
+            self._keys = own, d, bits, K, r, keyed
+        return K, r, keyed
+
+    def _own_bits(self) -> int:
+        """The bits of the largest |P| or |Q| of a source coordinate."""
+        frame = self.frame
+        coords = [p[1] for p in self._pieces]
+        coords += [frame.coord(QuadNum.of(c.length)) for c in self.source.components]
+        return max(abs(v).bit_length() for c in coords for v in c)
 
     # -- group structure -------------------------------------------------------------
 

@@ -64,6 +64,32 @@ def _sign(p: int, q: int, d: int) -> int:
     return 1 if (p * p > q * q * d) == (p > 0) else -1
 
 
+def order_key(d: int, bits: int) -> tuple[int, int]:
+    """(K, r) such that the integer key P*K + Q*r of a pair of integers
+    orders the values P + Q*sqrt(d) exactly, equality included, over the
+    box |P|, |Q| < 2**bits.
+
+    K is a power of two and r = isqrt(d K^2), so theta = sqrt(d) K - r
+    lies in (0, 1); with d = 0 every Q is 0, and K = 1, r = 0.
+
+    Lemma.  If |Q| < B_Q, |P| < B_P and K > 4 B_Q (2 B_P + 2 B_Q sqrt(d)),
+    keys compare as values.  Proof: take two pairs of the box, and write
+    D = dP + dQ sqrt(d) for the difference of their values, with |dP| <
+    2 B_P and |dQ| < 2 B_Q.  Their keys differ by K D - theta dQ.  If dQ =
+    0 that is K dP, of the sign of D.  Otherwise D is not 0, as d is not a
+    square, and D (dP - dQ sqrt(d)) is a nonzero integer, so |D| >= 1 /
+    (|dP| + |dQ| sqrt(d)) > 1 / (2 B_P + 2 B_Q sqrt(d)).  Then |K D| >
+    4 B_Q > |dQ| > |theta dQ|, and the keys differ with the sign of D.
+
+    Here B_P = B_Q = 2**bits, and K = 2**(2 bits + s + 4) with sqrt(d) <
+    2**s: 2 B_P + 2 B_Q sqrt(d) < 2**(bits + s + 2).
+    """
+    if not d:
+        return 1, 0
+    shift = 2 * bits + (math.isqrt(d) + 1).bit_length() + 4
+    return 1 << shift, math.isqrt(d << 2 * shift)
+
+
 class QuadNum:
     """Exact number (p + q*sqrt(d)) / den over the integers.
 
@@ -374,6 +400,17 @@ class Frame:
 
     def value(self, c: tuple[int, int]) -> QuadNum:
         return _quad(c[0], c[1], self.den, self.d)
+
+    def meet(self, x: QuadNum) -> tuple["Frame", int, tuple[int, int]]:
+        """The frame of this frame's values and x, the factor m by which
+        its coordinates are this frame's, and x's coordinate on it: this
+        frame itself, with m = 1, when x lies on it."""
+        if not self.den % x.den and (x.d == self.d or not x.d):
+            return self, 1, self.coord(x)
+        out = object.__new__(Frame)
+        out.d = _join_fields(self.d, x.d)
+        out.den = math.lcm(self.den, x.den)
+        return out, out.den // self.den, out.coord(x)
 
     @staticmethod
     def add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:

@@ -497,6 +497,10 @@ def _default_epsilon(t: Iet, q: int) -> Optional[Fraction]:
 # two random 8-piece maps over Q(sqrt 2) with no certificate take about 7 s
 # at k_cap = 256 and 150 s at 1,024: T^k grows with k
 KCAP_CAP = 256
+# s^e with e = lcm(1..q): a q-rational 8-piece s and a 6-piece t take about
+# 0.3 s at q = 160, 1.3 s at 320 and 6.5 s at 640; a map that is not
+# q-rational has s^e with about e times its jumps, 3.8 s already at q = 9
+Q_CAP = 256
 
 
 def relation_certificate(
@@ -511,10 +515,13 @@ def relation_certificate(
     [t^k u t^-k, u].  The word is re-evaluated to the identity by exact
     composition, and its free reduction is checked nonempty.  None means the
     search failed, not that the group is free.  A k_cap above ``KCAP_CAP``
-    raises :class:`CapExceededError` before any product.
+    or a q above ``Q_CAP`` raises :class:`CapExceededError` before any
+    product.
     """
     if q < 2:
         raise IetError("q must be >= 2")
+    if q > Q_CAP:
+        raise CapExceededError(f"q {q} is above the cap {Q_CAP}")
     if k_cap > KCAP_CAP:
         raise CapExceededError(f"k_cap {k_cap} is above the cap {KCAP_CAP}")
     if s.source != t.source or s.source != s.target or t.source != t.target:

@@ -40,17 +40,24 @@ on integers.  Every coordinate of h is an integer pair (P, Q) of its own
 pair the translation of the piece that holds it, read off h's own pieces,
 so every orbit point is again a pair of that frame and the walk is exact:
 it visits the very values ``Iet.__call__`` and ``Iet.left_limit`` give,
-with no ``QuadNum`` built.  The kernel and the jump sets of h and h^-1 are built once per map and
-shared by the searches of a surgery pass and by the growth check of its
-last map.  With ``IETLAB_CHECK=1`` every walk is run again through
-``Iet.__call__`` and ``Iet.left_limit`` and must agree, and the growth
-check must agree with the power h_m^N, or :class:`SelfCheckError` is
-raised.
+with no ``QuadNum`` built.  Each point also carries one integer key, which
+orders the pairs of a box that every walk stays in exactly
+(:func:`~ietlab.field.order_key`), so a step finds its piece by one
+``bisect`` over the keys of the piece starts and moves the key with the
+pair.  The searches refuse a depth or a growth check beyond the caps that
+size the box.  The kernel and the jump sets of h and h^-1 are built once
+per map and shared by the searches of a surgery pass and by the growth
+check of its last map.  With ``IETLAB_CHECK=1`` every walk is run again
+through ``Iet.__call__`` and ``Iet.left_limit`` and must agree, and the
+growth check must agree with the power h_m^N, or :class:`SelfCheckError`
+is raised.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -66,7 +73,7 @@ from ietlab.core import (
     Point,
     SelfCheckError,
 )
-from ietlab.field import QuadNum
+from ietlab.field import QuadNum, order_key
 from ietlab.relations import CapExceededError
 
 
@@ -263,57 +270,64 @@ class _Orbits:
 
 class _IntOrbits(_Orbits):
     """The same orbits on integers (see the module docstring), read off h's
-    own frame and pieces: a point is (comp, P, Q), with (P, Q) its pair in
-    ``frame``, and a step moves it by the piece that holds it, from the
-    piece's start a to its image start b.  A step is a binary search over
-    the component's starts, by the sign test of :func:`ietlab.field._sign`,
-    and one integer pair addition."""
+    own frame and pieces.  A point is (comp, k, P, Q): (P, Q) is its pair
+    in ``frame`` and k = P K + Q r its key by
+    :func:`ietlab.field.order_key`, which orders the points of a box
+    exactly.  The piece of comp holding a point is then the last one whose
+    start key is at most k, one ``bisect_right`` over ``keys[comp]``, and
+    the piece just below it, for a left limit, the last one whose start
+    key is below k, one ``bisect_left``.  The key is linear in (P, Q), so
+    the piece's move (dst, dk, dP, dQ), from its start a to its image start
+    b, carries the key along with the pair: a step is one bisect and three
+    integer additions.
+
+    The box holds every point a walk can reach.  A walk starts at 0, at the
+    length of a component, or at a piece start or image start, and takes
+    at most ``steps`` steps: the caps bound the connection search by
+    ``DEPTH_CAP * 4 ** _RETRIES + 1`` steps and the growth check by
+    ``CHECK_CAP``, and a fake-boundary walk is shorter than the components
+    and pieces together.  Each step adds to Q the shift of one piece, and
+    every point lies in [0, length], which bounds P by Q."""
 
     def __init__(self, h: Iet):
-        self.frame = h.frame
-        self.pieces, self.starts = h._per_component()
+        frame = self.frame = h.frame
+        pieces, starts = h._per_component()
+        comps = h.source.components
+        ends = [frame.coord(QuadNum.of(c.length)) for c in comps]
+        steps = max(DEPTH_CAP * 4 ** _RETRIES + 1, CHECK_CAP, len(comps) + len(h._pieces) + 1)
+        starts_q = [abs(x[1]) for p in h._pieces for x in (p[1], p[4])] + [abs(q) for _, q in ends]
+        shift = max([abs(p[4][1] - p[1][1]) for p in h._pieces], default=0)
+        bound_q = max(starts_q, default=0) + steps * shift
+        root = math.isqrt(frame.d) + 1  # above sqrt(d)
+        bound_p = max([abs(p) + abs(q) * root for p, q in ends], default=0) + bound_q * root
+        self.bits = max(bound_p, bound_q).bit_length()  # |P|, |Q| < 2**bits
+        self.K, self.r = K, r = order_key(frame.d, self.bits)
+        self.keys = {c: [p * K + q * r for p, q in ss] for c, ss in starts.items()}
+        self.moves = {
+            c: [
+                (dst, (b[0] - a[0]) * K + (b[1] - a[1]) * r, b[0] - a[0], b[1] - a[1])
+                for _, a, _, dst, b in ps
+            ]
+            for c, ps in pieces.items()
+        }
         super().__init__(h)
 
     def key(self, comp: int, x):
         p, q = self.frame.coord(x)
-        return comp, p, q
+        return comp, p * self.K + q * self.r, p, q
 
     def value(self, y):
-        return self.frame.value(y[1:])
-
-    def _piece(self, comp: int, P: int, Q: int, least: int):
-        """The last piece of comp whose start s has x - s >= 0 (least = 0:
-        the piece holding x) or x - s > 0 (least = 1: the piece just below
-        x), for x = (P + Q sqrt(d)) / D."""
-        starts = self.starts[comp]
-        d = self.frame.d
-        lo, hi = 1, len(starts)  # the first start is 0, below every x searched
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            sp, sq = starts[mid]
-            p, q = P - sp, Q - sq
-            # the sign of p + q sqrt(d), as in field._sign; p >= 1 is p > 0
-            if q == 0:
-                above = p >= least
-            elif p == 0 or (p > 0) == (q > 0):
-                above = q > 0
-            else:
-                above = (p * p > q * q * d) == (p > 0)
-            if above:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self.pieces[comp][lo - 1]
+        return self.frame.value(y[2:])
 
     def image(self, y):
-        c, P, Q = y
-        _, (ap, aq), _, dst, (bp, bq) = self._piece(c, P, Q, 0)
-        return dst, P - ap + bp, Q - aq + bq
+        c, k, P, Q = y
+        dst, dk, dp, dq = self.moves[c][bisect.bisect_right(self.keys[c], k) - 1]
+        return dst, k + dk, P + dp, Q + dq
 
     def left_limit(self, y):
-        c, P, Q = y
-        _, (ap, aq), _, dst, (bp, bq) = self._piece(c, P, Q, 1)
-        return dst, P - ap + bp, Q - aq + bq
+        c, k, P, Q = y
+        dst, dk, dp, dq = self.moves[c][bisect.bisect_left(self.keys[c], k) - 1]
+        return dst, k + dk, P + dp, Q + dq
 
 
 @functools.lru_cache(maxsize=1)
@@ -363,7 +377,11 @@ def _boundary_connections(o: _Orbits, depth: int) -> tuple[BoundaryConnection, .
 
 def find_boundary_connections(h: Iet, depth: int) -> tuple[BoundaryConnection, ...]:
     """All depth-bounded orbits x, h(x), ..., h^k(x) with x a jump of h^-1,
-    h^k(x) a jump of h, and no other jump of either map along the way."""
+    h^k(x) a jump of h, and no other jump of either map along the way.  A
+    depth above the deepest retry of :func:`minimal_model`, ``DEPTH_CAP *
+    4 ** _RETRIES``, raises :class:`~ietlab.relations.CapExceededError`."""
+    if depth > DEPTH_CAP * 4 ** _RETRIES:
+        raise CapExceededError(f"depth {depth} is above the cap {DEPTH_CAP * 4 ** _RETRIES}")
     return _checked(_boundary_connections, h, depth)
 
 
@@ -533,10 +551,13 @@ def verify_linear_growth(h_m: Iet, n_check: int) -> bool:
     steps.  The walk takes at most N (2 d(h) + |E|) steps on the integer
     kernel of h, which the last surgery pass has built, and no product.
     In checked mode the walk runs on the definition too, and the power
-    h^N must agree, or :class:`SelfCheckError` is raised.
+    h^N must agree, or :class:`SelfCheckError` is raised.  An n_check above
+    ``CHECK_CAP`` raises :class:`~ietlab.relations.CapExceededError`.
     """
     if n_check < 1:
         raise IetError("n_check >= 1 required")
+    if n_check > CHECK_CAP:
+        raise CapExceededError(f"n_check {n_check} is above the cap {CHECK_CAP}")
     linear = _checked(_linear_growth, h_m, n_check)
     if core.CHECKED and linear != ((h_m ** n_check).d() == n_check * h_m.d()):
         raise SelfCheckError("verify_linear_growth: the orbit walk disagrees with the power h_m^N")

@@ -229,12 +229,14 @@ def parse_iet(text: str) -> Iet:
 
 
 def _field_of(h: Iet, certs: tuple) -> int:
-    values = [c.length for c in h.source.components + h.target.components]
-    for p in h.pieces:
-        values += (p.a, p.length, p.b)
+    """The field of the map's frame, unless every value of the map is
+    rational (a component's length is a sum of piece lengths), joined with
+    the fields of the certificates' values."""
+    irrational = any(p.a.q or p.length.q or p.b.q for p in h.pieces)
+    values = [QuadNum.sqrt(h.frame.d)] if irrational else []
     for cert in certs:
-        values += (cert.angle, cert.conjugator.target.components[0].length)
-    return Frame([QuadNum.of(v) for v in values]).d or 2
+        values += (QuadNum.of(cert.angle), QuadNum.of(cert.conjugator.target.components[0].length))
+    return Frame(values).d or 2
 
 
 def serialize_iet(h: Iet, certs: tuple = ()) -> str:

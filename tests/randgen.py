@@ -1,8 +1,9 @@
 """Shared random-instance generators for the test suite (seeded, exact),
-and one fixed hard instance."""
+one fixed hard instance, and the near-ties of a square root."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -81,3 +82,21 @@ def long_connection_map() -> Iet:
         Fraction(1, 4) - Fraction(53, 3150) * r2,
     ]
     return from_lengths((4, 3, 2, 1), lengths)
+
+
+def sqrt_convergents(d: int, limit: int) -> list[tuple[int, int]]:
+    """The convergents p/q of sqrt(d) with q < limit, from its continued
+    fraction on integers: p - q sqrt(d) comes nearer to 0 than any pair
+    with a smaller q."""
+    a0 = math.isqrt(d)
+    m, den, a = 0, 1, a0
+    (p0, q0), (p1, q1) = (1, 0), (a0, 1)
+    out = []
+    while q1 < limit:
+        out.append((p1, q1))
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        p0, p1 = p1, a * p1 + p0
+        q0, q1 = q1, a * q1 + q0
+    return out

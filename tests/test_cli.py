@@ -23,7 +23,7 @@ from ietlab.menagerie import example_2_3
 from ietlab.relations import CapExceededError, drift_direction, drifted
 from ietlab.rotations import decompose_multi_rotation, roll_up_two_interval
 from ietlab.approx import BALL_RADIUS_CAP
-from ietlab.relations import KCAP_CAP
+from ietlab.relations import KCAP_CAP, Q_CAP
 from ietlab.suspension import CHECK_CAP, DEPTH_CAP, NMAX_CAP, MinimalModelError
 from ietlab.textio import TextFormatError, parse_document, parse_iet, serialize_iet
 
@@ -448,9 +448,10 @@ def test_cli_maps_over_two_fields_are_bad_input(tmp_path, capsys):
         ["minimal-model", "{h}", "--depth", str(DEPTH_CAP + 1)],
         ["minimal-model", "{h}", "--check", str(CHECK_CAP + 1)],
         ["relation-hunt", "{h}", "{h}", "--q", "2", "--kcap", str(KCAP_CAP + 1)],
+        ["relation-hunt", "{h}", "{h}", "--q", str(Q_CAP + 1)],
         ["orbit-ball", "{h}", "--x", "1/3", "--radius", str(BALL_RADIUS_CAP + 1)],
     ],
-    ids=["depth", "check", "kcap", "radius"],
+    ids=["depth", "check", "kcap", "q", "radius"],
 )
 def test_cli_knob_caps_exit_1_before_any_work(tmp_path, capsys, argv):
     h = write_map(tmp_path, "h.iet", long_connection_map())

@@ -279,6 +279,21 @@ def test_point_normalization_on_circles():
         make_point(Domain.interval(1), 0, Fraction(3, 2))
 
 
+@pytest.mark.parametrize("comp", [-1, -2, 2])
+def test_a_component_index_outside_the_domain_is_a_point_error(comp):
+    # a negative index must not reach a component from the end
+    dom = Domain.of(Component("interval", "I", QuadNum(1)), Component(CIRCLE, "C", QuadNum(1)))
+    third = Fraction(1, 3)
+    h = Iet(dom, dom, [(0, 0, 2 * third, 0, third), (0, 2 * third, third, 0, 0), (1, 0, 1, 1, 0)])
+    x = QuadNum(Fraction(1, 2))
+    with pytest.raises(PointError):
+        h(Point(comp, x))
+    with pytest.raises(PointError):
+        h.left_limit(comp, x)
+    with pytest.raises(PointError):
+        make_point(h.source, comp, x)
+
+
 def full(domain: Domain) -> Subdomain:
     """The whole domain as a subdomain."""
     return Subdomain.make(domain, [(i, 0, c.length) for i, c in enumerate(domain.components)])

@@ -1,3 +1,4 @@
+import bisect
 import math
 import operator
 import random
@@ -18,11 +19,13 @@ from ietlab.field import (
     _sign,
     format_number,
     lp_rational_point,
+    order_key,
     parse_number,
 )
 
 import literal_oracle
 import lp_oracle
+from randgen import sqrt_convergents
 
 
 def interval_sign(a: Fraction, b: Fraction, d: int, bits: int = 128) -> int:
@@ -520,6 +523,44 @@ def test_frame_fields():
     assert Frame([QuadNum(1), QuadNum(Fraction(1, 2), 1, 5)]).d == 5
     with pytest.raises(FieldMismatchError):
         Frame([QuadNum.sqrt(2), QuadNum(1), QuadNum.sqrt(3)])
+
+
+# -- the order key -------------------------------------------------------------
+
+
+def test_sqrt_convergents_are_near_ties():
+    assert sqrt_convergents(2, 100) == [(1, 1), (3, 2), (7, 5), (17, 12), (41, 29), (99, 70)]
+    assert all(abs(p * p - 13 * q * q) <= 4 * 13 for p, q in sqrt_convergents(13, 10 ** 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7, 13, 991)), st.integers(1, 96), st.data())
+def test_order_key_orders_the_box_as_the_sign(d, bits, data):
+    K, r = order_key(d, bits)
+    assert order_key(0, bits) == (1, 0)
+    edge = 2 ** bits - 1
+    coord = st.integers(-edge, edge) | st.sampled_from((edge, -edge, edge - 1, 1 - edge, 0))
+    base = (data.draw(coord), data.draw(coord))
+    # around base: base itself, a near-tie either way for every convergent
+    # that fits the box, the box's corners and a few pairs anywhere in it
+    near = [base]
+    for p, q in sqrt_convergents(d, 2 ** bits):
+        near += [(base[0] + p, base[1] - q), (base[0] - p, base[1] + q)]
+    near += [(x, y) for x in (edge, -edge) for y in (edge, -edge)]
+    near += data.draw(st.lists(st.tuples(coord, coord), max_size=8))
+    box = [y for y in near if abs(y[0]) <= edge and abs(y[1]) <= edge]
+    kx = base[0] * K + base[1] * r
+    keys, signs = [], []
+    for y in box:
+        ky = y[0] * K + y[1] * r
+        sign = _sign(y[0] - base[0], y[1] - base[1], d)
+        assert (ky > kx) - (ky < kx) == sign
+        keys.append(ky)
+        signs.append(sign)
+    # both bisect modes: the keys below base's, and those not above it
+    keys.sort()
+    assert bisect.bisect_left(keys, kx) == signs.count(-1)
+    assert bisect.bisect_right(keys, kx) == signs.count(-1) + signs.count(0)
 
 
 # -- the literal codec against its Fraction oracle ------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -22,7 +23,7 @@ from ietlab.core import (
     interval_rotation,
     make_point,
 )
-from ietlab.field import QuadNum
+from ietlab.field import QuadNum, _sign
 from ietlab.relations import CapExceededError
 from ietlab.suspension import (
     BoundaryConnection,
@@ -46,6 +47,7 @@ from randgen import (
     random_q_rational_iet,
     random_quad_lengths,
     random_realizable_perm,
+    sqrt_convergents,
 )
 
 R2 = QuadNum.sqrt(2)
@@ -132,10 +134,12 @@ def test_split_at_several_points_equals_one_at_a_time():
 
 
 def test_analyze_identity():
-    ident = Iet.identity(Domain.interval(1))
-    assert ident.discontinuities() == () and (~ident).discontinuities() == ()
-    assert singular_points(ident) == ()
-    assert find_boundary_connections(ident, 5) == () and fake_boundaries(ident) == ()
+    for domain in (Domain.interval(1), Domain(())):  # the empty domain has no pieces
+        ident = Iet.identity(domain)
+        assert ident.discontinuities() == () and (~ident).discontinuities() == ()
+        assert singular_points(ident) == ()
+        assert find_boundary_connections(ident, 5) == () and fake_boundaries(ident) == ()
+        assert verify_linear_growth(ident, 5) and minimal_model(ident).norm == 0
 
 
 def test_analyze_irrational_rotation():
@@ -354,15 +358,64 @@ def test_kernel_values_equal_the_fraction_construction():
     for h in maps:
         o = suspension._IntOrbits(h)
         keys = o.jumps + o.inv_jumps + o.zero + o.end
-        for c, starts in o.starts.items():
-            keys += [(c, p, q) for p, q in starts]
+        for c, starts in h._per_component()[1].items():
+            keys += [(c, p * o.K + q * o.r, p, q) for p, q in starts]
         for y in keys:
             v = o.value(y)
-            old = QuadNum(Fraction(y[1], o.frame.den), Fraction(y[2], o.frame.den), o.frame.d)
+            old = QuadNum(Fraction(y[2], o.frame.den), Fraction(y[3], o.frame.den), o.frame.d)
             assert (v.p, v.q, v.den, v.d) == (old.p, old.q, old.den, old.d)
             assert v == old and hash(v) == hash(old)
             kinds.add(v.q == 0)
     assert kinds == {True, False}  # rational and irrational points both occur
+
+
+def step_by_sign(o, y, left: bool) -> tuple:
+    """The step of the sign-test search: from the last piece of y's
+    component whose start s has x - s >= 0 (> 0 for a left limit), decided
+    by field._sign, as (dst, P, Q)."""
+    c, _, P, Q = y
+    least = 1 if left else 0
+    pieces = o.h._per_component()[0][c]
+    below = [p for p in pieces if _sign(P - p[1][0], Q - p[1][1], o.frame.d) >= least]
+    _, a, _, dst, b = below[-1]
+    return dst, P - a[0] + b[0], Q - a[1] + b[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORBIT_KINDS), st.integers(0, 2 ** 32 - 1))
+def test_keyed_steps_equal_the_sign_test(kind, seed):
+    # points at each piece start, a near-tie either way for every
+    # convergent of sqrt(d), and pairs with |P| at the edge of the box
+    h = orbit_instance(random.Random(seed), kind)
+    o = suspension._IntOrbits(h)
+    d, edge = o.frame.d, 2 ** o.bits - 1
+    lengths = [c.length for c in h.source.components]
+    met = set()
+    for c, starts in h._per_component()[1].items():
+        for ps, qs in starts:
+            points = [(ps + j, qs) for j in (-1, 0, 1)]
+            if d:
+                ts = [q for _, q in sqrt_convergents(d, edge)]
+                ts.append(math.isqrt((edge - 1 - abs(ps)) ** 2 // d))
+                for t in ts + [-t for t in ts]:
+                    below = math.isqrt(d * t * t) if t > 0 else -math.isqrt(d * t * t) - 1
+                    # P + Q sqrt(d) lies in (j - 1, j) from the start's
+                    points += [(ps + below + j, qs - t) for j in (0, 1)]
+            for P, Q in points:
+                if abs(P) > edge or abs(Q) > edge:
+                    continue
+                y = (c, P * o.K + Q * o.r, P, Q)
+                x = o.value(y)
+                for left, step in ((False, o.image), (True, o.left_limit)):
+                    if (0 < x <= lengths[c]) if left else (0 <= x < lengths[c]):
+                        dst, k, P2, Q2 = step(y)
+                        assert (dst, P2, Q2) == step_by_sign(o, y, left)
+                        assert k == P2 * o.K + Q2 * o.r
+                        met.add((left, "tie" if (P, Q) == (ps, qs) else "near"))
+                        if 2 * abs(P) > edge:
+                            met.add((left, "edge"))
+    ways = {"tie", "near", "edge"} if d else {"tie", "near"}
+    assert met >= {(left, way) for left in (False, True) for way in ways}
 
 
 def test_glue_fake_boundary_rolls_interval_rotation_into_circle():
@@ -723,6 +776,18 @@ def test_norm_bounds_refuses_n_max_above_its_cap_before_composing(monkeypatch):
         norm_bounds(h, suspension.NMAX_CAP + 1)
     monkeypatch.undo()
     assert norm_bounds(h, suspension.NMAX_CAP) == (0, 0)  # at the cap: allowed
+
+
+def test_the_walks_refuse_more_steps_than_the_kernel_box_holds(monkeypatch):
+    # the box of the integer kernel is sized for these caps: a longer walk
+    # could leave it, so it is refused before any step
+    h = interval_rotation(ALPHA)
+    monkeypatch.setattr(suspension._IntOrbits, "image", lambda self, y: pytest.fail("stepped"))
+    deepest = suspension.DEPTH_CAP * 4 ** suspension._RETRIES
+    with pytest.raises(CapExceededError, match="above the cap"):
+        find_boundary_connections(h, deepest + 1)
+    with pytest.raises(CapExceededError, match="above the cap"):
+        verify_linear_growth(h, suspension.CHECK_CAP + 1)
 
 
 def centralizer_orbit_check(h_m: Iet, g: Iet) -> tuple[bool, Optional[Point]]:
