@@ -139,7 +139,7 @@ class Domain:
         raise IetError(f"no component {cid!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """A point of a domain: component index plus exact coordinate."""
 
@@ -148,6 +148,10 @@ class Point:
 
     def key(self):
         return (self.comp, self.x)
+
+
+_new_point = object.__new__
+_set_comp, _set_x = Point.comp.__set__, Point.x.__set__
 
 
 def make_point(domain: Domain, comp: int, x) -> Point:
@@ -503,7 +507,12 @@ class Iet:
         at = self._locate(pt.comp, pt.x, False)
         if at is None:
             raise PointError(f"point {pt} outside the source domain")
-        return Point(*at)
+        # the point's slots set directly: the frozen __init__ costs a quarter
+        # of an evaluation
+        out = _new_point(Point)
+        _set_comp(out, at[0])
+        _set_x(out, at[1])
+        return out
 
     def left_limit(self, comp: int, x) -> tuple[int, object]:
         """One-sided limit of the map approaching coordinate ``x`` from below.
@@ -534,15 +543,25 @@ class Iet:
             return None
         if x.__class__ is not QuadNum:
             x = QuadNum.of(x)
-        frame, m, (P, Q) = self.frame.meet(x)
-        K, r, keyed = self._order(frame.d, P, Q, m)
-        pieces_of, starts_of = self._per_component()
+        den, m, d, (P, Q) = self.frame.meet(x)
+        box = self._keys
+        if (
+            box is None
+            or box[0] != d
+            or d and not (-box[1] < P < box[1] and -box[1] < Q < box[1] and m < box[2])
+        ):
+            box = self._order(d, P, Q, m)
+        _, _, _, K, r, keyed, _ = box
         at = keyed.get(comp)
         if at is None:
+            pieces = self._per_component()[0][comp]
             length = self.frame.coord(QuadNum.of(self.source.components[comp].length))
-            keys = [p * K + q * r for p, q in starts_of[comp]]
-            at = keyed[comp] = keys, length[0] * K + length[1] * r
-        keys, end = at
+            at = keyed[comp] = (
+                [a[0] * K + a[1] * r for _, a, _, _, _ in pieces],
+                length[0] * K + length[1] * r,
+                [(dst, b[0] - a[0], b[1] - a[1]) for _, a, _, dst, b in pieces],
+            )
+        keys, end, moves = at
         k = P * K + Q * r
         if left:
             if k <= 0 or k > m * end:
@@ -552,25 +571,26 @@ class Iet:
             if k < 0 or k >= m * end:
                 return None
             i = bisect.bisect_right(keys, k // m)
-        _, a, _, dst, b = pieces_of[comp][i - 1]
-        return dst, frame.value((P + m * (b[0] - a[0]), Q + m * (b[1] - a[1])))
+        dst, sp, sq = moves[i - 1]
+        return dst, Frame.value_over(P + m * sp, Q + m * sq, den, d)
 
-    def _order(self, d: int, P: int, Q: int, m: int) -> tuple[int, int, dict]:
-        """K and r of ``order_key(d, bits)`` for a box that holds the pair
-        (P, Q) and the map's source coordinates times m, with the keys
-        built so far of each component's starts and length: built on first
-        use, and again for a larger box or another field."""
-        own, kd, bits, K, r, keyed = self._keys or (self._own_bits(), None, 0, 1, 0, None)
+    def _order(self, d: int, P: int, Q: int, m: int) -> tuple:
+        """The box of ``order_key(d, bits)`` for the field d that holds the
+        pair (P, Q) and the map's source coordinates times m: (d, 2**bits,
+        2**(bits - own), K, r, keyed, own), where own is the bits of the
+        map's largest coordinate and keyed holds, per component, the keys
+        of the starts and of the length and each piece's target and shift,
+        built on first use.  Made again only for a larger box or another
+        field."""
+        own = self._keys[6] if self._keys else self._own_bits()
         if d:
-            need = max(abs(P).bit_length(), abs(Q).bit_length(), own + m.bit_length())
+            # 32 more bits: room for the next points of an orbit
+            bits = max(abs(P).bit_length(), abs(Q).bit_length(), own + m.bit_length()) + 32
         else:
-            need = 0  # every Q is 0, and the key is P
-        if kd != d or bits < need:
-            bits = need + 32 if d else 0  # room for the next points of an orbit
-            K, r = order_key(d, bits)
-            keyed = {}
-            self._keys = own, d, bits, K, r, keyed
-        return K, r, keyed
+            bits = 0  # every Q is 0, and the key is P
+        K, r = order_key(d, bits)
+        self._keys = box = (d, 1 << bits, 1 << (bits - own) if d else 0, K, r, {}, own)
+        return box
 
     def _own_bits(self) -> int:
         """The bits of the largest |P| or |Q| of a source coordinate."""

@@ -105,9 +105,10 @@ class QuadNum:
     ``+``, ``-``, the comparisons and ``==`` read a ``QuadNum`` operand's
     integers directly, skip the cross-multiplication when the denominators
     are equal, and take an ``int`` k without converting it:
-    ``(p ± k*den, q, den)`` is already normalized, so it needs no gcd.  A
-    ``Fraction`` operand is converted by :func:`_coerce` first.  No operator
-    calls another one, so each operation is one call.
+    ``(p ± k*den, q, den)`` is already normalized, so it needs no gcd;
+    ``*`` takes an ``int`` unconverted too.  A ``Fraction`` operand is
+    converted by :func:`_coerce` first.  No operator calls another one, so
+    each operation is one call.
     """
 
     __slots__ = ("p", "q", "den", "d")
@@ -205,6 +206,8 @@ class QuadNum:
         return _raw(-self.p, -self.q, self.den, self.d)
 
     def __mul__(self, other):
+        if other.__class__ is int:
+            return _quad(self.p * other, self.q * other, self.den, self.d)
         o = _coerce(other)
         if o is None:
             return NotImplemented
@@ -313,7 +316,8 @@ class QuadNum:
 
     def mod(self, length: "QuadNum") -> "QuadNum":
         """Reduce into [0, length) for length > 0."""
-        return self - length * (self / length).floor()
+        k = (self / length).floor()
+        return self - length * k if k else self
 
     # -- formatting ----------------------------------------------------------
 
@@ -401,16 +405,19 @@ class Frame:
     def value(self, c: tuple[int, int]) -> QuadNum:
         return _quad(c[0], c[1], self.den, self.d)
 
-    def meet(self, x: QuadNum) -> tuple["Frame", int, tuple[int, int]]:
-        """The frame of this frame's values and x, the factor m by which
-        its coordinates are this frame's, and x's coordinate on it: this
-        frame itself, with m = 1, when x lies on it."""
-        if not self.den % x.den and (x.d == self.d or not x.d):
-            return self, 1, self.coord(x)
-        out = object.__new__(Frame)
-        out.d = _join_fields(self.d, x.d)
-        out.den = math.lcm(self.den, x.den)
-        return out, out.den // self.den, out.coord(x)
+    def meet(self, x: QuadNum) -> tuple[int, int, int, tuple[int, int]]:
+        """(den, m, d, c): the lcm den of this frame's denominator and x's,
+        the factor m = den / self.den, the field d of both, and x's
+        coordinate c over den; m = 1 when x lies on this frame.  No frame
+        is built: ``value_over`` reads a coordinate over den back."""
+        d = self.d if x.d == self.d or not x.d else _join_fields(self.d, x.d)
+        g = math.gcd(self.den, x.den)
+        m, s = x.den // g, self.den // g
+        return self.den * m, m, d, (x.p * s, x.q * s)
+
+    # value_over(P, Q, den, d): the value of the coordinate (P, Q) over den
+    # in the field d, normalized
+    value_over = staticmethod(_quad)
 
     @staticmethod
     def add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:

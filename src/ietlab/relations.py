@@ -13,9 +13,13 @@ Two routes to a relation in a group generated by interval exchanges S, T:
 
 Either way the commutation relation, read as a word in the abstract free
 group, is nonempty after free reduction, so the pair does not generate a
-free group of rank 2.  Everything here is verified by exact arithmetic:
-supports are computed and intersected exactly, and the word is re-evaluated
-to the identity map before a certificate is issued.
+free group of rank 2.  Everything here is verified by exact arithmetic, and
+the word is re-evaluated to the identity map before a certificate is
+issued.  The hot paths run on integers: the walk of the power search, the
+eps-cover check of supp(U) and the disjointness of supports put their
+values on one :class:`~ietlab.field.Frame` and compare one integer key per
+value (:func:`ietlab.field.order_key`).  In checked mode each keyed
+verdict is re-derived in ``QuadNum`` (:class:`~ietlab.core.Subdomain`).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from ietlab.core import (
     perm_inverse,
     perm_validate,
 )
-from ietlab.field import Frame, QuadNum, _sign
+from ietlab.field import Frame, QuadNum, order_key
 from ietlab.rotations import circle_angles, multi_rotation_power
 
 
@@ -175,6 +179,104 @@ def _eps_cover(domain: Domain, pts: Iterable[Point], eps) -> Subdomain:
     return Subdomain.make(domain, parts)
 
 
+def _moving(h: Iet, frame: Frame) -> list[tuple[int, tuple[int, int], tuple[int, int]]]:
+    """(component, start, end) of each moving piece of the automorphism h,
+    in (component, start) order, as coordinates on frame, which joins h's."""
+    s = frame.den // h.frame.den
+    return [
+        (src, (a[0] * s, a[1] * s), ((a[0] + n[0]) * s, (a[1] + n[1]) * s))
+        for src, a, n, dst, b in h._pieces
+        if src != dst or a != b
+    ]
+
+
+def _keyer(frame: Frame, coords: Iterable[tuple[int, int]], reach: int):
+    """The key P*K + Q*r of :func:`~ietlab.field.order_key` on frame, over
+    a box that holds every sum or difference of at most ``reach`` of the
+    coordinates: keys of that box add and compare as their values do."""
+    top = max((abs(v) for c in coords for v in c), default=0)
+    K, r = order_key(frame.d, (reach * top).bit_length())
+    return lambda c: c[0] * K + c[1] * r
+
+
+def _eps_covered(s: Iet, u: Iet, eps: QuadNum) -> bool:
+    """Whether supp(U) lies in the closed eps-neighbourhood of the jumps of
+    S and S^-1 and of the ends of the interval components: the verdict of
+    ``_eps_cover(...).covers(u.support())``, by one merge sweep on keys.
+
+    The jumps, the component lengths, eps and U's moving pieces are put on
+    one frame and keyed over a box that holds x + t - eps and x + t + eps
+    for every centre x and turn t in {-L, 0, L}: three sums of them.  The
+    closed balls of each component are sorted and merged, and every moving
+    piece [a, e) must lie in one merged ball [lo, hi], with lo <= a and
+    e <= hi: [a, e) lies in a finite union of closed intervals exactly when
+    its closure [a, e] does, and a connected set lies in one of them.
+    """
+    domain = s.source
+    lengths = [QuadNum.of(c.length) for c in domain.components]
+    frame = Frame([eps, *lengths]).join(u.frame).join(s.frame)
+    coord, k = frame.coord, frame.den // s.frame.den  # S^-1 lives on S's frame
+    jumps = [(ci, (x[0] * k, x[1] * k)) for ci, x in s._jumps() + (~s)._jumps()]
+    pieces = _moving(u, frame)
+    e, ends = coord(eps), [coord(length) for length in lengths]
+    key = _keyer(frame, [e, *ends, *(x for _, x in jumps), *(x for p in pieces for x in p[1:])], 3)
+    e, ends = key(e), [key(x) for x in ends]
+    centres = [(ci, key(x)) for ci, x in jumps]
+    for ci, comp in enumerate(domain.components):
+        if comp.kind == INTERVAL:
+            centres += [(ci, 0), (ci, ends[ci])]
+    balls: dict[int, list[tuple[int, int]]] = {}
+    for ci, x in centres:
+        end = ends[ci]
+        for t in (-end, 0, end) if domain.components[ci].kind == CIRCLE else (0,):
+            lo, hi = x + t - e, x + t + e
+            if lo < end and hi > 0:
+                balls.setdefault(ci, []).append((lo, hi))
+    merged: dict[int, list[list[int]]] = {}
+    for ci, bs in balls.items():
+        bs.sort()
+        out = merged[ci] = [list(bs[0])]
+        for lo, hi in bs[1:]:
+            if lo <= out[-1][1]:
+                if hi > out[-1][1]:
+                    out[-1][1] = hi
+            else:
+                out.append([lo, hi])
+    at = None
+    for ci, a, b in pieces:
+        if ci != at:
+            at, ms, j = ci, merged.get(ci, []), 0
+        a, b = key(a), key(b)
+        while j < len(ms) and ms[j][1] < a:
+            j += 1
+        if not (j < len(ms) and ms[j][0] <= a and b <= ms[j][1]):
+            return False
+    return True
+
+
+def _disjoint_supports(g: Iet, h: Iet) -> bool:
+    """Whether supp(g) and supp(h) are disjoint: the verdict of
+    ``g.support().intersection(h.support()).is_empty()``, by one merge
+    sweep over the two maps' moving pieces, keyed on the frame of both.
+    Two half-open pieces [a, e) and [a', e') of one component meet exactly
+    when neither ends at or before the other's start."""
+    frame = g.frame.join(h.frame)
+    ps, qs = _moving(g, frame), _moving(h, frame)
+    key = _keyer(frame, [x for p in ps + qs for x in p[1:]], 1)
+    ps = [(ci, key(a), key(b)) for ci, a, b in ps]
+    qs = [(ci, key(a), key(b)) for ci, a, b in qs]
+    i = j = 0
+    while i < len(ps) and j < len(qs):
+        (ci, a, b), (cj, a2, b2) = ps[i], qs[j]
+        if ci < cj or (ci == cj and b <= a2):
+            i += 1
+        elif cj < ci or b2 <= a:
+            j += 1
+        else:
+            return False
+    return True
+
+
 def jump_marks(s: Iet) -> list[Point]:
     """Jumps of the map and of its inverse, as one list of points."""
     return list(s.discontinuities()) + list((~s).discontinuities())
@@ -224,14 +326,21 @@ def _common_return(circles: list[tuple[QuadNum, QuadNum]], cap: int) -> Optional
     1967) the next return from y is the shorter of A+ and A- whose shift
     keeps y in W, else A+ + A- (see :func:`_first_hits`); when beta is
     rational and a hit is missing, the period, which fixes y, takes the
-    place of the missing steps.  Every value the walk adds or compares is
-    an integer pair of one :class:`~ietlab.field.Frame`: the steps, delta,
-    and for each other circle its delta, its 1 - delta and its shift
-    {g beta} for each gap g.  A return picks its step by sign tests
-    (:func:`ietlab.field._sign`) and adds one pair to y; each other circle
-    adds the step's pair to x = {n beta}, subtracts the frame's denominator
-    D once if x reached 1, and meets the bound when x <= delta or
-    x >= 1 - delta.
+    place of the missing steps.  For each other circle, x = {n beta} moves
+    by its shift {g beta} for the step's gap g, less 1 if it reached 1, and
+    meets the bound when x <= delta or x >= 1 - delta.
+
+    Every value the walk adds or compares is one integer key: the value's
+    pair (P, Q) on one :class:`~ietlab.field.Frame` of denominator D, read
+    as P*K + Q*r with (K, r) from :func:`~ietlab.field.order_key`.  Keys
+    add as the values do and compare as the values do on the box of that
+    lemma, so a step is integer compares and additions.  The box holds
+    every value compared: let c bound |P| and |Q| over the fixed values
+    (delta, 1, the steps' shifts and bounds, and each other circle's
+    delta, 1 - delta and shifts).  A step adds at most one shift to y and
+    to each x, and subtracts 1 (the pair (D, 0)) at most once from each x,
+    so after j steps every |P| and |Q| is at most (2 j + 1) c; the walk
+    takes at most cap steps, since each one adds at least 1 to n.
     """
     driver = min(circles, key=lambda c: c[1])
     others = [c for c in circles if c is not driver]
@@ -253,36 +362,33 @@ def _common_return(circles: list[tuple[QuadNum, QuadNum]], cap: int) -> Optional
         steps.append((period, zero, 0, zero))
     steps.sort(key=lambda s: s[0])
     moves = [[(g * b).mod(QuadNum(1)) for g, *_ in steps] for b, _ in others]
-    values = [delta] + [v for _, shift, _, bound in steps for v in (shift, bound)]
-    values += [v for (_, dj), mv in zip(others, moves) for v in (dj, *mv)]
+    values = [delta, QuadNum(1)] + [v for _, shift, _, bound in steps for v in (shift, bound)]
+    values += [v for (_, dj), mv in zip(others, moves) for v in (dj, 1 - dj, *mv)]
     frame = Frame(values)
-    pair, den, d = frame.coord, frame.den, frame.d
-    walk = [(g, *pair(shift), side, *pair(bound)) for g, shift, side, bound in steps]
-    # per other circle: x = {n beta}, its shift per step, delta and 1 - delta
-    xp = [0] * len(others)
-    xq = [0] * len(others)
-    rest = [
-        ([pair(m) for m in mv], *pair(dj), *pair(1 - dj)) for (_, dj), mv in zip(others, moves)
-    ]
-    sign = _sign
-    n, (yp, yq) = 0, pair(delta)
+    coords = [frame.coord(v) for v in values]
+    key = _keyer(frame, coords, 2 * max(cap, 0) + 1)
+    keys = map(key, coords)
+    y, one = next(keys), next(keys)
+    walk = [(g, next(keys), side, next(keys)) for g, _, side, _ in steps]
+    # per other circle: its bounds delta and 1 - delta and its shift per step
+    rest = [(next(keys), next(keys), [next(keys) for _ in mv]) for mv in moves]
+    xs = [0] * len(others)
+    n = 0
     while True:
-        for i, (gap, sp, sq, side, bp, bq) in enumerate(walk):
-            if not side or side * sign(yp - bp, yq - bq, d) >= 0:
+        for i, (gap, shift, side, bound) in enumerate(walk):
+            if not side or (y >= bound if side > 0 else y <= bound):
                 break
         n += gap
         if n > cap:
             return None
-        yp += sp
-        yq += sq
+        y += shift
         near = True
-        for j, (mv, lp, lq, hp, hq) in enumerate(rest):
-            mp, mq = mv[i]
-            p, q = xp[j] + mp, xq[j] + mq
-            if sign(p - den, q, d) >= 0:
-                p -= den
-            xp[j], xq[j] = p, q
-            if near and sign(lp - p, lq - q, d) < 0 and sign(p - hp, q - hq, d) < 0:
+        for j, (lo, hi, mv) in enumerate(rest):
+            x = xs[j] + mv[i]
+            if x >= one:
+                x -= one
+            xs[j] = x
+            if lo < x < hi:
                 near = False
         if near:
             return n
@@ -296,11 +402,12 @@ def small_rotation_power(r: Iet, eps, cap: int = 500_000) -> int:
     and delta = (eps/2)/L on every circle; circles with 2 delta >= 1 always
     meet it.  The circle with the smallest delta drives the search: its
     returns to the window are walked exactly by the three-gap theorem, and
-    every other circle is tested at each return on integers, by one
-    addition per circle (:func:`_common_return`), so the answer is the true
-    minimum.  Only the choice of the driver and its Farey descent
-    (:func:`_first_hits`) run in ``QuadNum``; the walk runs on integer
-    pairs over one common denominator, and no floating point is used.  In
+    every other circle is tested at each return by one addition per circle
+    (:func:`_common_return`), so the answer is the true minimum.  Only the
+    choice of the driving circle and its Farey descent
+    (:func:`_first_hits`) run in ``QuadNum``; the walk adds and compares
+    one integer key per value (:func:`ietlab.field.order_key`), and no
+    floating point is used.  In
     checked mode the n found is re-checked in ``QuadNum`` against the
     definition, ||n beta|| <= delta on every circle and n <= cap, and a
     mismatch raises :class:`SelfCheckError`.  Raises
@@ -353,14 +460,21 @@ def shrink_support(r: Iet, s: Iet, cfg: ShrinkConfig) -> tuple[int, Iet]:
     of the jumps, and the outer one dies off the eps-neighbourhood; each of
     the two commutator steps spends a factor of two.  R^n is built in closed
     form by :func:`ietlab.rotations.multi_rotation_power`, which checked
-    mode compares with ``r ** n``.
+    mode compares with ``r ** n``.  The guarantee is checked by one merge
+    sweep on integer keys (:func:`_eps_covered`); checked mode re-derives
+    its verdict from the ``QuadNum`` subdomains of :func:`_eps_cover` and
+    ``U.support()``, and a mismatch raises :class:`SelfCheckError`.
     """
     if r.source != s.source or r.source != r.target or s.source != s.target:
         raise IetError("R and S must be automorphisms of one domain")
-    n = small_rotation_power(r, QuadNum.of(cfg.epsilon) / 2, _SHRINK_N_CAP)
+    eps = QuadNum.of(cfg.epsilon)
+    n = small_rotation_power(r, eps / 2, _SHRINK_N_CAP)
     rn = multi_rotation_power(r, n)
     u = commutator(commutator(s, rn), rn)
-    if not _eps_cover(s.source, jump_marks(s), cfg.epsilon).covers(u.support()):
+    covered = _eps_covered(s, u, eps)
+    if core.CHECKED and covered != _eps_cover(s.source, jump_marks(s), eps).covers(u.support()):
+        raise SelfCheckError("keyed eps-cover check disagrees with the QuadNum subdomains")
+    if not covered:
         raise ShrinkVerificationError("support escaped its eps-neighbourhood")
     return n, u
 
@@ -512,7 +626,9 @@ def relation_certificate(
     divides q!).  With u = [s^e, t s^e t^-1]: if U = u(S, T) is the identity
     the word u itself is the certificate; otherwise each k <= k_cap is tried
     for exact disjointness of supp(U) and supp(T^k U T^-k), giving the word
-    [t^k u t^-k, u].  The word is re-evaluated to the identity by exact
+    [t^k u t^-k, u]; disjointness is one keyed sweep
+    (:func:`_disjoint_supports`), which checked mode re-derives by
+    ``Subdomain.intersection``.  The word is re-evaluated to the identity by exact
     composition, and its free reduction is checked nonempty.  None means the
     search failed, not that the group is free.  A k_cap above ``KCAP_CAP``
     or a q above ``Q_CAP`` raises :class:`CapExceededError` before any
@@ -557,7 +673,10 @@ def relation_certificate(
     for k in range(1, k_cap + 1):
         tk = t * tk
         uk = tk * u_iet * ~tk
-        if uk.support().intersection(supp_u).is_empty():
+        disjoint = _disjoint_supports(uk, u_iet)
+        if core.CHECKED and disjoint != uk.support().intersection(supp_u).is_empty():
+            raise SelfCheckError("keyed support sweep disagrees with the QuadNum subdomains")
+        if disjoint:
             word = commutator_word(w_t ** k * u_word * w_t ** -k, u_word)
             return issue(word, k)
     return None

@@ -3,7 +3,7 @@ from fractions import Fraction
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ietlab import core, relations
@@ -24,6 +24,10 @@ from ietlab.core import (
 from ietlab.field import QuadNum
 from ietlab.relations import (
     CapExceededError,
+    ShrinkVerificationError,
+    _disjoint_supports,
+    _eps_cover,
+    _eps_covered,
     _first_hits,
     ShrinkConfig,
     Word,
@@ -33,6 +37,7 @@ from ietlab.relations import (
     drifted,
     free_reduce,
     is_admissible,
+    jump_marks,
     lcm_up_to,
     relation_certificate,
     small_rotation_power,
@@ -41,7 +46,7 @@ from ietlab.relations import (
     vanishing_coordinate_certificate,
 )
 
-from randgen import random_iet, random_realizable_perm
+from randgen import cut_and_place, random_domain, random_iet, random_realizable_perm
 
 R2 = QuadNum.sqrt(2)
 ALPHA = R2 - 1
@@ -283,6 +288,15 @@ CIRCLES = st.lists(
     st.sampled_from([Fraction(4), Fraction(1, 3), Fraction(1, 10), Fraction(1, 50), Fraction(1, 300)]),
     st.sampled_from([1, 3, 400, 3000, 3000]),
 )
+# a rational turn whose window W holds no other return: the period step, n = 7,
+# then the same past the cap
+@example([(QuadNum(1), QuadNum(Fraction(3, 7)))], Fraction(1, 50), 400)
+@example([(QuadNum(1), QuadNum(Fraction(3, 7)))], Fraction(1, 50), 3)
+@example(
+    [(QuadNum(1), ALPHA), (QuadNum(Fraction(1, 2)), QuadNum(Fraction(1, 5)))],
+    Fraction(1, 300),
+    3000,
+)
 def test_small_rotation_power_matches_scan(circles, eps, cap):
     expected = scan_small_power(circles, eps, cap)
     r = multi_rotation(circles)
@@ -500,6 +514,156 @@ def test_shrink_support_part_count_bounded_by_marks():
     assert len(u.support().parts) <= 2 * nmarks
 
 
+# -- keyed sweeps against their QuadNum oracles --------------------------------------
+
+
+def swap_halves(domain: Domain, spans) -> Iet:
+    """The map of domain that swaps the two halves of each of the disjoint
+    spans (component, start, end) and fixes the rest: its support is the
+    union of the spans."""
+    pieces = []
+    for ci, comp in enumerate(domain.components):
+        at = QuadNum(0)
+        for a, e in sorted((QuadNum.of(a), QuadNum.of(e)) for cj, a, e in spans if cj == ci):
+            if at < a:
+                pieces.append((ci, at, a - at, ci, at))
+            mid = (a + e) / 2
+            pieces += [(ci, a, mid - a, ci, e - (mid - a)), (ci, mid, e - mid, ci, a)]
+            at = e
+        if at < comp.length:
+            pieces.append((ci, at, comp.length - at, ci, at))
+    return Iet(domain, domain, pieces)
+
+
+def spans_from(data, domain: Domain, marks) -> list:
+    """Disjoint spans whose ends are drawn from marks (component,
+    coordinate) and the component ends: consecutive pairs of a sorted
+    draw."""
+    spans = []
+    for ci, comp in enumerate(domain.components):
+        ends = {QuadNum(0), comp.length}
+        ends |= {x for cj, x in marks if cj == ci and 0 <= x <= comp.length}
+        picked = sorted(data.draw(st.lists(st.sampled_from(sorted(ends)), max_size=6, unique=True)))
+        spans += [(ci, a, e) for a, e in zip(picked[::2], picked[1::2])]
+    return spans
+
+
+def keyed_cover_agrees(s: Iet, u: Iet, eps) -> bool:
+    verdict = _eps_covered(s, u, QuadNum.of(eps))
+    assert verdict == _eps_cover(s.source, jump_marks(s), eps).covers(u.support())
+    return verdict
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([Fraction(1, 100), Fraction(1, 20), Fraction(1, 8), Fraction(1, 3)]),
+    st.data(),
+)
+def test_keyed_cover_matches_the_quadnum_subdomains(seed, eps, data):
+    # mixed circle/interval domains; support ends on ball edges, just
+    # inside and outside them, and anywhere
+    rnd = random.Random(seed)
+    domain = random_domain(rnd)
+    phi = cut_and_place(domain)
+    s = phi * random_iet(rnd, 5) * ~phi
+    centres = [(p.comp, p.x) for p in jump_marks(s)]
+    centres += [(ci, x) for ci, c in enumerate(domain.components) for x in (QuadNum(0), c.length)]
+    marks = []
+    for ci, x in centres:
+        length = domain.components[ci].length
+        turns = (-length, 0, length) if domain.components[ci].kind == CIRCLE else (0,)
+        marks += [(ci, x + t + f * eps) for t in turns for f in (-1, -Fraction(1, 2), 1, 2)]
+    for ci, c in enumerate(domain.components):
+        marks.append((ci, c.length * Fraction(rnd.randint(1, 99), 100)))
+    keyed_cover_agrees(s, swap_halves(domain, spans_from(data, domain, marks)), eps)
+
+
+def test_keyed_cover_on_ball_edges():
+    # jumps of S at 1/4 and 7/20, of S^-1 at 1/10 and 7/20, ends 0 and 1: the
+    # closed 1/20-balls merge into [0, 3/20], [1/5, 2/5] and [19/20, 1]
+    s = from_lengths((2, 1, 3), [Fraction(1, 4), Fraction(1, 10), Fraction(13, 20)])
+    eps, f = Fraction(1, 20), Fraction
+    cases = [
+        ([(0, f(1, 5), f(2, 5))], True),  # two balls that touch, edge to edge
+        ([(0, f(1, 4), f(7, 20))], True),
+        ([(0, 0, f(3, 20)), (0, f(1, 5), f(2, 5)), (0, f(19, 20), 1)], True),
+        ([(0, f(1, 5), f(2, 5) + f(1, 1000))], False),
+        ([(0, f(1, 5) - f(1, 1000), f(1, 4))], False),
+        ([(0, f(3, 20), f(1, 5))], False),  # both ends on edges, the inside out
+        ([(0, f(1, 10), f(1, 4))], False),
+        ([(0, f(19, 20) - f(1, 1000), 1)], False),
+    ]
+    for spans, covered in cases:
+        assert keyed_cover_agrees(s, swap_halves(s.source, spans), eps) is covered, spans
+    # on a circle the ball round the jump at 0 reaches back from 1
+    s = circle_swap_first_quarters()
+    for spans, covered in [
+        ([(0, f(19, 20), 1)], True),
+        ([(0, 0, f(1, 20)), (0, f(19, 20), 1)], True),
+        ([(0, f(9, 10), 1)], False),
+        ([(0, f(1, 5), f(3, 10))], True),
+        ([(0, f(1, 5) - f(1, 1000), f(3, 10))], False),
+    ]:
+        assert keyed_cover_agrees(s, swap_halves(s.source, spans), eps) is covered, spans
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10**6), st.data())
+def test_keyed_disjointness_matches_the_quadnum_intersection(seed, data):
+    # spans on one shared grid of rational and Q(sqrt 2) points, so that
+    # supports often touch end to start (half-open: disjoint) or overlap
+    rnd = random.Random(seed)
+    domain = random_domain(rnd)
+    marks = [
+        (ci, c.length * t)
+        for ci, c in enumerate(domain.components)
+        for t in (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), (R2 - 1) / 2, R2 - 1)
+    ]
+    g = swap_halves(domain, spans_from(data, domain, marks))
+    h = swap_halves(domain, spans_from(data, domain, marks))
+    assert _disjoint_supports(g, h) == g.support().intersection(h.support()).is_empty()
+
+
+def test_keyed_disjointness_on_touching_supports():
+    f = Fraction
+    domain = Domain((Component(CIRCLE, "C", QuadNum(1)), Component("interval", "I", QuadNum(1))))
+    cases = [
+        ([(0, 0, f(1, 4))], [(0, f(1, 4), f(1, 2))], True),  # half-open: end meets start
+        ([(0, 0, f(1, 4)), (0, f(1, 2), f(3, 4))], [(0, f(1, 4), f(1, 2))], True),
+        ([(0, 0, f(1, 4))], [(0, f(1, 5), f(1, 2))], False),
+        ([(0, f(1, 4), f(1, 2))], [(0, 0, f(1, 2))], False),
+        ([(0, 0, f(1, 4))], [(1, 0, f(1, 4))], True),  # other component
+    ]
+    for a, b, disjoint in cases:
+        g, h = swap_halves(domain, a), swap_halves(domain, b)
+        for x, y in ((g, h), (h, g)):
+            assert _disjoint_supports(x, y) is disjoint, (a, b)
+            assert x.support().intersection(y.support()).is_empty() is disjoint
+
+
+def test_checked_mode_rederives_the_keyed_verdicts(monkeypatch):
+    r, s = circle_rotation(1, ALPHA), circle_swap_first_quarters()
+    cfg = ShrinkConfig(QuadNum(Fraction(1, 100)))
+    monkeypatch.setattr(relations, "_eps_covered", lambda s, u, eps: False)
+    monkeypatch.setattr(core, "CHECKED", True)
+    with pytest.raises(SelfCheckError):
+        shrink_support(r, s, cfg)
+    monkeypatch.setattr(core, "CHECKED", False)
+    with pytest.raises(ShrinkVerificationError):
+        shrink_support(r, s, cfg)  # only checked mode looks
+    # the k-loop: every conjugate said to meet supp(U) although one does not
+    delta = (R2 - 1) / 2 ** 11
+    s = from_lengths((2, 1, 3), [Fraction(1, 4) + delta, Fraction(1, 4) - delta, Fraction(1, 2)])
+    t0 = from_lengths((3, 2, 1), [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)])
+    t = drifted(t0, QuadNum(Fraction(1, 2**9)), drift_direction((3, 2, 1)))
+    monkeypatch.setattr(relations, "_disjoint_supports", lambda g, h: False)
+    assert relation_certificate(s, t, 4, k_cap=3) is None
+    monkeypatch.setattr(core, "CHECKED", True)
+    with pytest.raises(SelfCheckError):
+        relation_certificate(s, t, 4, k_cap=3)
+
+
 # -- drift -------------------------------------------------------------------------
 
 
@@ -595,7 +759,11 @@ def test_relation_certificate_with_genuine_conjugate_search():
     t = drifted(t0, theta, drift_direction((3, 2, 1)))
     cert = relation_certificate(s, t, 4, k_cap=16)
     assert cert is not None
-    assert cert.k >= 1
+    assert cert.k == 2 and len(cert.word) == 216
+    assert cert.word.format() == (
+        "t^3 s^-12 t^-1 s^-12 t s^12 t^-1 s^12 t^-2 t s^-12 t^-1 s^-12 t s^12 t^-1 s^12 t^2 "
+        "s^-12 t s^-12 t^-1 s^12 t s^12 t^-3 s^-12 t s^-12 t^-1 s^12 t s^12 t^-1"
+    )
     assert not cert.u.is_identity()
     assert cert.supp_u == cert.u.support()
     tk = t ** cert.k
