@@ -48,6 +48,7 @@ from ietlab.relations import (
     relation_certificate,
     vanishing_coordinate_certificate,
 )
+from ietlab.rotations import irrational_circles
 from ietlab.suspension import MinimalModelError, minimal_model, norm_bounds
 from ietlab.textio import TextFormatError, parse_iet, serialize_iet
 
@@ -188,6 +189,10 @@ def cmd_minimal_model(args, report) -> int:
     report.outcome["search_depth"] = cert.search_depth
     report.outcome["model_components"] = " ".join(
         f"{c.kind}:{format_number(c.length)}" for c in cert.h_m.source.components
+    )
+    # circles of h_m turned by an irrational fraction of their length
+    report.outcome["irrational_circles"] = " ".join(
+        cert.h_m.source.components[ci].cid for ci in irrational_circles(cert.h_m)
     )
     if args.out_model:
         _write(report, args.out_model, cert.h_m)

@@ -749,39 +749,6 @@ class Iet:
                     out.append((p.dst, p.b + (lo - p.a), p.b + (hi - p.a)))
         return Subdomain.make(self.target, out)
 
-    def restrict(self, sub: Subdomain) -> "Iet":
-        """Restriction to an invariant subdomain, as a map of its own domain.
-
-        Part j of the subdomain becomes component j of the new domain (a
-        circle when the part is a whole circle component, an interval
-        otherwise), with coordinates shifted to start at 0.
-        """
-        if self.source != self.target:
-            raise DomainMismatchError("restriction needs an automorphism")
-        if self.image_of(sub) != sub:
-            raise IetError("subdomain is not invariant")
-        subdom = subdomain_as_domain(sub)
-        parts = sub.parts
-
-        def locate(ci, x):
-            for j, (cj, s, e) in enumerate(parts):
-                if cj == ci and s <= x < e:
-                    return j, x - s
-            raise IetError("image escaped the invariant subdomain")  # pragma: no cover
-
-        pieces = []
-        for j, (ci, s, e) in enumerate(parts):
-            for p in self.pieces:
-                if p.src != ci:
-                    continue
-                lo = s if s > p.a else p.a
-                hi = e if e < p.a + p.length else p.a + p.length
-                if lo < hi:
-                    img_lo = p.b + (lo - p.a)
-                    k, off = locate(p.dst, img_lo)
-                    pieces.append((j, lo - s, hi - lo, k, off))
-        return Iet(subdom, subdom, pieces)
-
     def is_q_rational(self, q: int) -> bool:
         """Whether every discontinuity of this one-interval map sits on the
         grid (1/q)N."""
@@ -796,17 +763,6 @@ class Iet:
             if (x.a * q).denominator != 1:
                 return False
         return True
-
-
-def subdomain_as_domain(sub: Subdomain) -> Domain:
-    """Stand-alone domain whose components are the parts of a subdomain."""
-    comps = []
-    for j, (ci, s, e) in enumerate(sub.parts):
-        parent = sub.domain.components[ci]
-        whole_circle = parent.kind == CIRCLE and s == 0 and e == parent.length
-        kind = CIRCLE if whole_circle else INTERVAL
-        comps.append(Component(kind, f"{parent.cid}:{j}", e - s))
-    return Domain(tuple(comps))
 
 
 # -- convenient builders -----------------------------------------------------------

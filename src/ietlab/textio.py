@@ -1,4 +1,4 @@
-"""Bit-exact text format for interval exchange maps and circle certificates.
+"""Bit-exact text format for interval exchange maps.
 
 A document looks like::
 
@@ -12,23 +12,16 @@ A document looks like::
 
 Numbers use the whitespace-free literal grammar of :mod:`ietlab.field`
 ("p/q" or "p/q+r/s*sqrt(d)").  A ``target`` block (same shape as ``domain``)
-appears only when the map is not an automorphism.  Certificates for
-irrational circles are appended as ``circle-cert`` blocks::
-
-    circle-cert angle 0/1+1/4*sqrt(2) circle O 3/4
-    part C 0/1 3/4
-    map 0 0/1 3/4 -> 0/1
-    end
-
-``#`` starts a comment; blank lines are ignored; parsing rejects pieces that
-fail to partition the domains exactly.
+appears only when the map is not an automorphism, and no line follows the
+pieces.  ``#`` starts a comment; blank lines are ignored; parsing rejects
+pieces that fail to partition the domains exactly.
 
 Each kind of line has one usage string, such as ``piece <src> <start>
 <len> -> <dst> <start>``: :func:`_read` checks a line against it and reads
 its slots, and :func:`_write` fills its slots back in.  Every error of a
 line names that line, and a bad token its column: a repeated component id
-and a non-positive length included.  Numbers, the ``sqrt(D)`` header and
-part indices take ASCII digits only.
+and a non-positive length included.  Numbers and the ``sqrt(D)`` header
+take ASCII digits only.
 """
 
 from __future__ import annotations
@@ -36,23 +29,10 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from ietlab.core import (
-    CIRCLE,
-    INTERVAL,
-    Component,
-    Domain,
-    Iet,
-    IetError,
-    Subdomain,
-    subdomain_as_domain,
-)
-from ietlab.field import Frame, QuadNum, format_number, is_square, parse_number
-from ietlab.rotations import IrrationalCircleCert
+from ietlab.core import CIRCLE, INTERVAL, Component, Domain, Iet, IetError
+from ietlab.field import format_number, is_square, parse_number
 
 _PIECE = "piece <src> <start> <len> -> <dst> <start>"
-_CERT = "circle-cert angle <lit> circle <id> <len>"
-_PART = "part <comp> <start> <end>"
-_MAP = "map <part> <start> <len> -> <pos>"
 
 _DIGITS = re.compile("[0-9]+")
 
@@ -89,10 +69,9 @@ def _read(line: Line, usage: str, field: int, source=None, target=None) -> list:
     """The values of the line's slots, in order.
 
     A plain word of ``usage`` is a keyword the line repeats in its place.
-    A ``<slot>`` reads its token: ``<id>`` as it stands, ``<part>`` as an
-    int of ASCII digits, ``<src>`` and ``<comp>`` as a component of
-    ``source``, ``<dst>`` as one of ``target``, any other slot as a literal
-    of the field, which ``<len>`` requires to be positive.
+    A ``<slot>`` reads its token: ``<id>`` as it stands, ``<src>`` as a
+    component of ``source``, ``<dst>`` as one of ``target``, any other slot
+    as a literal of the field, which ``<len>`` requires to be positive.
     """
     ln, toks, cols = line
     words = usage.split()
@@ -105,9 +84,7 @@ def _read(line: Line, usage: str, field: int, source=None, target=None) -> list:
         try:
             if word == "<id>":
                 values.append(tok)
-            elif word == "<part>":
-                values.append(_digits(tok, "part index"))
-            elif word in ("<src>", "<comp>"):
+            elif word == "<src>":
                 values.append(source.index_of(tok))
             elif word == "<dst>":
                 values.append(target.index_of(tok))
@@ -118,13 +95,6 @@ def _read(line: Line, usage: str, field: int, source=None, target=None) -> list:
         except ValueError as e:  # so are LiteralError and IetError
             raise TextFormatError(str(e), ln, col) from e
     return values
-
-
-def _digits(tok: str, what: str) -> int:
-    """A token of ASCII digits as an int."""
-    if not _DIGITS.fullmatch(tok):
-        raise ValueError(f"bad {what} {tok!r}")
-    return int(tok)
 
 
 def _write(usage: str, *values) -> str:
@@ -156,8 +126,8 @@ def _domain(lines: list[Line], pos: int, field: int) -> tuple[Domain, int]:
     return Domain(tuple(comps)), end
 
 
-def parse_document(text: str) -> tuple[Iet, list[IrrationalCircleCert]]:
-    """Parse a full document: one map plus any appended circle certificates."""
+def parse_iet(text: str) -> Iet:
+    """Parse a document: one map, and no line after its pieces."""
     lines = _tokenize(text)
     if not lines:
         raise TextFormatError("empty document")
@@ -166,10 +136,10 @@ def parse_document(text: str) -> tuple[Iet, list[IrrationalCircleCert]]:
         toks[1].startswith("sqrt(") and toks[1].endswith(")")
     ):
         raise TextFormatError("expected header 'field sqrt(D)'", ln)
-    try:
-        field = _digits(toks[1][5:-1], "field index")
-    except ValueError as e:
-        raise TextFormatError(str(e), ln, cols[1]) from None
+    digits = toks[1][5:-1]
+    if not _DIGITS.fullmatch(digits):
+        raise TextFormatError(f"bad field index {digits!r}", ln, cols[1])
+    field = int(digits)
     if field <= 0 or is_square(field):
         # sqrt(D) would be rational, and the header would not survive a
         # round trip
@@ -185,76 +155,31 @@ def parse_document(text: str) -> tuple[Iet, list[IrrationalCircleCert]]:
         target, pos = _domain(lines, pos + 1, field)
 
     end = _run(lines, pos, "piece")
+    if end < len(lines):
+        ln, toks, _ = lines[end]
+        raise TextFormatError(f"unexpected directive {toks[0]!r}", ln)
     pieces = [_read(line, _PIECE, field, source, target) for line in lines[pos:end]]
     try:
-        iet = Iet(source, target, pieces)
+        return Iet(source, target, pieces)
     except IetError as e:
         raise TextFormatError(f"invalid map: {e}") from e
 
-    certs = []
-    pos = end
-    while pos < len(lines):
-        ln, toks, _ = lines[pos]
-        if toks[0] != "circle-cert":
-            raise TextFormatError(f"unexpected directive {toks[0]!r}", ln)
-        cert, pos = _parse_cert(lines, pos, field, iet)
-        certs.append(cert)
-    return iet, certs
 
-
-def _parse_cert(lines, pos, field, iet) -> tuple[IrrationalCircleCert, int]:
-    angle, cid, length = _read(lines[pos], _CERT, field)
-    circle = Domain((Component(CIRCLE, cid, length),))
-    pos, end = pos + 1, _run(lines, pos + 1, "part")
-    parts = [_read(line, _PART, field, iet.source) for line in lines[pos:end]]
-    try:
-        sub = Subdomain.make(iet.source, parts)
-        subdom = subdomain_as_domain(sub)
-    except IetError as e:
-        raise TextFormatError(f"bad certificate subdomain: {e}") from e
-    pos, end = end, _run(lines, end, "map")
-    maps = [_read(line, _MAP, field) for line in lines[pos:end]]
-    if end >= len(lines) or lines[end][1] != ["end"]:
-        raise TextFormatError("expected 'end' after certificate", lines[end - 1][0])
-    try:
-        conj = Iet(subdom, circle, [(j, a, n, 0, b) for j, a, n, b in maps])
-    except IetError as e:
-        raise TextFormatError(f"bad certificate conjugator: {e}") from e
-    return IrrationalCircleCert(sub, conj, angle), end + 1
-
-
-def parse_iet(text: str) -> Iet:
-    """Parse a single map, ignoring any trailing certificates."""
-    return parse_document(text)[0]
-
-
-def _field_of(h: Iet, certs: tuple) -> int:
+def _field_of(h: Iet) -> int:
     """The field of the map's frame, unless every value of the map is
-    rational (a component's length is a sum of piece lengths), joined with
-    the fields of the certificates' values."""
+    rational (a component's length is a sum of piece lengths): then 2."""
     irrational = any(p.a.q or p.length.q or p.b.q for p in h.pieces)
-    values = [QuadNum.sqrt(h.frame.d)] if irrational else []
-    for cert in certs:
-        values += (QuadNum.of(cert.angle), QuadNum.of(cert.conjugator.target.components[0].length))
-    return Frame(values).d or 2
+    return h.frame.d if irrational else 2
 
 
-def serialize_iet(h: Iet, certs: tuple = ()) -> str:
+def serialize_iet(h: Iet) -> str:
     """Canonical text form; parse o serialize is the identity on canonical
-    documents.  Raises :class:`~ietlab.field.FieldMismatchError` when the
-    map and its certificates lie in two fields."""
+    documents."""
     src, dst = h.source.components, h.target.components
-    out = [f"field sqrt({_field_of(h, certs)})", "domain"]
+    out = [f"field sqrt({_field_of(h)})", "domain"]
     out += [_write(f"{c.kind} <id> <len>", c.cid, c.length) for c in src]
     if h.target != h.source:
         out.append("target")
         out += [_write(f"{c.kind} <id> <len>", c.cid, c.length) for c in dst]
     out += [_write(_PIECE, src[p.src].cid, p.a, p.length, dst[p.dst].cid, p.b) for p in h.pieces]
-    for cert in certs:
-        circle = cert.conjugator.target.components[0]
-        sub = cert.circle_subdomain
-        out.append(_write(_CERT, cert.angle, circle.cid, circle.length))
-        out += [_write(_PART, sub.domain.components[ci].cid, s, e) for ci, s, e in sub.parts]
-        out += [_write(_MAP, str(p.src), p.a, p.length, p.b) for p in cert.conjugator.pieces]
-        out.append("end")
     return "\n".join(out) + "\n"

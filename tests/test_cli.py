@@ -4,30 +4,26 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ietlab import approx, cli, core
 from ietlab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_SOFT, main
 from ietlab.core import (
     CIRCLE,
-    Component,
     Domain,
     Iet,
     circle_rotation,
     from_lengths,
     interval_rotation,
 )
-from ietlab.field import FieldMismatchError, LpInternalError, QuadNum
+from ietlab.field import LpInternalError, QuadNum
 from ietlab.menagerie import example_2_3
 from ietlab.relations import CapExceededError, drift_direction, drifted
-from ietlab.rotations import decompose_multi_rotation, roll_up_two_interval
 from ietlab.approx import BALL_RADIUS_CAP
 from ietlab.relations import KCAP_CAP, Q_CAP
 from ietlab.suspension import CHECK_CAP, DEPTH_CAP, NMAX_CAP, MinimalModelError
-from ietlab.textio import TextFormatError, parse_document, parse_iet, serialize_iet
+from ietlab.textio import TextFormatError, parse_iet, serialize_iet
 
-from randgen import long_connection_map, random_iet, random_quad_lengths
+from randgen import long_connection_map, random_iet
 
 R2 = QuadNum.sqrt(2)
 ALPHA = R2 - 1
@@ -113,7 +109,7 @@ def test_parse_rejects_rational_field_header(tmp_path, capsys, d):
     # sqrt(D) must be irrational, else the header re-serializes as sqrt(2)
     text = f"field sqrt({d})\ndomain\ninterval I 1/1\npiece I 0/1 1/1 -> I 0/1\n"
     with pytest.raises(TextFormatError) as err:
-        parse_document(text)
+        parse_iet(text)
     assert err.value.line == 1
     f = tmp_path / "h.iet"
     f.write_text(text)
@@ -127,41 +123,38 @@ def test_parse_rejects_unknown_component_reference():
     assert err.value.line == 4
 
 
-CERT_DOC = """field sqrt(2)
+MAP_DOC = """field sqrt(2)
 domain
-interval I 1/1
+interval I 3/4
+interval J 1/4
 piece I 0/1 3/4-1/4*sqrt(2) -> I 0/1+1/4*sqrt(2)
 piece I 3/4-1/4*sqrt(2) 0/1+1/4*sqrt(2) -> I 0/1
-piece I 3/4 1/4 -> I 3/4
-circle-cert angle 0/1+1/4*sqrt(2) circle C 3/4
-part I 0/1 3/4
-map 0 0/1 3/4 -> 0/1
-end
+piece J 0/1 1/4 -> J 0/1
 """
 
 
 def test_each_error_names_the_column_of_its_own_token():
-    parse_document(CERT_DOC)
-    # the id 'a' also occurs inside the keyword 'part'
+    parse_iet(MAP_DOC)
+    # the id 'e' also occurs inside the keyword 'piece'
     with pytest.raises(TextFormatError) as err:
-        parse_document(CERT_DOC.replace("part I 0/1 3/4", "part a 0/1 3/4"))
-    assert (err.value.line, err.value.col) == (8, 6)
-    assert str(err.value) == "line 8, col 6: no component 'a'"
-    # the bad literal '3/' also occurs inside the good '3/4' before it
+        parse_iet(MAP_DOC.replace("piece J 0/1", "piece e 0/1"))
+    assert (err.value.line, err.value.col) == (7, 7)
+    assert str(err.value) == "line 7, col 7: no component 'e'"
+    # the bad literal '1/' also occurs inside the good '1/4' before it
     with pytest.raises(TextFormatError) as err:
-        parse_document(CERT_DOC.replace("map 0 0/1 3/4 -> 0/1", "map 0 0/1 3/4 -> 3/"))
-    assert (err.value.line, err.value.col) == (9, 18)
+        parse_iet(MAP_DOC.replace("-> J 0/1", "-> J 1/"))
+    assert (err.value.line, err.value.col) == (7, 22)
 
 
 def test_a_component_of_length_zero_names_its_line_and_column(tmp_path, capsys):
     text = "field sqrt(2)\ndomain\ninterval I 0/1\npiece I 0/1 1/1 -> I 0/1\n"
     with pytest.raises(TextFormatError) as err:
-        parse_document(text)
+        parse_iet(text)
     assert (err.value.line, err.value.col) == (3, 12)
     assert "positive length" in str(err.value)
     with pytest.raises(TextFormatError) as err:
-        parse_document(CERT_DOC.replace("circle C 3/4", "circle C  -3/4"))
-    assert (err.value.line, err.value.col) == (7, 45)
+        parse_iet(MAP_DOC.replace("interval J 1/4", "interval J  -1/4"))
+    assert (err.value.line, err.value.col) == (4, 13)
     f = tmp_path / "zero.iet"
     f.write_text(text)
     assert main(["show", str(f)]) == EXIT_INPUT
@@ -171,13 +164,13 @@ def test_a_component_of_length_zero_names_its_line_and_column(tmp_path, capsys):
 def test_block_errors_name_the_line_that_causes_them(tmp_path, capsys):
     text = "field sqrt(2)\ndomain\ninterval I 1/2\ninterval I 1/2\npiece I 0/1 1/2 -> I 0/1\n"
     with pytest.raises(TextFormatError) as err:
-        parse_document(text)
+        parse_iet(text)
     assert (err.value.line, err.value.col) == (4, 10)
     assert str(err.value) == "line 4, col 10: duplicate component id 'I'"
     text = "field sqrt(2)\ndomain\ninterval I 1/1\npiece I 0/1 1/1 -> I 0/1\n"
     for bad, col in (("0/1", 13), ("-1/2", 13)):
         with pytest.raises(TextFormatError) as err:
-            parse_document(text.replace("I 0/1 1/1 ->", f"I 0/1 {bad} ->"))
+            parse_iet(text.replace("I 0/1 1/1 ->", f"I 0/1 {bad} ->"))
         assert (err.value.line, err.value.col) == (4, col)
         assert "non-positive length" in str(err.value)
     f = tmp_path / "dup.iet"
@@ -186,20 +179,30 @@ def test_block_errors_name_the_line_that_causes_them(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {f}: line 4, col 10: duplicate")
 
 
+def test_a_line_after_the_pieces_is_bad_input(tmp_path, capsys):
+    block = "circle-cert angle 0/1+1/4*sqrt(2) circle C 3/4\npart I 0/1 3/4\nend\n"
+    f = tmp_path / "cert.iet"
+    f.write_text(MAP_DOC + block)
+    assert main(["show", str(f)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(
+        f"error: {f}: line 8: unexpected directive 'circle-cert'"
+    )
+
+
 @pytest.mark.parametrize(
     "old, new, line",
     [
         ("field sqrt(2)", "field sqrt(1_0)", 1),
         ("field sqrt(2)", "field sqrt(\u0662)", 1),
-        ("part I 0/1 3/4", "part I \u0660/1 3/4", 8),
-        ("map 0 0/1", "map \u0660 0/1", 9),
-        ("map 0 0/1", "map +0 0/1", 9),
+        ("piece J 0/1", "piece J \u0660/1", 7),
+        ("-> J 0/1", "-> J 0/\u0661", 7),
+        ("3/4-1/4*sqrt(2) ->", "3/4-1/4*sqrt(\u0662) ->", 5),
     ],
 )
 def test_the_text_format_takes_ascii_digits_only(old, new, line):
-    parse_document(CERT_DOC)
+    parse_iet(MAP_DOC)
     with pytest.raises(TextFormatError) as err:
-        parse_document(CERT_DOC.replace(old, new))
+        parse_iet(MAP_DOC.replace(old, new))
     assert err.value.line == line
 
 
@@ -216,47 +219,6 @@ def test_zero_denominators_are_bad_input(tmp_path, capsys):
     ):
         assert main(argv) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: zero denominator")
-
-
-def test_certificate_blocks_round_trip():
-    h = example_2_3(Fraction(3, 4), R2 / 4)
-    cert = roll_up_two_interval(h, Fraction(3, 4))
-    text = serialize_iet(h, certs=(cert,))
-    h2, certs2 = parse_document(text)
-    assert h2 == h
-    assert len(certs2) == 1
-    assert certs2[0] == cert
-    assert serialize_iet(h2, certs=tuple(certs2)) == text
-
-
-def test_certificates_join_the_field_of_the_map():
-    cert = roll_up_two_interval(example_2_3(Fraction(3, 4), R2 / 4), Fraction(3, 4))
-    rational = example_2_3(Fraction(3, 4), Fraction(1, 4))
-    assert serialize_iet(rational, certs=(cert,)).startswith("field sqrt(2)\n")
-    with pytest.raises(FieldMismatchError):  # the document could not be read back
-        serialize_iet(example_2_3(Fraction(3, 4), QuadNum.sqrt(3) / 8), certs=(cert,))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1))
-def test_certificate_blocks_round_trip_on_random_maps(seed):
-    rnd = random.Random(seed)
-    l = Fraction(rnd.randint(2, 99), 100)
-    h = example_2_3(l, (R2 * rnd.randint(1, 50)).mod(l))  # tau / l is irrational
-    lengths = random_quad_lengths(rnd, rnd.randint(1, 3))
-    dom = Domain(tuple(Component(CIRCLE, f"C{i}", x) for i, x in enumerate(lengths)))
-    pieces = []
-    for i, x in enumerate(lengths):
-        t = x * (R2 * rnd.randint(1, 50)).mod(1)  # t / x is irrational
-        pieces += [(i, 0, x - t, i, t), (i, x - t, t, i, 0)]
-    m = Iet(dom, dom, pieces)
-    certs = decompose_multi_rotation(m).certs
-    assert len(certs) == len(lengths)
-    for g, cs in ((h, (roll_up_two_interval(h, l),)), (m, certs)):
-        text = serialize_iet(g, certs=cs)
-        g2, cs2 = parse_document(text)
-        assert g2 == g and tuple(cs2) == cs
-        assert serialize_iet(g2, certs=tuple(cs2)) == text
 
 
 # -- command line -------------------------------------------------------------------
@@ -299,6 +261,7 @@ def test_cli_minimal_model_and_norm(tmp_path, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "upper: 0" in out and "circle" in out
+    assert "irrational_circles: " in out
     hm = parse_iet((tmp_path / "m.iet").read_text())
     g = parse_iet((tmp_path / "g.iet").read_text())
     h = interval_rotation(ALPHA)
@@ -336,6 +299,21 @@ def test_cli_minimal_model_says_what_it_proves(tmp_path, capsys):
     outcome = json.loads(capsys.readouterr().out)["outcome"]
     assert (outcome["upper"], outcome["linear_up_to"]) == (3, 20)
     assert "norm" not in outcome
+
+
+def test_cli_minimal_model_names_the_irrational_circles(tmp_path, capsys):
+    # example 2.3 rolls [0, l) up into a circle turned by tau: irrational
+    # when tau / l is, of order 3 when tau / l = 1/3
+    for tau, named in ((R2 / 4, 1), (Fraction(1, 4), 0)):
+        f = write_map(tmp_path, "h.iet", example_2_3(Fraction(3, 4), tau))
+        model = str(tmp_path / "m.iet")
+        assert main(["--json", "minimal-model", f, "--out-model", model]) == EXIT_OK
+        ids = json.loads(capsys.readouterr().out)["outcome"]["irrational_circles"].split()
+        assert len(ids) == named
+        comps = parse_iet((tmp_path / "m.iet").read_text()).source.components
+        for cid in ids:
+            (comp,) = [c for c in comps if c.cid == cid]
+            assert (comp.kind, comp.length) == (CIRCLE, Fraction(3, 4))
 
 
 def test_cli_relation_hunt(tmp_path, capsys):

@@ -25,7 +25,6 @@ from ietlab.core import (
     make_point,
     perm_is_realizable,
     permutation_of,
-    subdomain_as_domain,
 )
 from ietlab.field import Frame, QuadNum
 from ietlab.relations import translation_response
@@ -311,33 +310,6 @@ def test_subdomain_algebra():
     assert full(dom).measure() == 3
     touching = Subdomain.make(dom, [(0, 0, 1), (0, 1, 2)])
     assert touching.parts == ((0, QuadNum(0), QuadNum(2)),)
-
-
-def test_restrict_to_invariant_subdomain():
-    # 2.3-style map: its restriction to [0, l) is a rolled-out rotation
-    l, tau = Fraction(3, 4), ALPHA / 4
-    h = Iet(
-        Domain.interval(1),
-        Domain.interval(1),
-        [(0, 0, l - tau, 0, tau), (0, l - tau, tau, 0, 0), (0, l, 1 - l, 0, l)],
-    )
-    sub = Subdomain.make(h.source, [(0, 0, l)])
-    r = h.restrict(sub)
-    assert len(r.source.components) == 1
-    assert r.source.components[0].length == QuadNum(l)
-    p = make_point(r.source, 0, 0)
-    assert r(p).x == tau
-    with pytest.raises(IetError):
-        h.restrict(Subdomain.make(h.source, [(0, 0, H)]))  # not invariant
-
-
-def test_subdomain_as_domain_kinds():
-    dom = Domain.of(Component(CIRCLE, "C", QuadNum(2)), Component("interval", "J", QuadNum(1)))
-    sub = Subdomain.make(dom, [(0, 0, 2), (1, H, 1)])
-    d2 = subdomain_as_domain(sub)
-    assert d2.components[0].kind == CIRCLE
-    assert d2.components[1].kind == "interval"
-    assert d2.components[1].length == QuadNum(H)
 
 
 def test_realizable_perm_check():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ietlab import menagerie
-from ietlab.core import CIRCLE, Component, Domain, Iet, IetError, Subdomain, make_point
+from ietlab.core import CIRCLE, Component, Domain, Iet, IetError, make_point
 from ietlab.field import QuadNum
 from ietlab.menagerie import (
     ConstructionError,
@@ -18,28 +18,24 @@ from ietlab.menagerie import (
     symmetric_embedding,
 )
 from ietlab.relations import CapExceededError
-from ietlab.rotations import (
-    is_multi_rotation,
-    is_virtual_multi_rotation,
-    roll_up_two_interval,
-    verify_irrational_circle,
-)
+from ietlab.rotations import circle_angles, irrational_circles, is_multi_rotation
+from ietlab.suspension import minimal_model
 
 R2 = QuadNum.sqrt(2)
 
 
 def test_example_2_3_irrational_circle():
-    h = example_2_3(Fraction(3, 4), R2 / 4)
-    cert = roll_up_two_interval(h, Fraction(3, 4))
-    assert cert is not None and verify_irrational_circle(h, cert)
+    # the model rolls [0, 3/4) up into one circle, turned by tau
+    m = minimal_model(example_2_3(Fraction(3, 4), R2 / 4)).h_m
+    (ci,) = irrational_circles(m)
+    assert m.source.components[ci].length == Fraction(3, 4)
+    assert circle_angles(m)[ci] == R2 / 4
 
 
 def test_example_2_3_rational_ratio_has_finite_order():
     h = example_2_3(Fraction(3, 4), Fraction(1, 4))
-    sub = Subdomain.make(h.source, [(0, 0, Fraction(3, 4))])
-    restricted = h.restrict(sub)
-    assert (restricted ** 3).is_identity()
-    assert roll_up_two_interval(h, Fraction(3, 4)) is None
+    assert (h ** 3).is_identity()
+    assert irrational_circles(minimal_model(h).h_m) == ()
 
 
 def test_example_2_3_support():
@@ -58,7 +54,7 @@ def test_build_example_group():
     g = build_example_group(R2 - 1)
     assert (g.s * g.s).is_identity()
     assert is_multi_rotation(g.r)
-    assert is_virtual_multi_rotation(g.r)
+    assert g.r.d() == 0
     # r and s do not commute: watch a point of the swapped-in arc
     p = make_point(g.domain, g.CIRCLE_INDEX, Fraction(1, 3))
     assert (g.r * g.s)(p) != (g.s * g.r)(p)

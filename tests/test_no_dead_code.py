@@ -21,8 +21,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "ietlab"
 ENTRY_POINTS = {
     "drifted": "drifts a map along its drift direction; the README library example",
     "shrink_support": "the support-shrinking route to a relation (criterion 6, the relations benchmark)",
-    "roll_up_two_interval": "discovers the irrational circle of a rolled-out rotation",
-    "decompose_multi_rotation": "certifies each moving circle of a multi-rotation",
     "Iet.is_q_rational": "the q-rationality test of criterion 9",
 }
 

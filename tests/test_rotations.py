@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from ietlab import core, rotations
 from ietlab.core import (
     CIRCLE,
+    INTERVAL,
     Component,
     Domain,
+    DomainMismatchError,
     Iet,
     IetError,
     SelfCheckError,
@@ -17,22 +19,19 @@ from ietlab.core import (
     circle_rotation,
     from_lengths,
     interval_rotation,
-    subdomain_as_domain,
 )
 from ietlab.field import QuadNum
+from ietlab.menagerie import example_2_3
 from ietlab.relations import ShrinkConfig, commutator, shrink_support
 from ietlab.rotations import (
-    IrrationalCircleCert,
     circle_angles,
-    decompose_multi_rotation,
+    irrational_circles,
     is_multi_rotation,
-    is_virtual_multi_rotation,
     multi_rotation_power,
-    roll_up_two_interval,
-    verify_irrational_circle,
 )
+from ietlab.suspension import minimal_model
 
-from randgen import random_iet
+from randgen import random_iet, random_quad_lengths
 
 R2 = QuadNum.sqrt(2)
 ALPHA = R2 - 1
@@ -48,13 +47,27 @@ def rolled_rotation(l, tau):
     return Iet(dom, dom, pieces)
 
 
+def model_circles(h: Iet) -> list[tuple[QuadNum, QuadNum]]:
+    """(length, angle) of each irrational circle that the minimal model of
+    h names, sorted."""
+    cert = minimal_model(h)
+    m = cert.h_m
+    assert cert.conjugator * h * ~cert.conjugator == m
+    angles = circle_angles(m) if is_multi_rotation(m) else {}
+    return sorted((m.source.components[ci].length, angles[ci]) for ci in irrational_circles(m))
+
+
 def test_virtual_multi_rotation_flags():
-    assert is_virtual_multi_rotation(circle_rotation(1, ALPHA))
+    assert circle_rotation(1, ALPHA).d() == 0
     assert is_multi_rotation(circle_rotation(1, ALPHA))
-    assert not is_virtual_multi_rotation(interval_rotation(ALPHA))  # d = 1
+    assert interval_rotation(ALPHA).d() == 1
+    assert not is_multi_rotation(interval_rotation(ALPHA))
     ident = Iet.identity(Domain.interval(1))
-    assert is_virtual_multi_rotation(ident)
+    assert ident.d() == 0
     assert is_multi_rotation(ident)
+    cut = Iet(Domain.circle(1), Domain.interval(1), [(0, 0, 1, 0, 0)])
+    with pytest.raises(DomainMismatchError):
+        is_multi_rotation(cut)
 
 
 def test_continuous_but_not_multi_rotation():
@@ -63,65 +76,34 @@ def test_continuous_but_not_multi_rotation():
         Component("interval", "A", QuadNum(1)), Component("interval", "B", QuadNum(1))
     )
     swap = Iet(dom, dom, [(0, 0, 1, 1, 0), (1, 0, 1, 0, 0)])
-    assert is_virtual_multi_rotation(swap)
+    assert swap.d() == 0
     assert not is_multi_rotation(swap)
+    assert irrational_circles(swap) == ()
 
 
 def test_verify_irrational_circle_accepts_rolled_rotation():
+    # the model rolls [0, 3/4) up into a circle turned by sqrt(2)/4
     h = rolled_rotation(Fraction(3, 4), R2 / 4)
-    cert = roll_up_two_interval(h, Fraction(3, 4))
-    assert cert is not None
-    assert cert.angle == R2 / 4
-    assert verify_irrational_circle(h, cert)
+    assert irrational_circles(h) == ()  # h itself jumps
+    assert model_circles(h) == [(QuadNum(Fraction(3, 4)), R2 / 4)]
 
 
 def test_verify_irrational_circle_rejects_rational_ratio():
-    # tau / l = (1/4) / (3/4) = 1/3: the restriction has order 3
+    # tau / l = (1/4) / (3/4) = 1/3: [0, 3/4) has order 3
     h = rolled_rotation(Fraction(3, 4), Fraction(1, 4))
-    sub = Subdomain.make(h.source, [(0, 0, Fraction(3, 4))])
-    restricted = h.restrict(sub)
-    assert restricted ** 3 == Iet.identity(restricted.source)
-    with_cert = IrrationalCircleCert(
-        sub,
-        Iet(
-            subdomain_as_domain(sub),
-            Domain.circle(Fraction(3, 4)),
-            [(0, 0, Fraction(3, 4), 0, 0)],
-        ),
-        QuadNum(Fraction(1, 4)),
-    )
-    assert not verify_irrational_circle(h, with_cert)
-    assert roll_up_two_interval(h, Fraction(3, 4)) is None
+    assert (h ** 3).is_identity()
+    assert model_circles(h) == []
 
 
 def test_verify_irrational_circle_rejects_identity():
     ident = Iet.identity(Domain.interval(1))
-    sub = Subdomain.make(ident.source, [(0, 0, Fraction(1, 2))])
-    cert = IrrationalCircleCert(
-        sub,
-        Iet(
-            subdomain_as_domain(sub),
-            Domain.circle(Fraction(1, 2)),
-            [(0, 0, Fraction(1, 2), 0, 0)],
-        ),
-        QuadNum(0),
-    )
-    assert not verify_irrational_circle(ident, cert)
+    assert irrational_circles(ident) == ()
+    assert model_circles(ident) == []
+    assert irrational_circles(Iet.identity(Domain.circle(Fraction(1, 2)))) == ()
 
 
 def test_roll_up_full_interval():
-    h = interval_rotation(ALPHA)
-    cert = roll_up_two_interval(h, 1)
-    assert cert is not None and cert.angle == ALPHA
-    assert verify_irrational_circle(h, cert)
-
-
-def test_roll_up_pattern_errors():
-    h = from_lengths((3, 2, 1), [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)])
-    with pytest.raises(IetError):
-        roll_up_two_interval(h, 1)  # three pieces, not the pattern
-    with pytest.raises(IetError):
-        roll_up_two_interval(interval_rotation(ALPHA), Fraction(1, 2))  # not invariant
+    assert model_circles(interval_rotation(ALPHA)) == [(QuadNum(1), ALPHA)]
 
 
 def test_decompose_multi_rotation():
@@ -137,19 +119,17 @@ def test_decompose_multi_rotation():
             (1, 1 - a2, a2, 1, 0),
         ],
     )
-    dec = decompose_multi_rotation(r)
-    assert dec is not None and dec.power == 1 and len(dec.certs) == 2
-    for cert in dec.certs:
-        assert verify_irrational_circle(r, cert)
+    assert irrational_circles(r) == (0, 1)
+    assert model_circles(r) == sorted([(QuadNum(1), a1), (QuadNum(1), a2)])
     assert circle_angles(r) == {0: a1, 1: a2}
 
 
 def test_decompose_identity_and_non_rotation():
-    ident = Iet.identity(Domain.circle(1))
-    dec = decompose_multi_rotation(ident)
-    assert dec is not None and dec.certs == ()
+    assert irrational_circles(Iet.identity(Domain.circle(1))) == ()
     h = from_lengths((3, 2, 1), [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)])
-    assert decompose_multi_rotation(h) is None
+    assert not is_multi_rotation(h)
+    assert irrational_circles(h) == ()
+    assert model_circles(h) == []  # rational lengths: h has finite order
 
 
 def test_decompose_kills_rational_circles_by_power():
@@ -164,10 +144,12 @@ def test_decompose_kills_rational_circles_by_power():
             (1, 1 - ALPHA, ALPHA, 1, 0),
         ],
     )
-    dec = decompose_multi_rotation(r)
-    assert dec is not None and dec.power == 3
-    assert len(dec.certs) == 1
-    assert verify_irrational_circle(r ** 3, dec.certs[0])
+    # C1 turns by a third of its length: only C2 is an irrational circle
+    assert irrational_circles(r) == (1,)
+    assert model_circles(r) == [(QuadNum(1), ALPHA)]
+    r3 = multi_rotation_power(r, 3)
+    assert circle_angles(r3)[0] == 0
+    assert irrational_circles(r3) == (1,)
 
 
 def test_commuting_with_irrational_rotation_forces_continuity():
@@ -250,22 +232,51 @@ def test_irrational_circles_disjoint_or_coincide():
             (0, 1 - t2, t2, 0, half),
         ],
     )
-    c1 = roll_up_two_interval(h, half)
-    assert c1 is not None and verify_irrational_circle(h, c1)
-    sub2 = Subdomain.make(dom, [(0, half, 1)])
-    r2 = h.restrict(sub2)
-    cert2 = IrrationalCircleCert(
-        sub2,
-        Iet(r2.source, Domain.circle(half), [(0, 0, half, 0, 0)]),
-        t2,
-    )
-    assert verify_irrational_circle(h, cert2)
-    inter = c1.circle_subdomain.intersection(cert2.circle_subdomain)
-    assert inter.is_empty() or c1.circle_subdomain == cert2.circle_subdomain
-    assert inter.is_empty()
-    # the same circle certified twice coincides with itself
-    again = roll_up_two_interval(h, half)
-    assert again.circle_subdomain == c1.circle_subdomain
+    assert model_circles(h) == sorted([(QuadNum(half), t1), (QuadNum(half), t2)])
+    # the conjugator pulls the two circles back onto the two halves
+    cert = minimal_model(h)
+    m, back = cert.h_m, ~cert.conjugator
+    halves = [
+        back.image_of(Subdomain.make(m.source, [(ci, 0, m.source.components[ci].length)]))
+        for ci in irrational_circles(m)
+    ]
+    assert sorted(sub.parts for sub in halves) == [
+        ((0, QuadNum(0), QuadNum(half)),),
+        ((0, QuadNum(half), QuadNum(1)),),
+    ]
+    assert halves[0].intersection(halves[1]).is_empty()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_model_names_the_irrational_circles_of_random_maps(seed):
+    """The rolled-out rotation of example 2.3 and a random multi-rotation
+    whose circles turn by an irrational or a rational fraction of their
+    quadratic lengths, between fixed intervals: the model names exactly the
+    circles built irrational."""
+    rnd = random.Random(seed)
+    l = Fraction(rnd.randint(2, 99), 100)
+    tau = (R2 * rnd.randint(1, 50)).mod(l)  # tau / l is irrational
+    assert model_circles(example_2_3(l, tau)) == [(QuadNum(l), tau)]
+    lengths = random_quad_lengths(rnd, rnd.randint(1, 4))
+    comps, pieces, expected = [], [], []
+    for i, x in enumerate(lengths):
+        kind = rnd.choice((CIRCLE, CIRCLE, INTERVAL))
+        comps.append(Component(kind, f"M{i}", x))
+        t = 0
+        if kind == CIRCLE and rnd.randrange(3):
+            t = x * (R2 * rnd.randint(1, 50)).mod(1)  # t / x is irrational
+            expected.append((x, t))
+        elif kind == CIRCLE:
+            t = x * Fraction(rnd.randrange(12), 12)
+        if t == 0:
+            pieces.append((i, 0, x, i, 0))
+        else:
+            pieces += [(i, 0, x - t, i, t), (i, x - t, t, i, 0)]
+    dom = Domain(tuple(comps))
+    m = Iet(dom, dom, pieces)
+    assert [dom.components[ci].length for ci in irrational_circles(m)] == [x for x, _ in expected]
+    assert model_circles(m) == sorted(expected)
 
 
 # -- powers of multi-rotations in closed form ----------------------------------------
