@@ -188,7 +188,7 @@ def cmd_minimal_model(args, report) -> int:
     report.outcome["linear_up_to"] = cert.verified_up_to  # verified, not proven
     report.outcome["search_depth"] = cert.search_depth
     report.outcome["model_components"] = " ".join(
-        f"{c.kind}:{format_number(c.length)}" for c in cert.h_m.source.components
+        f"{c.cid}={c.kind}:{format_number(c.length)}" for c in cert.h_m.source.components
     )
     # circles of h_m turned by an irrational fraction of their length
     report.outcome["irrational_circles"] = " ".join(

@@ -30,8 +30,10 @@ at the edge.  ``pieces``, built once on first use, is the one ``QuadNum``
 view of a map: :class:`Piece` values for :class:`Subdomain` and the text
 format.  Evaluation (``__call__``, ``left_limit``) of an exact map puts
 the point and the piece starts on one denominator and finds the piece by
-one bisect over the starts' integer keys (:func:`ietlab.field.order_key`),
-built once per map; the only ``QuadNum`` it builds is the image.
+one bisect over the starts' integer keys; the only ``QuadNum`` it builds
+is the image.  The keys are the map's one keyed piece table
+(``Iet._keyed``), which the orbit walks of :mod:`ietlab.suspension` read
+too, over a box sized by the one box rule, :func:`ietlab.field.box_key`.
 
 ``Iet(...)`` is the one validating constructor: it puts its numbers on a
 ``Frame``, then sorts the pieces and checks that they partition both
@@ -56,7 +58,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from ietlab.field import FieldMismatchError, Frame, QuadNum, order_key
+from ietlab.field import FieldMismatchError, Frame, QuadNum, box_key
 
 CHECKED = os.environ.get("IETLAB_CHECK") == "1"
 
@@ -534,70 +536,62 @@ class Iet:
         with ``left``.
 
         x and the map's coordinates meet over the lcm of their
-        denominators, where the coordinates are m times the frame's.  Their
-        keys by :func:`~ietlab.field.order_key` order them exactly, so one
-        bisect of k / m, with k the key of x, over the keys of the starts
-        finds the piece (rounded down for the value, whose start may equal
-        x, and up for the left limit, whose start lies below x)."""
+        denominators, where the coordinates are m times the frame's.  The
+        keyed piece table (:meth:`_keyed`) orders them exactly when its box
+        holds x and m times the map's coordinates, so one bisect of k / m,
+        with k the key of x, over the keys of the starts finds the piece
+        (rounded down for the value, whose start may equal x, and up for
+        the left limit, whose start lies below x)."""
         if not 0 <= comp < len(self.source.components):
             return None
         if x.__class__ is not QuadNum:
             x = QuadNum.of(x)
         den, m, d, (P, Q) = self.frame.meet(x)
-        box = self._keys
-        if (
-            box is None
-            or box[0] != d
-            or d and not (-box[1] < P < box[1] and -box[1] < Q < box[1] and m < box[2])
-        ):
-            box = self._order(d, P, Q, m)
-        _, _, _, K, r, keyed, _ = box
-        at = keyed.get(comp)
-        if at is None:
-            pieces = self._per_component()[0][comp]
-            length = self.frame.coord(QuadNum.of(self.source.components[comp].length))
-            at = keyed[comp] = (
-                [a[0] * K + a[1] * r for _, a, _, _, _ in pieces],
-                length[0] * K + length[1] * r,
-                [(dst, b[0] - a[0], b[1] - a[1]) for _, a, _, dst, b in pieces],
-            )
-        keys, end, moves = at
+        table = self._keys
+        if table is None or d and (table[0] != d or (abs(P) | abs(Q)) >> table[1] or m > table[2]):
+            # 2**32 times the box the point needs: room for the next points
+            # of an orbit
+            table = self._keyed(d, max(abs(P), abs(Q), m) << 32)
+        _, _, _, K, r, starts, ends, moves = table
+        keys = starts[comp]
         k = P * K + Q * r
         if left:
-            if k <= 0 or k > m * end:
+            if k <= 0 or k > m * ends[comp]:
                 return None
             i = bisect.bisect_left(keys, -(-k // m))
         else:
-            if k < 0 or k >= m * end:
+            if k < 0 or k >= m * ends[comp]:
                 return None
             i = bisect.bisect_right(keys, k // m)
-        dst, sp, sq = moves[i - 1]
+        dst, _, sp, sq = moves[comp][i - 1]
         return dst, Frame.value_over(P + m * sp, Q + m * sq, den, d)
 
-    def _order(self, d: int, P: int, Q: int, m: int) -> tuple:
-        """The box of ``order_key(d, bits)`` for the field d that holds the
-        pair (P, Q) and the map's source coordinates times m: (d, 2**bits,
-        2**(bits - own), K, r, keyed, own), where own is the bits of the
-        map's largest coordinate and keyed holds, per component, the keys
-        of the starts and of the length and each piece's target and shift,
-        built on first use.  Made again only for a larger box or another
-        field."""
-        own = self._keys[6] if self._keys else self._own_bits()
-        if d:
-            # 32 more bits: room for the next points of an orbit
-            bits = max(abs(P).bit_length(), abs(Q).bit_length(), own + m.bit_length()) + 32
-        else:
-            bits = 0  # every Q is 0, and the key is P
-        K, r = order_key(d, bits)
-        self._keys = box = (d, 1 << bits, 1 << (bits - own) if d else 0, K, r, {}, own)
-        return box
-
-    def _own_bits(self) -> int:
-        """The bits of the largest |P| or |Q| of a source coordinate."""
+    def _keyed(self, d: int, reach: int) -> tuple:
+        """The keyed piece table of the map in the field d, over the box of
+        :func:`~ietlab.field.box_key` that holds every sum or difference
+        of ``reach`` of its piece starts, image starts and source lengths:
+        (d, bits, reach, K, r, starts, ends, moves), holding per source
+        component the keys of its piece starts, the key of its length and
+        each piece's move (dst, dk, dP, dQ) from its start to its image
+        start.  Evaluation and the orbit walks of
+        :mod:`ietlab.suspension` read it.  Kept in ``_keys`` and replaced
+        only for another field or a larger box.  d = 0 means a rational map
+        and rational points: every Q is 0, so any table orders them."""
+        table = self._keys
+        if table is not None and (not d or table[0] == d and table[2] >= reach):
+            return table
         frame = self.frame
-        coords = [p[1] for p in self._pieces]
-        coords += [frame.coord(QuadNum.of(c.length)) for c in self.source.components]
-        return max(abs(v).bit_length() for c in coords for v in c)
+        lengths = [frame.coord(QuadNum.of(c.length)) for c in self.source.components]
+        bits, K, r = box_key(d, lengths + [x for p in self._pieces for x in (p[1], p[4])], reach)
+        pieces = self._per_component()[0]
+        starts, moves = [], []
+        for ci in range(len(lengths)):
+            starts.append([a[0] * K + a[1] * r for _, a, _, _, _ in pieces[ci]])
+            shifts = [(dst, b[0] - a[0], b[1] - a[1]) for _, a, _, dst, b in pieces[ci]]
+            moves.append([(dst, p * K + q * r, p, q) for dst, p, q in shifts])
+        ends = [P * K + Q * r for P, Q in lengths]
+        self._keys = table = (d, bits, reach, K, r, starts, ends, moves)
+        return table
 
     # -- group structure -------------------------------------------------------------
 
@@ -726,14 +720,18 @@ class Iet:
     def support(self) -> Subdomain:
         if self.source != self.target:
             raise DomainMismatchError("support needs an automorphism")
-        frame = self.frame
-        value, add, cmp = frame.value, frame.add, frame.cmp
-        moving = [
-            (p[0], value(p[1]), value(add(p[1], p[2])))
-            for p in self._pieces
-            if p[0] != p[3] or cmp(p[1], p[4]) != 0
-        ]
+        value = self.frame.value
+        moving = [(c, value(a), value(e)) for c, a, e in self._moving(self.frame)]
         return Subdomain.make(self.source, moving)
+
+    def _moving(self, frame) -> list[tuple]:
+        """(component, start, end) of each piece that moves its points, in
+        (component, start) order, as coordinates on frame, its own or one
+        that joins it: the support of an automorphism, read with no
+        ``QuadNum``."""
+        add = frame.add
+        pieces = self._on(frame)._pieces
+        return [(p[0], p[1], add(p[1], p[2])) for p in pieces if p[0] != p[3] or p[1] != p[4]]
 
     def image_of(self, sub: Subdomain) -> Subdomain:
         if sub.domain != self.source:

@@ -90,6 +90,18 @@ def order_key(d: int, bits: int) -> tuple[int, int]:
     return 1 << shift, math.isqrt(d << 2 * shift)
 
 
+def box_key(d: int, coords: Iterable[tuple[int, int]], reach: int) -> tuple[int, int, int]:
+    """(bits, K, r): the box |P|, |Q| < 2**bits that holds every sum or
+    difference of at most ``reach`` of the integer pairs coords, and its
+    :func:`order_key`.  Keys of that box add as their pairs do and compare
+    as their values do.  This is the one box rule of the package:
+    evaluation, the orbit walks and the support sweeps all size their keys
+    by it."""
+    top = max((abs(v) for c in coords for v in c), default=0)
+    bits = (reach * top).bit_length()
+    return (bits, *order_key(d, bits))
+
+
 class QuadNum:
     """Exact number (p + q*sqrt(d)) / den over the integers.
 

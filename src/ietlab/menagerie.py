@@ -246,18 +246,24 @@ def free_semigroup_check(g: ExampleGroup, depth: int) -> bool:
     r = g.r
     r_prime = g.s * r * g.s
     p = make_point(g.domain, g.CIRCLE_INDEX, 0)
-    seen: set[Iet] = set()
-    # each word as (whether it is a power of r' alone, its map)
-    frontier: list[tuple[bool, Iet]] = [(True, Iet.identity(g.domain))]
-    for _ in range(depth):
+    ident = Iet.identity(g.domain)
+    # every word map lives on a frame this one joins: equal maps have equal
+    # integer pieces on it, and seen keeps those, not the maps
+    frame = ident.frame.join(r.frame).join(r_prime.frame)
+    seen: set[tuple] = set()
+    # each word of the last layer as (whether it is a power of r' alone, its map)
+    frontier: list[tuple[bool, Iet]] = [(True, ident)]
+    for layer in range(depth, 0, -1):
         nxt = []
         for only_rprime, cur in frontier:
             for is_rprime, gen in ((False, r), (True, r_prime)):
                 iet2 = cur * gen
                 only2 = only_rprime and is_rprime
-                if iet2 in seen or (iet2(p) == p) != only2:
+                pieces = iet2._on(frame)._pieces
+                if pieces in seen or (iet2(p) == p) != only2:
                     return False
-                seen.add(iet2)
-                nxt.append((only2, iet2))
+                seen.add(pieces)
+                if layer > 1:
+                    nxt.append((only2, iet2))
         frontier = nxt
     return True

@@ -18,7 +18,8 @@ the word is re-evaluated to the identity map before a certificate is
 issued.  The hot paths run on integers: the walk of the power search, the
 eps-cover check of supp(U) and the disjointness of supports put their
 values on one :class:`~ietlab.field.Frame` and compare one integer key per
-value (:func:`ietlab.field.order_key`).  In checked mode each keyed
+value, over the box of the one box rule, :func:`ietlab.field.box_key`,
+with the reach each of them states.  In checked mode each keyed
 verdict is re-derived in ``QuadNum`` (:class:`~ietlab.core.Subdomain`).
 """
 
@@ -45,7 +46,7 @@ from ietlab.core import (
     perm_inverse,
     perm_validate,
 )
-from ietlab.field import Frame, QuadNum, order_key
+from ietlab.field import Frame, QuadNum, box_key
 from ietlab.rotations import circle_angles, multi_rotation_power
 
 
@@ -179,49 +180,33 @@ def _eps_cover(domain: Domain, pts: Iterable[Point], eps) -> Subdomain:
     return Subdomain.make(domain, parts)
 
 
-def _moving(h: Iet, frame: Frame) -> list[tuple[int, tuple[int, int], tuple[int, int]]]:
-    """(component, start, end) of each moving piece of the automorphism h,
-    in (component, start) order, as coordinates on frame, which joins h's."""
-    s = frame.den // h.frame.den
-    return [
-        (src, (a[0] * s, a[1] * s), ((a[0] + n[0]) * s, (a[1] + n[1]) * s))
-        for src, a, n, dst, b in h._pieces
-        if src != dst or a != b
-    ]
-
-
-def _keyer(frame: Frame, coords: Iterable[tuple[int, int]], reach: int):
-    """The key P*K + Q*r of :func:`~ietlab.field.order_key` on frame, over
-    a box that holds every sum or difference of at most ``reach`` of the
-    coordinates: keys of that box add and compare as their values do."""
-    top = max((abs(v) for c in coords for v in c), default=0)
-    K, r = order_key(frame.d, (reach * top).bit_length())
-    return lambda c: c[0] * K + c[1] * r
-
-
 def _eps_covered(s: Iet, u: Iet, eps: QuadNum) -> bool:
     """Whether supp(U) lies in the closed eps-neighbourhood of the jumps of
     S and S^-1 and of the ends of the interval components: the verdict of
     ``_eps_cover(...).covers(u.support())``, by one merge sweep on keys.
 
     The jumps, the component lengths, eps and U's moving pieces are put on
-    one frame and keyed over a box that holds x + t - eps and x + t + eps
-    for every centre x and turn t in {-L, 0, L}: three sums of them.  The
-    closed balls of each component are sorted and merged, and every moving
-    piece [a, e) must lie in one merged ball [lo, hi], with lo <= a and
-    e <= hi: [a, e) lies in a finite union of closed intervals exactly when
-    its closure [a, e] does, and a connected set lies in one of them.
+    one frame and keyed with reach 3 (:func:`~ietlab.field.box_key`): the
+    box holds x + t - eps and x + t + eps for every centre x and turn t in
+    {-L, 0, L}.  The closed balls of each component are sorted and merged,
+    and every moving piece [a, e) must lie in one merged ball [lo, hi],
+    with lo <= a and e <= hi: [a, e) lies in a finite union of closed
+    intervals exactly when its closure [a, e] does, and a connected set
+    lies in one of them.
     """
     domain = s.source
     lengths = [QuadNum.of(c.length) for c in domain.components]
     frame = Frame([eps, *lengths]).join(u.frame).join(s.frame)
     coord, k = frame.coord, frame.den // s.frame.den  # S^-1 lives on S's frame
     jumps = [(ci, (x[0] * k, x[1] * k)) for ci, x in s._jumps() + (~s)._jumps()]
-    pieces = _moving(u, frame)
-    e, ends = coord(eps), [coord(length) for length in lengths]
-    key = _keyer(frame, [e, *ends, *(x for _, x in jumps), *(x for p in pieces for x in p[1:])], 3)
-    e, ends = key(e), [key(x) for x in ends]
-    centres = [(ci, key(x)) for ci, x in jumps]
+    pieces = u._moving(frame)
+    coords = [coord(eps), *map(coord, lengths), *(x for _, x in jumps)]
+    coords += [x for p in pieces for x in p[1:]]
+    _, K, r = box_key(frame.d, coords, 3)
+    keys = (P * K + Q * r for P, Q in coords)
+    e, ends = next(keys), [next(keys) for _ in lengths]
+    centres = [(ci, next(keys)) for ci, _ in jumps]
+    pieces = [(ci, next(keys), next(keys)) for ci, _, _ in pieces]
     for ci, comp in enumerate(domain.components):
         if comp.kind == INTERVAL:
             centres += [(ci, 0), (ci, ends[ci])]
@@ -246,7 +231,6 @@ def _eps_covered(s: Iet, u: Iet, eps: QuadNum) -> bool:
     for ci, a, b in pieces:
         if ci != at:
             at, ms, j = ci, merged.get(ci, []), 0
-        a, b = key(a), key(b)
         while j < len(ms) and ms[j][1] < a:
             j += 1
         if not (j < len(ms) and ms[j][0] <= a and b <= ms[j][1]):
@@ -257,14 +241,17 @@ def _eps_covered(s: Iet, u: Iet, eps: QuadNum) -> bool:
 def _disjoint_supports(g: Iet, h: Iet) -> bool:
     """Whether supp(g) and supp(h) are disjoint: the verdict of
     ``g.support().intersection(h.support()).is_empty()``, by one merge
-    sweep over the two maps' moving pieces, keyed on the frame of both.
-    Two half-open pieces [a, e) and [a', e') of one component meet exactly
+    sweep over the two maps' moving pieces (``Iet._moving``), keyed with
+    reach 1 (:func:`~ietlab.field.box_key`) on the frame of both.  Two
+    half-open pieces [a, e) and [a', e') of one component meet exactly
     when neither ends at or before the other's start."""
     frame = g.frame.join(h.frame)
-    ps, qs = _moving(g, frame), _moving(h, frame)
-    key = _keyer(frame, [x for p in ps + qs for x in p[1:]], 1)
-    ps = [(ci, key(a), key(b)) for ci, a, b in ps]
-    qs = [(ci, key(a), key(b)) for ci, a, b in qs]
+    ps, qs = g._moving(frame), h._moving(frame)
+    _, K, r = box_key(frame.d, [x for p in ps + qs for x in p[1:]], 1)
+    ps, qs = (
+        [(ci, a[0] * K + a[1] * r, b[0] * K + b[1] * r) for ci, a, b in moving]
+        for moving in (ps, qs)
+    )
     i = j = 0
     while i < len(ps) and j < len(qs):
         (ci, a, b), (cj, a2, b2) = ps[i], qs[j]
@@ -331,16 +318,15 @@ def _common_return(circles: list[tuple[QuadNum, QuadNum]], cap: int) -> Optional
     meets the bound when x <= delta or x >= 1 - delta.
 
     Every value the walk adds or compares is one integer key: the value's
-    pair (P, Q) on one :class:`~ietlab.field.Frame` of denominator D, read
-    as P*K + Q*r with (K, r) from :func:`~ietlab.field.order_key`.  Keys
-    add as the values do and compare as the values do on the box of that
-    lemma, so a step is integer compares and additions.  The box holds
-    every value compared: let c bound |P| and |Q| over the fixed values
-    (delta, 1, the steps' shifts and bounds, and each other circle's
-    delta, 1 - delta and shifts).  A step adds at most one shift to y and
-    to each x, and subtracts 1 (the pair (D, 0)) at most once from each x,
-    so after j steps every |P| and |Q| is at most (2 j + 1) c; the walk
-    takes at most cap steps, since each one adds at least 1 to n.
+    pair (P, Q) on one :class:`~ietlab.field.Frame` of denominator D, keyed
+    by :func:`~ietlab.field.box_key` with reach 2 cap + 1 over the fixed
+    values (delta, 1, the steps' shifts and bounds, and each other
+    circle's delta, 1 - delta and shifts), so a step is integer compares
+    and additions.  That box holds every value compared: a step adds at
+    most one shift to y and to each x, and subtracts 1 (the pair (D, 0))
+    at most once from each x, so after j steps a value is a sum or
+    difference of at most 2 j + 1 fixed values; the walk takes at most cap
+    steps, since each one adds at least 1 to n.
     """
     driver = min(circles, key=lambda c: c[1])
     others = [c for c in circles if c is not driver]
@@ -366,8 +352,8 @@ def _common_return(circles: list[tuple[QuadNum, QuadNum]], cap: int) -> Optional
     values += [v for (_, dj), mv in zip(others, moves) for v in (dj, 1 - dj, *mv)]
     frame = Frame(values)
     coords = [frame.coord(v) for v in values]
-    key = _keyer(frame, coords, 2 * max(cap, 0) + 1)
-    keys = map(key, coords)
+    _, K, r = box_key(frame.d, coords, 2 * max(cap, 0) + 1)
+    keys = (P * K + Q * r for P, Q in coords)
     y, one = next(keys), next(keys)
     walk = [(g, next(keys), side, next(keys)) for g, _, side, _ in steps]
     # per other circle: its bounds delta and 1 - delta and its shift per step
@@ -406,11 +392,10 @@ def small_rotation_power(r: Iet, eps, cap: int = 500_000) -> int:
     (:func:`_common_return`), so the answer is the true minimum.  Only the
     choice of the driving circle and its Farey descent
     (:func:`_first_hits`) run in ``QuadNum``; the walk adds and compares
-    one integer key per value (:func:`ietlab.field.order_key`), and no
-    floating point is used.  In
-    checked mode the n found is re-checked in ``QuadNum`` against the
-    definition, ||n beta|| <= delta on every circle and n <= cap, and a
-    mismatch raises :class:`SelfCheckError`.  Raises
+    one integer key per value (:func:`ietlab.field.box_key`), and no
+    floating point is used.  In checked mode the n found is re-checked in
+    ``QuadNum`` against the definition, ||n beta|| <= delta on every circle
+    and n <= cap, and a mismatch raises :class:`SelfCheckError`.  Raises
     :class:`CapExceededError` when the least n exceeds cap, and
     :class:`IetError` (from :func:`circle_angles`) when r is not a
     multi-rotation.
@@ -589,7 +574,6 @@ class RelationCertificate:
     epsilon: Optional[Fraction]
     k: int
     u: Iet
-    supp_u: Subdomain
 
 
 def lcm_up_to(q: int) -> int:
@@ -663,12 +647,11 @@ def relation_certificate(
             epsilon=eps,
             k=k,
             u=u_iet,
-            supp_u=supp_u,
         )
 
-    supp_u = u_iet.support()
     if u_iet.is_identity():
         return issue(u_word, 0)
+    supp_u = u_iet.support() if core.CHECKED else None
     tk = Iet.identity(t.source)
     for k in range(1, k_cap + 1):
         tk = t * tk

@@ -41,23 +41,23 @@ pair the translation of the piece that holds it, read off h's own pieces,
 so every orbit point is again a pair of that frame and the walk is exact:
 it visits the very values ``Iet.__call__`` and ``Iet.left_limit`` give,
 with no ``QuadNum`` built.  Each point also carries one integer key, which
-orders the pairs of a box that every walk stays in exactly
-(:func:`~ietlab.field.order_key`), so a step finds its piece by one
-``bisect`` over the keys of the piece starts and moves the key with the
-pair.  The searches refuse a depth or a growth check beyond the caps that
-size the box.  The kernel and the jump sets of h and h^-1 are built once
-per map and shared by the searches of a surgery pass and by the growth
-check of its last map.  With ``IETLAB_CHECK=1`` every walk is run again
-through ``Iet.__call__`` and ``Iet.left_limit`` and must agree, and the
-growth check must agree with the power h_m^N, or :class:`SelfCheckError`
-is raised.
+orders the pairs of a box that every walk stays in exactly, so a step
+finds its piece by one ``bisect`` over the keys of the piece starts and
+moves the key with the pair.  The keys and moves are h's keyed piece
+table, the one that evaluation reads, with its box sized by the one box
+rule, :func:`~ietlab.field.box_key`.  The searches refuse a depth or a
+growth check beyond the caps that size the box.  The kernel and the jump
+sets of h and h^-1 are built once per map and shared by the searches of a
+surgery pass and by the growth check of its last map.  With
+``IETLAB_CHECK=1`` every walk is run again through ``Iet.__call__`` and
+``Iet.left_limit`` and must agree, and the growth check must agree with
+the power h_m^N, or :class:`SelfCheckError` is raised.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -73,7 +73,7 @@ from ietlab.core import (
     Point,
     SelfCheckError,
 )
-from ietlab.field import QuadNum, order_key
+from ietlab.field import QuadNum
 from ietlab.relations import CapExceededError
 
 
@@ -269,47 +269,31 @@ class _Orbits:
 
 
 class _IntOrbits(_Orbits):
-    """The same orbits on integers (see the module docstring), read off h's
-    own frame and pieces.  A point is (comp, k, P, Q): (P, Q) is its pair
-    in ``frame`` and k = P K + Q r its key by
-    :func:`ietlab.field.order_key`, which orders the points of a box
-    exactly.  The piece of comp holding a point is then the last one whose
-    start key is at most k, one ``bisect_right`` over ``keys[comp]``, and
-    the piece just below it, for a left limit, the last one whose start
-    key is below k, one ``bisect_left``.  The key is linear in (P, Q), so
-    the piece's move (dst, dk, dP, dQ), from its start a to its image start
-    b, carries the key along with the pair: a step is one bisect and three
-    integer additions.
+    """The same orbits on integers (see the module docstring), read off
+    h's keyed piece table (``Iet._keyed``).  A point is (comp, k, P, Q):
+    (P, Q) is its pair in ``frame`` and k = P K + Q r its key in the
+    table's box.  The piece of comp holding a point is then the last one
+    whose start key is at most k, one ``bisect_right`` over
+    ``keys[comp]``, and the piece just below it, for a left limit, the
+    last one whose start key is below k, one ``bisect_left``.  The key is
+    linear in (P, Q), so the piece's move (dst, dk, dP, dQ), from its start
+    a to its image start b, carries the key along with the pair: a step is
+    one bisect and three integer additions.
 
     The box holds every point a walk can reach.  A walk starts at 0, at the
     length of a component, or at a piece start or image start, and takes
     at most ``steps`` steps: the caps bound the connection search by
     ``DEPTH_CAP * 4 ** _RETRIES + 1`` steps and the growth check by
     ``CHECK_CAP``, and a fake-boundary walk is shorter than the components
-    and pieces together.  Each step adds to Q the shift of one piece, and
-    every point lies in [0, length], which bounds P by Q."""
+    and pieces together.  Each step adds one move b - a, so a point s steps
+    in is a sum or difference of 2 s + 1 of the table's coordinates: the
+    table is read with reach 2 steps + 1 (:func:`ietlab.field.box_key`)."""
 
     def __init__(self, h: Iet):
-        frame = self.frame = h.frame
-        pieces, starts = h._per_component()
-        comps = h.source.components
-        ends = [frame.coord(QuadNum.of(c.length)) for c in comps]
-        steps = max(DEPTH_CAP * 4 ** _RETRIES + 1, CHECK_CAP, len(comps) + len(h._pieces) + 1)
-        starts_q = [abs(x[1]) for p in h._pieces for x in (p[1], p[4])] + [abs(q) for _, q in ends]
-        shift = max([abs(p[4][1] - p[1][1]) for p in h._pieces], default=0)
-        bound_q = max(starts_q, default=0) + steps * shift
-        root = math.isqrt(frame.d) + 1  # above sqrt(d)
-        bound_p = max([abs(p) + abs(q) * root for p, q in ends], default=0) + bound_q * root
-        self.bits = max(bound_p, bound_q).bit_length()  # |P|, |Q| < 2**bits
-        self.K, self.r = K, r = order_key(frame.d, self.bits)
-        self.keys = {c: [p * K + q * r for p, q in ss] for c, ss in starts.items()}
-        self.moves = {
-            c: [
-                (dst, (b[0] - a[0]) * K + (b[1] - a[1]) * r, b[0] - a[0], b[1] - a[1])
-                for _, a, _, dst, b in ps
-            ]
-            for c, ps in pieces.items()
-        }
+        self.frame = h.frame
+        steps = max(DEPTH_CAP * 4 ** _RETRIES + 1, CHECK_CAP, len(h.source) + len(h._pieces) + 1)
+        table = h._keyed(h.frame.d, 2 * steps + 1)
+        _, self.bits, _, self.K, self.r, self.keys, _, self.moves = table
         super().__init__(h)
 
     def key(self, comp: int, x):

@@ -316,6 +316,19 @@ def test_cli_minimal_model_names_the_irrational_circles(tmp_path, capsys):
             assert (comp.kind, comp.length) == (CIRCLE, Fraction(3, 4))
 
 
+def test_cli_model_components_resolve_the_irrational_circles(tmp_path, capsys):
+    # no --out-model: the report alone says which component each id names
+    f = write_map(tmp_path, "h.iet", example_2_3(Fraction(3, 4), R2 / 4))
+    assert main(["minimal-model", f]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "model_components: I.0=circle:3/4 I.1=interval:1/4" in lines
+    assert "irrational_circles: I.0" in lines
+    assert main(["--json", "minimal-model", f]) == EXIT_OK
+    outcome = json.loads(capsys.readouterr().out)["outcome"]
+    comps = dict(c.split("=") for c in outcome["model_components"].split())
+    assert [comps[cid] for cid in outcome["irrational_circles"].split()] == ["circle:3/4"]
+
+
 def test_cli_relation_hunt(tmp_path, capsys):
     from ietlab.relations import drift_direction, drifted
 

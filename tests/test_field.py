@@ -17,6 +17,7 @@ from ietlab.field import (
     QuadNum,
     Rel,
     _sign,
+    box_key,
     format_number,
     lp_rational_point,
     order_key,
@@ -561,6 +562,24 @@ def test_order_key_orders_the_box_as_the_sign(d, bits, data):
     keys.sort()
     assert bisect.bisect_left(keys, kx) == signs.count(-1)
     assert bisect.bisect_right(keys, kx) == signs.count(-1) + signs.count(0)
+
+
+PAIRS = st.lists(st.tuples(st.integers(-(10**12), 10**12), st.integers(-(10**12), 10**12)), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((0, 2, 3, 13)), PAIRS, st.integers(1, 9), st.data())
+def test_box_key_holds_every_sum_of_reach_coordinates(d, coords, reach, data):
+    bits, K, r = box_key(d, coords, reach)
+    assert (K, r) == order_key(d, bits)
+    top = max((abs(v) for c in coords for v in c), default=0)
+    # the least box: reach times the largest coordinate, and no more
+    assert reach * top < 2**bits and (not top or 2 ** (bits - 1) <= reach * top)
+    if coords:
+        signed = st.tuples(st.sampled_from(coords), st.sampled_from((1, -1)))
+        terms = data.draw(st.lists(signed, min_size=1, max_size=reach))
+        P, Q = (sum(s * c[i] for c, s in terms) for i in (0, 1))
+        assert abs(P) < 2**bits and abs(Q) < 2**bits
 
 
 # -- the literal codec against its Fraction oracle ------------------------------

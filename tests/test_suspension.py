@@ -418,6 +418,65 @@ def test_keyed_steps_equal_the_sign_test(kind, seed):
     assert met >= {(left, way) for left in (False, True) for way in ways}
 
 
+def assert_steps_by_sign(o) -> None:
+    """Every step of the kernel o from a piece start and its two integer
+    neighbours equals the sign-test step."""
+    lengths = [c.length for c in o.h.source.components]
+    for c, starts in o.h._per_component()[1].items():
+        for ps, qs in starts:
+            for P in (ps - 1, ps, ps + 1):
+                y = (c, P * o.K + qs * o.r, P, qs)
+                x = o.value(y)
+                for left, step in ((False, o.image), (True, o.left_limit)):
+                    if (0 < x <= lengths[c]) if left else (0 <= x < lengths[c]):
+                        dst, k, P2, Q2 = step(y)
+                        assert (dst, P2, Q2) == step_by_sign(o, y, left)
+                        assert k == P2 * o.K + Q2 * o.r
+
+
+def image_by_pieces(h: Iet, pt: Point) -> Point:
+    (p, *_) = [p for p in reversed(h.pieces) if p.src == pt.comp and p.a <= pt.x]
+    return Point(p.dst, p.b + (pt.x - p.a))
+
+
+def test_the_kernel_and_evaluation_read_one_table():
+    h = orbit_instance(random.Random(29), "irreducible")
+    # kernel first: evaluation inside the kernel's box reads its table
+    o = suspension._IntOrbits(h)
+    table = h._keys
+    assert o.keys is table[5] and o.moves is table[7]
+    start = Point(0, h.pieces[1].a)
+    assert h(start) == image_by_pieces(h, start) and h._keys is table
+    # a point outside that box grows the map's table; the kernel keeps its own
+    q = 2 ** (o.bits + 8) + 1
+    den = h.frame.den
+    far = Point(0, QuadNum(Fraction(-math.isqrt(2 * q * q), den), Fraction(q, den), 2))
+    assert 0 < far.x < 1 and max(abs(far.x.p), abs(far.x.q)) >= 2 ** o.bits
+    assert h(far) == image_by_pieces(h, far)
+    assert h._keys is not table and h._keys[2] > table[2]
+    assert_steps_by_sign(o)
+    assert find_boundary_connections(h, 64) == connections_by_evaluation(h, 64)
+    # evaluation first: the kernel reads the table evaluation grew
+    h = orbit_instance(random.Random(29), "irreducible")
+    assert h(far) == image_by_pieces(h, far)
+    o = suspension._IntOrbits(h)
+    assert o.keys is h._keys[5] and o.bits == h._keys[1]
+    assert_steps_by_sign(o)
+    # a rational map read at an irrational point keeps that table for
+    # rational points, whose keys it orders too
+    h = interval_rotation(Fraction(3, 10))
+    root, half = Point(0, QuadNum.sqrt(2) / 4), Point(0, QuadNum(Fraction(1, 2)))
+    assert h(root) == image_by_pieces(h, root)
+    table = h._keys
+    for pt in (half, root, half):
+        assert h(pt) == image_by_pieces(h, pt) and h._keys is table
+    # the identity of the empty domain: a table with no component, no point
+    empty = Iet.identity(Domain(()))
+    assert suspension._IntOrbits(empty).keys == [] and empty._keys[1] == 0
+    with pytest.raises(IetError, match="outside"):
+        empty(Point(0, QuadNum(0)))
+
+
 def test_glue_fake_boundary_rolls_interval_rotation_into_circle():
     h = interval_rotation(ALPHA)
     fbs = fake_boundaries(h)
