@@ -564,7 +564,8 @@ def test_order_key_orders_the_box_as_the_sign(d, bits, data):
     assert bisect.bisect_right(keys, kx) == signs.count(-1) + signs.count(0)
 
 
-PAIRS = st.lists(st.tuples(st.integers(-(10**12), 10**12), st.integers(-(10**12), 10**12)), max_size=6)
+BIG = st.integers(-(10**12), 10**12)
+PAIRS = st.lists(st.tuples(BIG, BIG), max_size=6)
 
 
 @settings(max_examples=200, deadline=None)
