@@ -427,7 +427,9 @@ def rationalize(generators: Sequence[Iet], radius: int) -> tuple[list[Iet], Fini
 
 # -- finite groups from rational maps -------------------------------------------------
 
-GIANT_WARMUP = 30  # product-replacement steps before the first draw
+# product-replacement steps before the first draw, at least two per state
+# element: with fewer, the draws on many generators stay products of a few
+GIANT_WARMUP = 30
 GIANT_DRAWS = 64  # elements tried before falling back to the chain
 
 
@@ -484,8 +486,9 @@ def _giant_order(gens: list[tuple[int, ...]], n: int) -> Optional[int]:
         return None
     rng = random.Random(0)
     state = [gens[i % len(gens)] for i in range(max(10, len(gens)))]
+    warmup = max(GIANT_WARMUP, 2 * len(state))
     acc = tuple(range(n))
-    for step in range(GIANT_WARMUP + GIANT_DRAWS):
+    for step in range(warmup + GIANT_DRAWS):
         i = rng.randrange(len(state))
         j = rng.randrange(len(state) - 1)
         if j >= i:
@@ -495,7 +498,7 @@ def _giant_order(gens: list[tuple[int, ...]], n: int) -> Optional[int]:
         else:
             state[i] = _mul(state[j], state[i])
         acc = _mul(acc, state[i])
-        if step >= GIANT_WARMUP:
+        if step >= warmup:
             p = max(_cycle_lengths(acc))
             if 2 * p > n and p < n - 2 and _is_prime(p):
                 odd = any((n - len(_cycle_lengths(g))) % 2 for g in gens)

@@ -92,14 +92,22 @@ class Report:
         }
 
     def emit(self, as_json: bool) -> None:
-        data = self.as_dict()
-        if as_json:
-            print(json.dumps(data, sort_keys=True))
-            return
-        for key, value in self.outcome.items():
-            print(f"{key}: {value}")
-        for path in self.witnesses:
-            print(f"wrote {path}")
+        # exact integers print in full: CPython 3.11 refuses to print one of
+        # more than 4,300 digits unless the limit is lifted
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            if as_json:
+                print(json.dumps(self.as_dict(), sort_keys=True))
+                return
+            for key, value in self.outcome.items():
+                print(f"{key}: {value}")
+            for path in self.witnesses:
+                print(f"wrote {path}")
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
 
 def _load(report: Report, path: str) -> Iet:

@@ -27,13 +27,17 @@ A product of maps on two exact frames rescales once, to the frame over the
 lcm of their denominators; two fields raise
 :class:`~ietlab.field.FieldMismatchError`.  ``QuadNum`` values appear only
 at the edge.  ``pieces``, built once on first use, is the one ``QuadNum``
-view of a map: :class:`Piece` values for :class:`Subdomain` and the text
-format.  Evaluation (``__call__``, ``left_limit``) of an exact map puts
-the point and the piece starts on one denominator and finds the piece by
-one bisect over the starts' integer keys; the only ``QuadNum`` it builds
-is the image.  The keys are the map's one keyed piece table
-(``Iet._keyed``), which the orbit walks of :mod:`ietlab.suspension` read
-too, over a box sized by the one box rule, :func:`ietlab.field.box_key`.
+view of a map: :class:`Piece` values for the text format.  A
+:class:`Subdomain` lives on a frame as well: ``support`` reads the moving
+pieces off the map's frame, ``image_of`` cuts on the frame of the map and
+the subdomain, and union, containment and disjointness are one merge each
+over integer keys; ``parts`` is its ``QuadNum`` view.  Evaluation
+(``__call__``, ``left_limit``) of an exact map puts the point and the
+piece starts on one denominator and finds the piece by one bisect over the
+starts' integer keys; the only ``QuadNum`` it builds is the image.  The keys
+are the map's one keyed piece table (``Iet._keyed``), which the orbit walks
+of :mod:`ietlab.suspension` read too, over a box sized by the one box
+rule, :func:`ietlab.field.box_key`.
 
 ``Iet(...)`` is the one validating constructor: it puts its numbers on a
 ``Frame``, then sorts the pieces and checks that they partition both
@@ -45,7 +49,8 @@ pieces' ``QuadNum`` values through ``Iet(...)``, and the two maps must be
 equal, or :class:`SelfCheckError` is raised.  A frame's ``value`` reads a
 coordinate and decides nothing, so the rebuild of a traced map records
 nothing on the trace; equality compares an exact map with a traced one by
-their ``pieces``.
+their ``pieces``.  In that mode each containment and disjointness verdict
+of a :class:`Subdomain` is re-derived from its ``QuadNum`` parts too.
 """
 
 from __future__ import annotations
@@ -197,87 +202,129 @@ def perm_is_realizable(p: Sequence[int]) -> bool:
 # -- subdomains ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Subdomain:
     """Finite union of half-open coordinate intervals inside a domain.
 
-    Parts are (component index, start, end) with 0 <= start < end <= length,
-    sorted and merged, so equal sets have equal representations.  A full
-    circle appears as the single part (ci, 0, length).
+    A subdomain lives on a frame, as a map does: its parts are tuples
+    (component index, start, end) of the frame's coordinates, 0 <= start <
+    end <= length, sorted and merged, so equal sets have equal parts on a
+    frame that joins both.  A full circle is the one part (ci, 0, length).
+    ``parts`` is the ``QuadNum`` view, built once on first use.  ``make``
+    validates exact numbers; ``_of`` takes parts on a frame and is the one
+    merge: a sort by one integer key per coordinate
+    (:func:`~ietlab.field.box_key`, reach 1) and one sweep.
+    ``covers`` and ``disjoint`` read their verdicts off the merge of both
+    sets, and checked mode re-derives each from the ``QuadNum`` parts.
     """
 
-    domain: Domain
-    parts: tuple[tuple[int, object, object], ...]
+    __slots__ = ("domain", "frame", "_parts", "_edge")
 
     @staticmethod
     def make(domain: Domain, parts: Iterable[tuple[int, object, object]]) -> "Subdomain":
-        by_comp: dict[int, list] = {}
+        raw = []
         for ci, s, e in parts:
+            if not 0 <= ci < len(domain.components):
+                raise IetError(f"no component {ci} in the domain")
             s, e = QuadNum.of(s), QuadNum.of(e)
-            length = domain.components[ci].length
-            if s < 0 or e > length or not s < e:
+            if s < 0 or e > domain.components[ci].length or not s < e:
                 raise IetError(f"bad subdomain part ({ci}, {s}, {e})")
-            by_comp.setdefault(ci, []).append((s, e))
-        out = []
-        for ci in sorted(by_comp):
-            ivs = sorted(by_comp[ci])
-            merged = [list(ivs[0])]
-            for s, e in ivs[1:]:
-                if s <= merged[-1][1]:
-                    if e > merged[-1][1]:
-                        merged[-1][1] = e
-                else:
-                    merged.append([s, e])
-            out.extend((ci, s, e) for s, e in merged)
-        return Subdomain(domain, tuple(out))
+            raw.append((ci, s, e))
+        frame = Frame([x for _, s, e in raw for x in (s, e)])
+        coord = frame.coord
+        return Subdomain._of(domain, frame, [(ci, coord(s), coord(e)) for ci, s, e in raw])
+
+    @staticmethod
+    def _of(domain: Domain, frame, parts: list) -> "Subdomain":
+        """The union of parts (ci, start, end) on frame, in any order, each
+        a nonempty interval inside its component."""
+        _, K, r = box_key(frame.d, [x for p in parts for x in p[1:]], 1)
+        keyed = sorted([(ci, a[0] * K + a[1] * r, e[0] * K + e[1] * r, a, e) for ci, a, e in parts])
+        out: list[tuple] = []
+        for ci, ka, ke, a, e in keyed:
+            if out and out[-1][0] == ci and ka <= end:
+                if ke > end:
+                    out[-1], end = (ci, out[-1][1], e), ke
+            else:
+                out.append((ci, a, e))
+                end = ke
+        sub = object.__new__(Subdomain)
+        sub.domain, sub.frame, sub._parts, sub._edge = domain, frame, tuple(out), None
+        return sub
+
+    def _on(self, frame) -> tuple:
+        """The parts on frame, which joins this subdomain's own."""
+        s = frame.den // self.frame.den
+        if s == 1:
+            return self._parts
+        return tuple([(ci, (a[0] * s, a[1] * s), (e[0] * s, e[1] * s)) for ci, a, e in self._parts])
+
+    @property
+    def parts(self) -> tuple[tuple[int, QuadNum, QuadNum], ...]:
+        if self._edge is None:
+            value = self.frame.value
+            self._edge = tuple([(ci, value(a), value(e)) for ci, a, e in self._parts])
+        return self._edge
+
+    def __eq__(self, other):
+        if not isinstance(other, Subdomain):
+            return NotImplemented
+        if self.domain != other.domain or len(self._parts) != len(other._parts):
+            return False
+        try:
+            frame = self.frame.join(other.frame)
+        except FieldMismatchError:  # rational parts on frames of two fields
+            return self.parts == other.parts
+        return self._on(frame) == other._on(frame)
+
+    def __hash__(self):
+        keys = self.frame.keys([x for p in self._parts for x in p[1:]])
+        return hash((self.domain, tuple([p[0] for p in self._parts]), tuple(keys)))
+
+    def __repr__(self):
+        return f"<Subdomain {self.parts}>"
 
     def is_empty(self) -> bool:
-        return not self.parts
+        return not self._parts
 
-    def measure(self):
-        t = 0
-        for _, s, e in self.parts:
-            t = (e - s) + t
-        return t
+    def measure(self) -> QuadNum:
+        return self.frame.value(_length(self._parts))
 
     def union(self, other: "Subdomain") -> "Subdomain":
-        self._check(other)
-        return Subdomain.make(self.domain, self.parts + other.parts)
-
-    def intersection(self, other: "Subdomain") -> "Subdomain":
-        self._check(other)
-        out = []
-        for ci, s, e in self.parts:
-            for cj, s2, e2 in other.parts:
-                if ci != cj:
-                    continue
-                lo = s if s > s2 else s2
-                hi = e if e < e2 else e2
-                if lo < hi:
-                    out.append((ci, lo, hi))
-        return Subdomain.make(self.domain, out)
-
-    def complement(self) -> "Subdomain":
-        out = []
-        for ci, comp in enumerate(self.domain.components):
-            cursor = _ZERO
-            for cj, s, e in self.parts:
-                if cj != ci:
-                    continue
-                if cursor < s:
-                    out.append((ci, cursor, s))
-                cursor = e
-            if cursor < comp.length:
-                out.append((ci, cursor, comp.length))
-        return Subdomain.make(self.domain, out)
-
-    def covers(self, other: "Subdomain") -> bool:
-        """Whether other is a subset of self."""
-        return other.intersection(self.complement()).is_empty()
-
-    def _check(self, other: "Subdomain") -> None:
         if other.domain != self.domain:
             raise DomainMismatchError("subdomains of different domains")
+        frame = self.frame.join(other.frame)
+        return Subdomain._of(self.domain, frame, [*self._on(frame), *other._on(frame)])
+
+    def covers(self, other: "Subdomain") -> bool:
+        """Whether other is a subset of self: whether merging other's parts
+        into self's leaves self's."""
+        union = self.union(other)
+        covered = union._parts == self._on(union.frame)
+        if CHECKED and covered != all(
+            any(cj == ci and lo <= a and e <= hi for cj, lo, hi in self.parts)
+            for ci, a, e in other.parts
+        ):
+            raise SelfCheckError("the merge says covers wrongly: a part lies in no part")
+        return covered
+
+    def disjoint(self, other: "Subdomain") -> bool:
+        """Whether self and other have no point in common: whether merging
+        their parts adds up their lengths, as two finite unions of half-open
+        intervals meet in a set of length 0 only when they do not meet."""
+        union = self.union(other)
+        frame = union.frame
+        lengths = frame.add(_length(self._on(frame)), _length(other._on(frame)))
+        disjoint = _length(union._parts) == lengths
+        if CHECKED and disjoint == any(
+            ci == cj and a < hi and lo < e for ci, a, e in self.parts for cj, lo, hi in other.parts
+        ):
+            raise SelfCheckError("the merge says disjoint wrongly: two parts overlap")
+        return disjoint
+
+
+def _length(parts) -> tuple[int, int]:
+    """The total length of parts (ci, start, end), as a coordinate."""
+    return sum(e[0] - a[0] for _, a, e in parts), sum(e[1] - a[1] for _, a, e in parts)
 
 
 # -- interval exchange maps ------------------------------------------------------
@@ -718,34 +765,31 @@ class Iet:
     # -- structure readers ---------------------------------------------------------
 
     def support(self) -> Subdomain:
+        """The union of the pieces that move their points, on the map's frame."""
         if self.source != self.target:
             raise DomainMismatchError("support needs an automorphism")
-        value = self.frame.value
-        moving = [(c, value(a), value(e)) for c, a, e in self._moving(self.frame)]
-        return Subdomain.make(self.source, moving)
-
-    def _moving(self, frame) -> list[tuple]:
-        """(component, start, end) of each piece that moves its points, in
-        (component, start) order, as coordinates on frame, its own or one
-        that joins it: the support of an automorphism, read with no
-        ``QuadNum``."""
-        add = frame.add
-        pieces = self._on(frame)._pieces
-        return [(p[0], p[1], add(p[1], p[2])) for p in pieces if p[0] != p[3] or p[1] != p[4]]
+        add = self.frame.add
+        moving = [p for p in self._pieces if p[0] != p[3] or p[1] != p[4]]
+        parts = [(p[0], p[1], add(p[1], p[2])) for p in moving]
+        return Subdomain._of(self.source, self.frame, parts)
 
     def image_of(self, sub: Subdomain) -> Subdomain:
+        """The image of sub, cut at the pieces' ends on the frame of both."""
         if sub.domain != self.source:
             raise DomainMismatchError("subdomain not in the source domain")
+        frame = self.frame.join(sub.frame)
+        add, cmp = frame.add, frame.cmp
+        pieces = self._on(frame)._per_component()[0]
         out = []
-        for ci, s, e in sub.parts:
-            for p in self.pieces:
-                if p.src != ci:
-                    continue
-                lo = s if s > p.a else p.a
-                hi = e if e < p.a + p.length else p.a + p.length
-                if lo < hi:
-                    out.append((p.dst, p.b + (lo - p.a), p.b + (hi - p.a)))
-        return Subdomain.make(self.target, out)
+        for ci, s, e in sub._on(frame):
+            for _, a, n, dst, b in pieces[ci]:
+                end = add(a, n)
+                lo = s if cmp(s, a) > 0 else a
+                hi = e if cmp(e, end) < 0 else end
+                if cmp(lo, hi) < 0:
+                    shift = frame.sub(b, a)
+                    out.append((dst, add(lo, shift), add(hi, shift)))
+        return Subdomain._of(self.target, frame, out)
 
     def is_q_rational(self, q: int) -> bool:
         """Whether every discontinuity of this one-interval map sits on the

@@ -20,6 +20,7 @@ inside the elimination loops.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -95,9 +96,9 @@ def box_key(d: int, coords: Iterable[tuple[int, int]], reach: int) -> tuple[int,
     difference of at most ``reach`` of the integer pairs coords, and its
     :func:`order_key`.  Keys of that box add as their pairs do and compare
     as their values do.  This is the one box rule of the package:
-    evaluation, the orbit walks and the support sweeps all size their keys
+    evaluation, the orbit walks and the subdomain merge all size their keys
     by it."""
-    top = max((abs(v) for c in coords for v in c), default=0)
+    top = max(map(abs, itertools.chain.from_iterable(coords)), default=0)
     bits = (reach * top).bit_length()
     return (bits, *order_key(d, bits))
 

@@ -15,12 +15,12 @@ Either way the commutation relation, read as a word in the abstract free
 group, is nonempty after free reduction, so the pair does not generate a
 free group of rank 2.  Everything here is verified by exact arithmetic, and
 the word is re-evaluated to the identity map before a certificate is
-issued.  The hot paths run on integers: the walk of the power search, the
-eps-cover check of supp(U) and the disjointness of supports put their
-values on one :class:`~ietlab.field.Frame` and compare one integer key per
-value, over the box of the one box rule, :func:`ietlab.field.box_key`,
-with the reach each of them states.  In checked mode each keyed
-verdict is re-derived in ``QuadNum`` (:class:`~ietlab.core.Subdomain`).
+issued.  The hot paths run on integers.  The walk of the power search puts
+its values on one :class:`~ietlab.field.Frame` and compares one integer key
+per value, over the box of the one box rule, :func:`ietlab.field.box_key`.
+The eps-cover check of supp(U) and the disjointness of supports are
+:class:`~ietlab.core.Subdomain` questions, one merge each on the frame
+of both sets, which checked mode re-derives from their ``QuadNum`` parts.
 """
 
 from __future__ import annotations
@@ -28,16 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ietlab import core
 from ietlab.core import (
     CIRCLE,
     INTERVAL,
-    Domain,
     Iet,
     IetError,
-    Point,
     SelfCheckError,
     Subdomain,
     from_lengths,
@@ -159,114 +157,35 @@ def commutator(g: Iet, h: Iet) -> Iet:
 # -- closed neighbourhoods and pinched supports --------------------------------------
 
 
-def _eps_cover(domain: Domain, pts: Iterable[Point], eps) -> Subdomain:
-    """The closed eps-balls around pts and around the ends of interval
-    components, as half-open parts: [s, e) lies in a finite union of closed
-    intervals exactly when it lies in the union of their half-open versions.
-    A ball on a circle is cut at 0 by its copies one turn either way."""
-    eps = QuadNum.of(eps)
-    zero = QuadNum(0)
-    centers = [(p.comp, p.x) for p in pts]
-    for ci, comp in enumerate(domain.components):
-        if comp.kind == INTERVAL:
-            centers += [(ci, zero), (ci, comp.length)]
-    parts = []
-    for ci, x in centers:
-        comp = domain.components[ci]
-        for turn in (-comp.length, zero, comp.length) if comp.kind == CIRCLE else (zero,):
-            lo, hi = x + turn - eps, x + turn + eps
-            if lo < comp.length and hi > 0:
-                parts.append((ci, lo if lo > 0 else zero, hi if hi < comp.length else comp.length))
-    return Subdomain.make(domain, parts)
-
-
-def _eps_covered(s: Iet, u: Iet, eps: QuadNum) -> bool:
-    """Whether supp(U) lies in the closed eps-neighbourhood of the jumps of
-    S and S^-1 and of the ends of the interval components: the verdict of
-    ``_eps_cover(...).covers(u.support())``, by one merge sweep on keys.
-
-    The jumps, the component lengths, eps and U's moving pieces are put on
-    one frame and keyed with reach 3 (:func:`~ietlab.field.box_key`): the
-    box holds x + t - eps and x + t + eps for every centre x and turn t in
-    {-L, 0, L}.  The closed balls of each component are sorted and merged,
-    and every moving piece [a, e) must lie in one merged ball [lo, hi],
-    with lo <= a and e <= hi: [a, e) lies in a finite union of closed
-    intervals exactly when its closure [a, e] does, and a connected set
-    lies in one of them.
-    """
+def _eps_cover(s: Iet, eps: QuadNum) -> Subdomain:
+    """The closed eps-balls around the jumps of S and S^-1 and around the
+    ends of the interval components, as one subdomain on one frame of the
+    jumps, eps and the lengths.  The parts are half-open: [a, e) lies in a
+    finite union of closed intervals exactly when it lies in the union of
+    their half-open versions, since the points just above any of its
+    points lie in one of the intervals.  A ball on a circle is cut at 0 by
+    its copies one turn either way."""
     domain = s.source
     lengths = [QuadNum.of(c.length) for c in domain.components]
-    frame = Frame([eps, *lengths]).join(u.frame).join(s.frame)
+    frame = Frame([eps, *lengths]).join(s.frame)
     coord, k = frame.coord, frame.den // s.frame.den  # S^-1 lives on S's frame
-    jumps = [(ci, (x[0] * k, x[1] * k)) for ci, x in s._jumps() + (~s)._jumps()]
-    pieces = u._moving(frame)
-    coords = [coord(eps), *map(coord, lengths), *(x for _, x in jumps)]
-    coords += [x for p in pieces for x in p[1:]]
-    _, K, r = box_key(frame.d, coords, 3)
-    keys = (P * K + Q * r for P, Q in coords)
-    e, ends = next(keys), [next(keys) for _ in lengths]
-    centres = [(ci, next(keys)) for ci, _ in jumps]
-    pieces = [(ci, next(keys), next(keys)) for ci, _, _ in pieces]
+    (eP, eQ), ends = coord(eps), [coord(x) for x in lengths]
+    centres = [(ci, (x[0] * k, x[1] * k)) for ci, x in s._jumps() + (~s)._jumps()]
     for ci, comp in enumerate(domain.components):
         if comp.kind == INTERVAL:
-            centres += [(ci, 0), (ci, ends[ci])]
-    balls: dict[int, list[tuple[int, int]]] = {}
-    for ci, x in centres:
+            centres += [(ci, (0, 0)), (ci, ends[ci])]
+    sign, cmp = frame.sign, frame.cmp
+    balls = []
+    for ci, (P, Q) in centres:
         end = ends[ci]
-        for t in (-end, 0, end) if domain.components[ci].kind == CIRCLE else (0,):
-            lo, hi = x + t - e, x + t + e
-            if lo < end and hi > 0:
-                balls.setdefault(ci, []).append((lo, hi))
-    merged: dict[int, list[list[int]]] = {}
-    for ci, bs in balls.items():
-        bs.sort()
-        out = merged[ci] = [list(bs[0])]
-        for lo, hi in bs[1:]:
-            if lo <= out[-1][1]:
-                if hi > out[-1][1]:
-                    out[-1][1] = hi
-            else:
-                out.append([lo, hi])
-    at = None
-    for ci, a, b in pieces:
-        if ci != at:
-            at, ms, j = ci, merged.get(ci, []), 0
-        while j < len(ms) and ms[j][1] < a:
-            j += 1
-        if not (j < len(ms) and ms[j][0] <= a and b <= ms[j][1]):
-            return False
-    return True
-
-
-def _disjoint_supports(g: Iet, h: Iet) -> bool:
-    """Whether supp(g) and supp(h) are disjoint: the verdict of
-    ``g.support().intersection(h.support()).is_empty()``, by one merge
-    sweep over the two maps' moving pieces (``Iet._moving``), keyed with
-    reach 1 (:func:`~ietlab.field.box_key`) on the frame of both.  Two
-    half-open pieces [a, e) and [a', e') of one component meet exactly
-    when neither ends at or before the other's start."""
-    frame = g.frame.join(h.frame)
-    ps, qs = g._moving(frame), h._moving(frame)
-    _, K, r = box_key(frame.d, [x for p in ps + qs for x in p[1:]], 1)
-    ps, qs = (
-        [(ci, a[0] * K + a[1] * r, b[0] * K + b[1] * r) for ci, a, b in moving]
-        for moving in (ps, qs)
-    )
-    i = j = 0
-    while i < len(ps) and j < len(qs):
-        (ci, a, b), (cj, a2, b2) = ps[i], qs[j]
-        if ci < cj or (ci == cj and b <= a2):
-            i += 1
-        elif cj < ci or b2 <= a:
-            j += 1
-        else:
-            return False
-    return True
-
-
-def jump_marks(s: Iet) -> list[Point]:
-    """Jumps of the map and of its inverse, as one list of points."""
-    return list(s.discontinuities()) + list((~s).discontinuities())
+        turns = [(0, 0)]
+        if domain.components[ci].kind == CIRCLE:
+            turns += [(-end[0], -end[1]), end]
+        for tP, tQ in turns:
+            lo, hi = (P + tP - eP, Q + tQ - eQ), (P + tP + eP, Q + tQ + eQ)
+            if cmp(lo, end) < 0 and sign(hi) > 0:
+                balls.append((ci, lo if sign(lo) > 0 else (0, 0), hi if cmp(hi, end) < 0 else end))
+    return Subdomain._of(domain, frame, balls)
 
 
 def _first_hits(beta: QuadNum, w: QuadNum):
@@ -445,10 +364,9 @@ def shrink_support(r: Iet, s: Iet, cfg: ShrinkConfig) -> tuple[int, Iet]:
     of the jumps, and the outer one dies off the eps-neighbourhood; each of
     the two commutator steps spends a factor of two.  R^n is built in closed
     form by :func:`ietlab.rotations.multi_rotation_power`, which checked
-    mode compares with ``r ** n``.  The guarantee is checked by one merge
-    sweep on integer keys (:func:`_eps_covered`); checked mode re-derives
-    its verdict from the ``QuadNum`` subdomains of :func:`_eps_cover` and
-    ``U.support()``, and a mismatch raises :class:`SelfCheckError`.
+    mode compares with ``r ** n``.  The guarantee is checked as
+    ``_eps_cover(S, eps).covers(U.support())``, one merge, whose
+    verdict checked mode re-derives from the ``QuadNum`` parts.
     """
     if r.source != s.source or r.source != r.target or s.source != s.target:
         raise IetError("R and S must be automorphisms of one domain")
@@ -456,10 +374,7 @@ def shrink_support(r: Iet, s: Iet, cfg: ShrinkConfig) -> tuple[int, Iet]:
     n = small_rotation_power(r, eps / 2, _SHRINK_N_CAP)
     rn = multi_rotation_power(r, n)
     u = commutator(commutator(s, rn), rn)
-    covered = _eps_covered(s, u, eps)
-    if core.CHECKED and covered != _eps_cover(s.source, jump_marks(s), eps).covers(u.support()):
-        raise SelfCheckError("keyed eps-cover check disagrees with the QuadNum subdomains")
-    if not covered:
+    if not _eps_cover(s, eps).covers(u.support()):
         raise ShrinkVerificationError("support escaped its eps-neighbourhood")
     return n, u
 
@@ -610,13 +525,12 @@ def relation_certificate(
     divides q!).  With u = [s^e, t s^e t^-1]: if U = u(S, T) is the identity
     the word u itself is the certificate; otherwise each k <= k_cap is tried
     for exact disjointness of supp(U) and supp(T^k U T^-k), giving the word
-    [t^k u t^-k, u]; disjointness is one keyed sweep
-    (:func:`_disjoint_supports`), which checked mode re-derives by
-    ``Subdomain.intersection``.  The word is re-evaluated to the identity by exact
-    composition, and its free reduction is checked nonempty.  None means the
-    search failed, not that the group is free.  A k_cap above ``KCAP_CAP``
-    or a q above ``Q_CAP`` raises :class:`CapExceededError` before any
-    product.
+    [t^k u t^-k, u]; disjointness is one merge
+    (:meth:`~ietlab.core.Subdomain.disjoint`).  The word is re-evaluated to
+    the identity by exact composition, and its free reduction is checked
+    nonempty.  None means the search failed, not that the group is free.  A
+    k_cap above ``KCAP_CAP`` or a q above ``Q_CAP`` raises
+    :class:`CapExceededError` before any product.
     """
     if q < 2:
         raise IetError("q must be >= 2")
@@ -649,17 +563,13 @@ def relation_certificate(
             u=u_iet,
         )
 
-    if u_iet.is_identity():
+    supp_u = u_iet.support()
+    if supp_u.is_empty():
         return issue(u_word, 0)
-    supp_u = u_iet.support() if core.CHECKED else None
     tk = Iet.identity(t.source)
     for k in range(1, k_cap + 1):
         tk = t * tk
-        uk = tk * u_iet * ~tk
-        disjoint = _disjoint_supports(uk, u_iet)
-        if core.CHECKED and disjoint != uk.support().intersection(supp_u).is_empty():
-            raise SelfCheckError("keyed support sweep disagrees with the QuadNum subdomains")
-        if disjoint:
+        if (tk * u_iet * ~tk).support().disjoint(supp_u):
             word = commutator_word(w_t ** k * u_word * w_t ** -k, u_word)
             return issue(word, k)
     return None

@@ -567,6 +567,20 @@ def test_giant_test_falls_back_on_its_boundary_cases(monkeypatch):
     assert calls == [9, 14, 12]
 
 
+def test_giant_test_recognises_many_transpositions(monkeypatch):
+    # the block transpositions (0, j) of example sym: n + 1 generators, so
+    # the product-replacement state needs a warm-up that grows with it
+    def chain(gens, n):
+        raise AssertionError(f"the chain ran on {n} points")
+
+    monkeypatch.setattr(core, "CHECKED", False)  # checked mode re-runs the chain
+    monkeypatch.setattr(approx, "_chain_order", chain)
+    for n in (39, 118, 160):
+        points = n + 2
+        perms = [cycle_perm(points, (0, j)) for j in range(1, points)]
+        assert permutation_group_order(perms) == math.factorial(points), n
+
+
 def test_checked_mode_catches_a_wrong_giant_answer(monkeypatch):
     s9 = [cycle_perm(9, tuple(range(9))), cycle_perm(9, (0, 1))]
     monkeypatch.setattr(approx, "_giant_order", lambda gens, n: math.factorial(n) // 2)

@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -16,7 +18,7 @@ from ietlab.core import (
     interval_rotation,
 )
 from ietlab.field import LpInternalError, QuadNum
-from ietlab.menagerie import example_2_3
+from ietlab.menagerie import SYM_N_CAP, example_2_3
 from ietlab.relations import CapExceededError, drift_direction, drifted
 from ietlab.approx import BALL_RADIUS_CAP
 from ietlab.relations import KCAP_CAP, Q_CAP
@@ -404,6 +406,23 @@ def test_cli_example_commands(tmp_path, capsys):
     assert h == example_2_3(Fraction(1, 2), Fraction(1, 4))
 
 
+def test_reports_print_exact_integers_of_any_size(capsys):
+    # 1700! has 4,766 digits: CPython 3.11 refuses str() above 4,300 by default
+    big = math.factorial(1700)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(big)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    for as_json, line in ((False, f"order: {digits}\n"), (True, f'"order": {digits}}}')):
+        report = cli.Report("finite-group")
+        report.outcome["order"] = big
+        report.emit(as_json)
+        assert line in capsys.readouterr().out
+        assert sys.get_int_max_str_digits() == limit  # the limit is back
+
+
 def test_cli_exit_codes_on_bad_input(tmp_path, capsys):
     bad = tmp_path / "bad.iet"
     bad.write_text("field sqrt(2)\ndomain\ninterval I 1/1\npiece I 0/1 1/2 -> I 0/1\n")
@@ -441,8 +460,9 @@ def test_cli_maps_over_two_fields_are_bad_input(tmp_path, capsys):
         ["relation-hunt", "{h}", "{h}", "--q", "2", "--kcap", str(KCAP_CAP + 1)],
         ["relation-hunt", "{h}", "{h}", "--q", str(Q_CAP + 1)],
         ["orbit-ball", "{h}", "--x", "1/3", "--radius", str(BALL_RADIUS_CAP + 1)],
+        ["example", "sym", "--n", str(SYM_N_CAP + 1)],
     ],
-    ids=["depth", "check", "kcap", "q", "radius"],
+    ids=["depth", "check", "kcap", "q", "radius", "sym"],
 )
 def test_cli_knob_caps_exit_1_before_any_work(tmp_path, capsys, argv):
     h = write_map(tmp_path, "h.iet", long_connection_map())

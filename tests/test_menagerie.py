@@ -131,7 +131,7 @@ def test_symmetric_embedding_block_structure():
     assert len(emb.blocks) == 4
     for i in range(len(emb.blocks)):
         for j in range(i + 1, len(emb.blocks)):
-            assert emb.blocks[i].intersection(emb.blocks[j]).is_empty()
+            assert emb.blocks[i].disjoint(emb.blocks[j])
     # each generator is the transposition (0, j+1) on blocks
     for j, perm in enumerate(emb.block_permutations):
         expect = list(range(4))
@@ -183,6 +183,30 @@ def test_free_semigroup_check_finds_a_repeat_and_a_broken_criterion():
     s = Iet(dom, dom, [(0, 0, 1, 0, 0), (0, 1, 1, 1, 0), (1, 0, 1, 0, 1)])
     assert s * s == Iet.identity(dom) and s * g.r * s != g.r
     assert not free_semigroup_check(ExampleGroup(dom, g.r, s, g.lam), 1)
+
+
+def test_free_semigroup_verdicts_match_evaluating_each_word():
+    # the check reads the base point's image off each word's pieces; here
+    # every word is evaluated at the point instead, on the example group,
+    # on a rational r of order 4, on an s under which r' moves the point,
+    # and on an r that carries it to 0 of the interval
+    g = build_example_group(default_lambda(1))
+    dom, half = g.domain, QuadNum(Fraction(1, 2))
+    turn = [(0, 0, 2 - half, 0, half), (0, 2 - half, half, 0, 0), (1, 0, 1, 1, 0)]
+    rational = Iet(dom, dom, turn)
+    moved = Iet(dom, dom, [(0, 0, 1, 0, 0), (0, 1, 1, 1, 0), (1, 0, 1, 0, 1)])
+    half_turn = Iet(dom, dom, [(0, 0, 1, 0, 1), (0, 1, 1, 0, 0), (1, 0, 1, 1, 0)])
+    p = make_point(dom, g.CIRCLE_INDEX, 0)
+    groups = [g, ExampleGroup(dom, rational, g.s, half), ExampleGroup(dom, g.r, moved, g.lam)]
+    for group in groups + [ExampleGroup(dom, g.s, half_turn, g.lam)]:
+        gens = ((False, group.r), (True, group.s * group.r * group.s))
+        words, layer = [], [(True, Iet.identity(dom))]
+        for depth in range(1, 6):
+            layer = [(only and rp, m * gen) for only, m in layer for rp, gen in gens]
+            words += layer
+            expect = len(set(m for _, m in words)) == len(words)
+            expect = expect and all((m(p) == p) == only for only, m in words)
+            assert free_semigroup_check(group, depth) == expect
 
 
 def test_free_semigroup_fixed_point_criterion():

@@ -25,9 +25,7 @@ from ietlab.field import QuadNum
 from ietlab.relations import (
     CapExceededError,
     ShrinkVerificationError,
-    _disjoint_supports,
     _eps_cover,
-    _eps_covered,
     _first_hits,
     ShrinkConfig,
     Word,
@@ -37,7 +35,6 @@ from ietlab.relations import (
     drifted,
     free_reduce,
     is_admissible,
-    jump_marks,
     lcm_up_to,
     relation_certificate,
     small_rotation_power,
@@ -47,6 +44,7 @@ from ietlab.relations import (
 )
 
 from randgen import cut_and_place, random_domain, random_iet, random_realizable_perm
+from subdomain_oracle import eps_cover, jump_marks, oracle_of, support_of
 
 R2 = QuadNum.sqrt(2)
 ALPHA = R2 - 1
@@ -514,7 +512,7 @@ def test_shrink_support_part_count_bounded_by_marks():
     assert len(u.support().parts) <= 2 * nmarks
 
 
-# -- keyed sweeps against their QuadNum oracles --------------------------------------
+# -- merge sweeps against their QuadNum oracles --------------------------------------
 
 
 def swap_halves(domain: Domain, spans) -> Iet:
@@ -549,8 +547,11 @@ def spans_from(data, domain: Domain, marks) -> list:
 
 
 def keyed_cover_agrees(s: Iet, u: Iet, eps) -> bool:
-    verdict = _eps_covered(s, u, QuadNum.of(eps))
-    assert verdict == _eps_cover(s.source, jump_marks(s), eps).covers(u.support())
+    cover = _eps_cover(s, QuadNum.of(eps))
+    oracle = eps_cover(s.source, jump_marks(s), eps)
+    assert oracle_of(cover) == oracle
+    verdict = cover.covers(u.support())
+    assert verdict == oracle.covers(support_of(u))
     return verdict
 
 
@@ -606,6 +607,21 @@ def test_keyed_cover_on_ball_edges():
         ([(0, f(1, 5) - f(1, 1000), f(3, 10))], False),
     ]:
         assert keyed_cover_agrees(s, swap_halves(s.source, spans), eps) is covered, spans
+    # two circle maps continuous across 0: the balls round the jumps at
+    # 93/100 and 97/100 reach round to 0 one turn down, and the ball round
+    # the jump at eps one turn up starts exactly at the cut
+    dom, eps = Domain.circle(1), Fraction(1, 10)
+    top = [(0, f(9, 10), f(3, 100), 0, f(94, 100)), (0, f(93, 100), f(1, 25), 0, f(9, 10))]
+    top = Iet(dom, dom, [(0, 0, f(9, 10), 0, 0), *top, (0, f(97, 100), f(3, 100), 0, f(97, 100))])
+    low = [(0, f(1, 10), f(1, 10), 0, f(3, 10)), (0, f(1, 5), f(1, 5), 0, f(1, 10))]
+    low = Iet(dom, dom, [(0, 0, f(1, 10), 0, 0), *low, (0, f(2, 5), f(3, 5), 0, f(2, 5))])
+    for s, spans, covered in [
+        (top, [(0, 0, f(7, 100)), (0, f(4, 5), 1)], True),
+        (top, [(0, 0, f(71, 1000))], False),
+        (low, [(0, 0, f(1, 2))], True),
+        (low, [(0, f(1, 2), f(3, 5))], False),
+    ]:
+        assert keyed_cover_agrees(s, swap_halves(dom, spans), eps) is covered, spans
 
 
 @settings(max_examples=120, deadline=None)
@@ -622,7 +638,7 @@ def test_keyed_disjointness_matches_the_quadnum_intersection(seed, data):
     ]
     g = swap_halves(domain, spans_from(data, domain, marks))
     h = swap_halves(domain, spans_from(data, domain, marks))
-    assert _disjoint_supports(g, h) == g.support().intersection(h.support()).is_empty()
+    assert g.support().disjoint(h.support()) == support_of(g).disjoint(support_of(h))
 
 
 def test_keyed_disjointness_on_touching_supports():
@@ -638,14 +654,21 @@ def test_keyed_disjointness_on_touching_supports():
     for a, b, disjoint in cases:
         g, h = swap_halves(domain, a), swap_halves(domain, b)
         for x, y in ((g, h), (h, g)):
-            assert _disjoint_supports(x, y) is disjoint, (a, b)
-            assert x.support().intersection(y.support()).is_empty() is disjoint
+            assert x.support().disjoint(y.support()) is disjoint, (a, b)
+            assert support_of(x).disjoint(support_of(y)) is disjoint
 
 
 def test_checked_mode_rederives_the_keyed_verdicts(monkeypatch):
     r, s = circle_rotation(1, ALPHA), circle_swap_first_quarters()
     cfg = ShrinkConfig(QuadNum(Fraction(1, 100)))
-    monkeypatch.setattr(relations, "_eps_covered", lambda s, u, eps: False)
+    # the merge forced wrong: it spills over the whole domain
+    merge = Subdomain.union
+
+    def spilled(a, b):
+        whole = [(i, 0, c.length) for i, c in enumerate(a.domain.components)]
+        return merge(merge(a, b), Subdomain.make(a.domain, whole))
+
+    monkeypatch.setattr(Subdomain, "union", spilled)
     monkeypatch.setattr(core, "CHECKED", True)
     with pytest.raises(SelfCheckError):
         shrink_support(r, s, cfg)
@@ -657,7 +680,6 @@ def test_checked_mode_rederives_the_keyed_verdicts(monkeypatch):
     s = from_lengths((2, 1, 3), [Fraction(1, 4) + delta, Fraction(1, 4) - delta, Fraction(1, 2)])
     t0 = from_lengths((3, 2, 1), [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)])
     t = drifted(t0, QuadNum(Fraction(1, 2**9)), drift_direction((3, 2, 1)))
-    monkeypatch.setattr(relations, "_disjoint_supports", lambda g, h: False)
     assert relation_certificate(s, t, 4, k_cap=3) is None
     monkeypatch.setattr(core, "CHECKED", True)
     with pytest.raises(SelfCheckError):
@@ -767,7 +789,7 @@ def test_relation_certificate_with_genuine_conjugate_search():
     assert not cert.u.is_identity()
     assert not hasattr(cert, "supp_u")  # derived from u, so not carried
     tk = t ** cert.k
-    assert (tk * cert.u * ~tk).support().intersection(cert.u.support()).is_empty()
+    assert (tk * cert.u * ~tk).support().disjoint(cert.u.support())
     assert cert.word.evaluate([s, t]).is_identity()
     assert free_reduce(cert.word).letters != ()
     assert cert.exponent == 12 and cert.epsilon == Fraction(1, 800)
